@@ -6,12 +6,12 @@ layer depends on: byte-stable artifacts, bit-identical parallel
 results, and a warm cache that skips every unchanged cell.
 """
 
+from repro.core.canonical import dumps
 from repro.runner import (
     ResultCache,
     SweepConfig,
     build_artifact,
     diff_artifacts,
-    dumps_artifact,
     preset_grid,
     run_sweep,
 )
@@ -35,8 +35,8 @@ def test_sweep_cold_then_warm_cache(benchmark, single_shot,
     print(f"warm: {warm.summary()}")
     assert cold.evaluated == len(cells)
     assert (warm.evaluated, warm.cache_hits) == (0, len(cells))
-    cold_doc = dumps_artifact(build_artifact(cold, "fig3-sub", config))
-    warm_doc = dumps_artifact(build_artifact(warm, "fig3-sub", config))
+    cold_doc = dumps(build_artifact(cold, "fig3-sub", config))
+    warm_doc = dumps(build_artifact(warm, "fig3-sub", config))
     assert cold_doc == warm_doc
 
 

@@ -16,11 +16,11 @@ Usage::
 
 from pathlib import Path
 
+from repro.core.canonical import write
 from repro.dash import write_dashboard
 from repro.faults import fault_preset
-from repro.obs.capture import capture_collective, write_replay_frames
-from repro.obs.ledger import build_ledger, discover_artifacts, \
-    write_ledger
+from repro.obs.capture import capture_collective
+from repro.obs.ledger import build_ledger, discover_artifacts
 
 OUT = Path("site")
 OUT.mkdir(exist_ok=True)
@@ -32,7 +32,7 @@ print(cap.summary())
 
 # 2. Serialize it as a deterministic replay document.
 replay = cap.to_replay_frames()
-print(f"\nwrote {write_replay_frames(replay, OUT / 'replay.json')}")
+print(f"\nwrote {write(replay, OUT / 'replay.json')}")
 recovery = [f for f in replay["frames"]
             if f["category"] in ("retransmit", "backoff", "reroute")]
 print(f"replay: {len(replay['frames'])} frames, "
@@ -46,5 +46,5 @@ entries.append(("replay.json", "replay", replay))
 ledger = build_ledger(entries)
 print(f"\nledger: {len(ledger['entries'])} artifact(s), "
       f"bundle digest {ledger['bundle_digest'][:16]}")
-print(f"wrote {write_ledger(ledger, OUT / 'BENCH_ledger.json')}")
+print(f"wrote {write(ledger, OUT / 'BENCH_ledger.json')}")
 print(f"wrote {write_dashboard(ledger, OUT)} (open in any browser)")

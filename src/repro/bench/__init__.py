@@ -31,13 +31,10 @@ from .perfsuite import (
     PerfRun,
     build_perf_artifact,
     check_perf_artifact,
-    dumps_perf_artifact,
-    load_perf_artifact,
     perf_workload_names,
     run_perf_suite,
     run_workload,
     work_section_text,
-    write_perf_artifact,
 )
 from .tables import Table3Row, format_table3, table3
 from .workload import (
@@ -72,13 +69,10 @@ __all__ = [
     "build_perf_artifact",
     "chaos_report",
     "check_perf_artifact",
-    "dumps_perf_artifact",
-    "load_perf_artifact",
     "perf_workload_names",
     "run_perf_suite",
     "run_workload",
     "work_section_text",
-    "write_perf_artifact",
     "crossover_message_size",
     "degradation_curves",
     "document_diff_paths",

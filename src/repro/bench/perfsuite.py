@@ -26,12 +26,11 @@ overhaul (and every PR after it) is judged against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..core.canonical import dumps, round9
 from ..obs.perf import WorkMeter
 from ..obs.profiler import EngineProfiler
 from ..sim import SIM_VERSION
@@ -46,25 +45,15 @@ __all__ = [
     "build_perf_artifact",
     "work_section_text",
     "check_perf_artifact",
-    "dumps_perf_artifact",
-    "write_perf_artifact",
-    "load_perf_artifact",
 ]
-
-PathLike = Union[str, Path]
 
 PERF_SCHEMA = "repro-engine-perf/1"
 
 #: Default floor for ``current events/sec / baseline events/sec``.
 #: Generous because the baseline was measured on a different host:
 #: the gate exists to catch order-of-magnitude engine regressions,
-#: not scheduler jitter.
+#: not host timing noise.
 DEFAULT_MIN_RATIO = 0.33
-
-
-def _round9(value: float) -> float:
-    """9-significant-digit rounding (the repo's golden convention)."""
-    return float(f"{value:.9g}")
 
 
 @dataclass(frozen=True)
@@ -145,13 +134,13 @@ def _kernel_store_pipeline(env) -> float:
     return env.now
 
 
-def _micro(kernel, scheduler: Optional[str] = None
-           ) -> Callable[[WorkMeter, Optional[EngineProfiler]], float]:
+def _micro(kernel) -> Callable[[WorkMeter, Optional[EngineProfiler]],
+                               float]:
     def run(meter: WorkMeter,
             profiler: Optional[EngineProfiler]) -> float:
         from ..sim import Environment
 
-        env = Environment(scheduler=scheduler)
+        env = Environment()
         env.work = meter
         env.profiler = profiler
         return kernel(env)
@@ -209,8 +198,6 @@ def _workloads() -> "Dict[str, Tuple[Tuple[str, ...], Callable]]":
     table["micro/engine-timeouts"] = (both, _micro(_kernel_engine_timeouts))
     table["micro/engine-sleep-pool"] = \
         (both, _micro(_kernel_engine_sleep_pool))
-    table["micro/engine-timeouts-calendar"] = \
-        (both, _micro(_kernel_engine_timeouts, scheduler="calendar"))
     table["micro/resource-handoff"] = \
         (both, _micro(_kernel_resource_handoff))
     table["micro/store-pipeline"] = (both, _micro(_kernel_store_pipeline))
@@ -287,20 +274,20 @@ def build_perf_artifact(runs: List[PerfRun],
         "work": {
             run.workload: {
                 "counters": dict(run.work),
-                "sim_time_us": _round9(run.sim_time_us),
+                "sim_time_us": round9(run.sim_time_us),
             } for run in runs
         },
         "throughput": {
             "workloads": {
                 run.workload: {
-                    "wall_s": _round9(run.wall_s),
-                    "events_per_sec": _round9(run.events_per_sec),
+                    "wall_s": round9(run.wall_s),
+                    "events_per_sec": round9(run.events_per_sec),
                 } for run in runs
             },
             "total": {
                 "events_fired": total_fired,
-                "wall_s": _round9(total_wall),
-                "events_per_sec": _round9(
+                "wall_s": round9(total_wall),
+                "events_per_sec": round9(
                     total_fired / total_wall if total_wall > 0 else 0.0),
             },
         },
@@ -316,7 +303,7 @@ def work_section_text(artifact: Mapping[str, Any]) -> str:
         "suite": artifact.get("suite"),
         "work": artifact.get("work", {}),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dumps(payload)
 
 
 @dataclass
@@ -409,26 +396,3 @@ def check_perf_artifact(current: Mapping[str, Any],
         current_events_per_sec=float(
             cur_total.get("events_per_sec", 0.0)),
         min_ratio=min_ratio)
-
-
-def dumps_perf_artifact(payload: Mapping[str, Any]) -> str:
-    """Canonical serialization (sorted keys, indent 2, final newline)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_perf_artifact(payload: Mapping[str, Any],
-                        path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(dumps_perf_artifact(payload), "utf-8")
-    return path
-
-
-def load_perf_artifact(path: PathLike) -> Dict[str, Any]:
-    path = Path(path)
-    payload = json.loads(path.read_text("utf-8"))
-    schema = payload.get("schema")
-    if schema != PERF_SCHEMA:
-        raise ValueError(f"{path} is not an engine-perf artifact "
-                         f"(schema {schema!r}, expected "
-                         f"{PERF_SCHEMA!r})")
-    return payload

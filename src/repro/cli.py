@@ -179,11 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="events/sec floor as a fraction of the "
                            "baseline (default 0.33; wall-clock only — "
                            "work counters always compare exactly)")
-    perf.add_argument("--scheduler", default=None,
-                      choices=["heap", "calendar"],
-                      help="pending-event scheduler for every workload "
-                           "(default: REPRO_SIM_SCHEDULER or heap); the "
-                           "work section must be identical either way")
     perf.add_argument("--flame", metavar="PATH",
                       help="profile the suite and write collapsed "
                            "stacks (flamegraph.pl / speedscope input)")
@@ -470,7 +465,8 @@ def _apply_decision_table(cells, path):
 
 def _run_tune_command(args) -> int:
     from .core import MeasurementConfig
-    from .tuner import run_tune, tune_grid, write_tuning
+    from .core.canonical import write
+    from .tuner import run_tune, tune_grid
     try:
         grid = tune_grid(args.grid)
         ops = _csv_names(args.ops)
@@ -511,13 +507,14 @@ def _run_tune_command(args) -> int:
               f"{flip['algorithm']} ({flip['speedup']:.2f}x)")
     if len(result.flips) > args.top:
         print(f"  ... {len(result.flips) - args.top} more flips")
-    print(f"wrote {write_tuning(result.artifact(), args.out)}")
+    print(f"wrote {write(result.artifact(), args.out)}")
     return 1 if result.quarantined else 0
 
 
 def _run_sweep_command(args) -> int:
     from .bench import write_sweep_csv
     from .core import MeasurementConfig
+    from .core.canonical import write
     from .faults import fault_preset
     from .runner import (
         ResultCache,
@@ -525,7 +522,6 @@ def _run_sweep_command(args) -> int:
         build_artifact,
         preset_grid,
         run_sweep,
-        write_artifact,
     )
     try:
         grid = preset_grid(args.grid)
@@ -580,16 +576,15 @@ def _run_sweep_command(args) -> int:
     for cell, reason in sorted(result.quarantined.items()):
         print(f"quarantined {cell.key()}: {reason}", file=sys.stderr)
     artifact = build_artifact(result, grid.name, config)
-    print(f"wrote {write_artifact(artifact, args.out)}")
+    print(f"wrote {write(artifact, args.out)}")
     if args.csv:
         print(f"wrote {write_sweep_csv(artifact, args.csv)}")
     return 1 if result.quarantined else 0
 
 
 def _run_chaos_command(args) -> int:
-    import json
-
     from .bench import degradation_curves, run_chaos
+    from .core.canonical import write
     from .faults import fault_preset
     try:
         plan = fault_preset(args.faults)
@@ -616,9 +611,7 @@ def _run_chaos_command(args) -> int:
             "counters": run.counters,
             "metrics": run.metrics_snapshot,
         }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write(document, args.out)
         print(f"wrote {args.out}")
     if args.curves:
         print()
@@ -651,29 +644,17 @@ def _run_critpath_command(args) -> int:
 def _run_perf_command(args) -> int:
     from .bench.perfsuite import (
         DEFAULT_MIN_RATIO,
+        PERF_SCHEMA,
         build_perf_artifact,
         check_perf_artifact,
-        load_perf_artifact,
         run_perf_suite,
-        write_perf_artifact,
     )
+    from .core.canonical import load, write
     profiler = None
     if args.flame:
         from .obs import EngineProfiler
         profiler = EngineProfiler()
-    # --scheduler flips the process default; workloads that pin their
-    # own scheduler (micro/engine-timeouts-calendar) are unaffected.
-    previous = os.environ.get("REPRO_SIM_SCHEDULER")
-    if args.scheduler:
-        os.environ["REPRO_SIM_SCHEDULER"] = args.scheduler
-    try:
-        runs = run_perf_suite(args.suite, profiler=profiler)
-    finally:
-        if args.scheduler:
-            if previous is None:
-                os.environ.pop("REPRO_SIM_SCHEDULER", None)
-            else:
-                os.environ["REPRO_SIM_SCHEDULER"] = previous
+    runs = run_perf_suite(args.suite, profiler=profiler)
     artifact = build_perf_artifact(runs, suite=args.suite)
     total = artifact["throughput"]["total"]
     print(f"engine perf suite '{args.suite}': {len(runs)} workloads, "
@@ -689,10 +670,11 @@ def _run_perf_command(args) -> int:
         print(profiler.format_report(top=args.top))
         print(f"wrote {write_folded_stacks(profiler, args.flame)}")
     if args.out:
-        print(f"wrote {write_perf_artifact(artifact, args.out)}")
+        print(f"wrote {write(artifact, args.out)}")
     if args.check:
         try:
-            baseline = load_perf_artifact(args.check)
+            baseline = load(args.check, PERF_SCHEMA,
+                            "an engine-perf artifact")
         except (OSError, ValueError) as error:
             print(error, file=sys.stderr)
             return 2
@@ -709,17 +691,17 @@ def _run_perf_command(args) -> int:
 def _run_audit_command(args) -> int:
     from pathlib import Path
 
+    from .core.canonical import load, write
     from .obs.drift import (
+        DRIFT_SCHEMA,
         DriftTolerance,
         audit_artifact,
         build_drift_artifact,
         format_drift_trend,
-        load_drift_artifact,
-        write_drift_artifact,
     )
-    from .runner import load_artifact
+    from .runner import ARTIFACT_SCHEMA
     try:
-        artifact = load_artifact(args.artifact)
+        artifact = load(args.artifact, ARTIFACT_SCHEMA, "a sweep artifact")
     except (OSError, ValueError) as error:
         print(error, file=sys.stderr)
         return 2
@@ -734,7 +716,7 @@ def _run_audit_command(args) -> int:
             default = Path(args.out or "BENCH_drift.json")
             history = [str(default)] if default.is_file() else []
         try:
-            generations = [load_drift_artifact(path)
+            generations = [load(path, DRIFT_SCHEMA, "a drift artifact")
                            for path in history]
         except (OSError, ValueError) as error:
             print(error, file=sys.stderr)
@@ -743,19 +725,16 @@ def _run_audit_command(args) -> int:
         print()
         print(format_drift_trend(generations))
     if args.out:
-        print(f"wrote {write_drift_artifact(payload, args.out)}")
+        print(f"wrote {write(payload, args.out)}")
     return 0 if report.passed() else 1
 
 
 def _run_dash_command(args) -> int:
     from pathlib import Path
 
+    from .core.canonical import write
     from .dash import write_dashboard
-    from .obs.ledger import (
-        build_ledger,
-        discover_artifacts,
-        write_ledger,
-    )
+    from .obs.ledger import build_ledger, discover_artifacts
     out_dir = Path(args.out)
     try:
         entries = discover_artifacts(args.artifacts or ["."],
@@ -779,15 +758,14 @@ def _run_dash_command(args) -> int:
             except KeyError as error:
                 print(error.args[0], file=sys.stderr)
                 return 2
-        from .obs.capture import capture_collective, \
-            write_replay_frames
+        from .obs.capture import capture_collective
         capture = capture_collective(
             machine, op, nbytes=args.bytes, num_nodes=args.nodes,
             seed=args.seed, faults=faults)
         print(capture.summary())
         replay = capture.to_replay_frames()
         name = f"replay_{machine}_{op}.json"
-        print(f"wrote {write_replay_frames(replay, out_dir / name)}")
+        print(f"wrote {write(replay, out_dir / name)}")
         entries.append((name, "replay", replay))
     ledger = build_ledger(entries)
     census = ", ".join(f"{family} x{count}" for family, count
@@ -795,7 +773,7 @@ def _run_dash_command(args) -> int:
     print(f"ledger: {len(ledger['entries'])} artifact(s) "
           f"({census or 'none'}), bundle digest "
           f"{ledger['bundle_digest'][:16]}")
-    print(f"wrote {write_ledger(ledger, out_dir / 'BENCH_ledger.json')}")
+    print(f"wrote {write(ledger, out_dir / 'BENCH_ledger.json')}")
     page = write_dashboard(ledger, out_dir)
     print(f"wrote {page}")
     if args.open:
@@ -805,10 +783,12 @@ def _run_dash_command(args) -> int:
 
 
 def _run_diff_command(args) -> int:
-    from .runner import diff_artifacts, load_artifact
-    diff = diff_artifacts(load_artifact(args.baseline),
-                          load_artifact(args.current),
-                          rtol=args.rtol, atol=args.atol)
+    from .core.canonical import load
+    from .runner import ARTIFACT_SCHEMA, diff_artifacts
+    diff = diff_artifacts(
+        load(args.baseline, ARTIFACT_SCHEMA, "a sweep artifact"),
+        load(args.current, ARTIFACT_SCHEMA, "a sweep artifact"),
+        rtol=args.rtol, atol=args.atol)
     print(diff.format())
     return 0 if diff.clean() else 1
 

@@ -40,14 +40,13 @@ class MpiWorld:
                  trace: bool = False, metrics: bool = False,
                  cpu_slowdown: Optional[dict] = None,
                  faults: Optional[FaultPlan] = None,
-                 scheduler: Optional[str] = None,
                  fast_wire: bool = True,
                  decision_table: Optional[Any] = None):
         spec = get_machine_spec(machine) if isinstance(machine, str) \
             else machine
         if decision_table is not None:
             spec = spec.with_decision_table(decision_table)
-        self.env = Environment(scheduler=scheduler)
+        self.env = Environment()
         self.streams = RandomStreams(seed)
         self.tracer = Tracer(enabled=trace)
         self.metrics = MetricsRegistry(enabled=metrics)

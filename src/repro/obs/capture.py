@@ -12,21 +12,16 @@ importable from the lower layers it instruments.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional
 
+from ..core.canonical import round9
 from ..sim import Tracer
 from .metrics import MetricsRegistry
 from .perf import WorkMeter
 from .profiler import EngineProfiler
 
-__all__ = ["REPLAY_SCHEMA", "CollectiveCapture", "capture_collective",
-           "dumps_replay_frames", "write_replay_frames",
-           "load_replay_frames"]
-
-PathLike = Union[str, Path]
+__all__ = ["REPLAY_SCHEMA", "CollectiveCapture", "capture_collective"]
 
 #: Schema tag of the serialized replay-frame document.
 REPLAY_SCHEMA = "repro-replay/1"
@@ -35,11 +30,6 @@ REPLAY_SCHEMA = "repro-replay/1"
 #: order in the dashboard (recovery categories overlay plain traffic).
 REPLAY_CATEGORIES = ("collective", "phase", "message", "link",
                      "retransmit", "backoff", "reroute")
-
-
-def _round9(value: float) -> float:
-    """9-significant-digit rounding (the repo's golden convention)."""
-    return float(f"{value:.9g}")
 
 
 def _link_points(name: str, topology) -> Optional[List[List[float]]]:
@@ -150,8 +140,8 @@ class CollectiveCapture:
                 "category": span.category,
                 "name": span.name,
                 "node": span.node,
-                "start_us": _round9(span.start),
-                "end_us": _round9(end),
+                "start_us": round9(span.start),
+                "end_us": round9(end),
             }
             dst = span.detail.get("dst")
             if dst is not None:
@@ -173,10 +163,10 @@ class CollectiveCapture:
         if path is not None:
             critical = {
                 "span_ids": [step.span_id for step in path.steps],
-                "start_us": _round9(path.start_us),
-                "end_us": _round9(path.end_us),
-                "total_us": _round9(path.total_us),
-                "components": {name: _round9(value) for name, value
+                "start_us": round9(path.start_us),
+                "end_us": round9(path.end_us),
+                "total_us": round9(path.total_us),
+                "components": {name: round9(value) for name, value
                                in sorted(path.components.items())},
             }
         document: Dict[str, Any] = {
@@ -187,7 +177,7 @@ class CollectiveCapture:
             "num_nodes": self.num_nodes,
             "iterations": self.iterations,
             "seed": self.seed,
-            "elapsed_us": _round9(self.elapsed_us),
+            "elapsed_us": round9(self.elapsed_us),
             "topology": {
                 "kind": self.world.spec.network.kind,
                 "positions": [list(layout[node])
@@ -243,28 +233,3 @@ def capture_collective(machine: str, op: str, nbytes: int = 1024,
         world=world, tracer=world.tracer, metrics=world.machine.metrics,
         profiler=profiler, work=meter, seed=seed,
         faults_name=getattr(faults, "name", None))
-
-
-def dumps_replay_frames(document: Dict[str, Any]) -> str:
-    """Canonical serialization (sorted keys, indent 2, final newline)."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def write_replay_frames(document: Dict[str, Any],
-                        path: PathLike) -> Path:
-    """Write a replay document canonically; returns the path."""
-    path = Path(path)
-    path.write_text(dumps_replay_frames(document), "utf-8")
-    return path
-
-
-def load_replay_frames(path: PathLike) -> Dict[str, Any]:
-    """Load and schema-check a replay document."""
-    path = Path(path)
-    payload = json.loads(path.read_text("utf-8"))
-    schema = payload.get("schema")
-    if schema != REPLAY_SCHEMA:
-        raise ValueError(f"{path} is not a replay document "
-                         f"(schema {schema!r}, expected "
-                         f"{REPLAY_SCHEMA!r})")
-    return payload

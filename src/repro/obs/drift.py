@@ -19,11 +19,10 @@ re-exported from ``repro.obs``; import it explicitly::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..core.canonical import round9
 from ..core.paper_model import PAPER_TABLE3
 
 __all__ = [
@@ -33,20 +32,10 @@ __all__ = [
     "DriftReport",
     "audit_artifact",
     "build_drift_artifact",
-    "dumps_drift_artifact",
-    "write_drift_artifact",
-    "load_drift_artifact",
     "format_drift_trend",
 ]
 
-PathLike = Union[str, Path]
-
 DRIFT_SCHEMA = "repro-drift/1"
-
-
-def _round9(value: float) -> float:
-    """9-significant-digit rounding (the repo's golden convention)."""
-    return float(f"{value:.9g}")
 
 
 @dataclass(frozen=True)
@@ -233,46 +222,34 @@ def build_drift_artifact(report: DriftReport,
             "op": cell.op,
             "nbytes": cell.nbytes,
             "p": cell.p,
-            "actual_us": _round9(cell.actual_us),
-            "model_us": _round9(cell.model_us),
-            "rel_error": _round9(cell.rel_error),
+            "actual_us": round9(cell.actual_us),
+            "model_us": round9(cell.model_us),
+            "rel_error": round9(cell.rel_error),
             "within": cell.within,
         } for cell in report.cells],
         "summary": {
             f"{machine}/{op}": {
                 "cells": stats["cells"],
                 "breaches": stats["breaches"],
-                "max_abs_rel_error": _round9(
+                "max_abs_rel_error": round9(
                     stats["max_abs_rel_error"]),
-                "mean_abs_rel_error": _round9(
+                "mean_abs_rel_error": round9(
                     stats["mean_abs_rel_error"]),
                 "worst": {
                     "nbytes": stats["worst"].nbytes,
                     "p": stats["worst"].p,
-                    "rel_error": _round9(stats["worst"].rel_error),
+                    "rel_error": round9(stats["worst"].rel_error),
                 },
             }
             for (machine, op), stats in report.group_stats().items()
         },
         "worst_cells": [{
             "cell": cell.key(),
-            "rel_error": _round9(cell.rel_error),
+            "rel_error": round9(cell.rel_error),
         } for cell in report.worst(worst)],
         "skipped": [{"cell": key, "reason": reason}
                     for key, reason in report.skipped],
     }
-
-
-def dumps_drift_artifact(payload: Mapping[str, Any]) -> str:
-    """Canonical serialization (sorted keys, indent 2, final newline)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_drift_artifact(payload: Mapping[str, Any],
-                         path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(dumps_drift_artifact(payload), "utf-8")
-    return path
 
 
 def format_drift_trend(generations: List[Mapping[str, Any]]) -> str:
@@ -316,14 +293,3 @@ def format_drift_trend(generations: List[Mapping[str, Any]]) -> str:
                  f"{'':>10}  {' '.join(str(t) for t in totals)}")
     lines.append(f"verdicts: {''.join(passes)}")
     return "\n".join(lines)
-
-
-def load_drift_artifact(path: PathLike) -> Dict[str, Any]:
-    path = Path(path)
-    payload = json.loads(path.read_text("utf-8"))
-    schema = payload.get("schema")
-    if schema != DRIFT_SCHEMA:
-        raise ValueError(f"{path} is not a drift artifact "
-                         f"(schema {schema!r}, expected "
-                         f"{DRIFT_SCHEMA!r})")
-    return payload

@@ -47,9 +47,6 @@ __all__ = [
     "discover_artifacts",
     "build_ledger",
     "validate_ledger",
-    "dumps_ledger",
-    "write_ledger",
-    "load_ledger",
 ]
 
 PathLike = Union[str, Path]
@@ -378,22 +375,3 @@ def validate_ledger(payload: Mapping[str, Any]) -> None:
     if payload.get("bundle_digest") != expected:
         raise ValueError("bundle_digest does not match the indexed "
                          "entries")
-
-
-def dumps_ledger(payload: Mapping[str, Any]) -> str:
-    """Canonical serialization (sorted keys, indent 2, final newline)."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_ledger(payload: Mapping[str, Any], path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(dumps_ledger(payload), "utf-8")
-    return path
-
-
-def load_ledger(path: PathLike) -> Dict[str, Any]:
-    """Load and validate a ledger bundle."""
-    path = Path(path)
-    payload = json.loads(path.read_text("utf-8"))
-    validate_ledger(payload)
-    return payload

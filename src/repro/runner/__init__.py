@@ -28,9 +28,6 @@ from .artifact import (
     ArtifactDiff,
     build_artifact,
     diff_artifacts,
-    dumps_artifact,
-    load_artifact,
-    write_artifact,
 )
 from .cache import CacheStats, ResultCache, default_cache_dir
 from .fingerprint import (
@@ -72,9 +69,7 @@ __all__ = [
     "cell_fingerprint",
     "default_cache_dir",
     "diff_artifacts",
-    "dumps_artifact",
     "evaluate_cell",
-    "load_artifact",
     "preset_grid",
     "run_sweep",
     "scrub_volatile",
@@ -82,5 +77,4 @@ __all__ = [
     "spec_fingerprint",
     "to_jsonable",
     "validate_cell_algorithms",
-    "write_artifact",
 ]

@@ -11,10 +11,8 @@ That property is what makes the checked-in golden baseline and the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple
 
 from ..bench.compare import values_match
 from ..sim import SIM_VERSION
@@ -22,11 +20,8 @@ from .fingerprint import to_jsonable
 from .pool import SweepConfig, SweepResult
 
 __all__ = ["ARTIFACT_SCHEMA", "VOLATILE_RESULT_FIELDS",
-           "scrub_volatile", "build_artifact", "dumps_artifact",
-           "write_artifact", "load_artifact", "ArtifactDiff",
+           "scrub_volatile", "build_artifact", "ArtifactDiff",
            "diff_artifacts"]
-
-PathLike = Union[str, Path]
 
 ARTIFACT_SCHEMA = "repro-sweep/1"
 
@@ -102,29 +97,6 @@ def build_artifact(result: SweepResult, grid_name: str,
                 entry["algorithm"] = cell.algorithm
             quarantined.append(entry)
         payload["quarantined"] = quarantined
-    return payload
-
-
-def dumps_artifact(payload: Dict[str, object]) -> str:
-    """Canonical serialization: sorted keys, fixed indent, one final
-    newline — the byte-stable form everything compares against."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_artifact(payload: Dict[str, object], path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(dumps_artifact(payload), "utf-8")
-    return path
-
-
-def load_artifact(path: PathLike) -> Dict[str, object]:
-    path = Path(path)
-    payload = json.loads(path.read_text("utf-8"))
-    schema = payload.get("schema")
-    if schema != ARTIFACT_SCHEMA:
-        raise ValueError(f"{path} is not a sweep artifact "
-                         f"(schema {schema!r}, expected "
-                         f"{ARTIFACT_SCHEMA!r})")
     return payload
 
 

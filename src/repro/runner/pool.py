@@ -33,6 +33,7 @@ from ..core import (
     measure_collective,
     paper_expression,
 )
+from ..core.canonical import round9
 from ..faults import FaultPlan
 from ..machines import MachineSpec, get_machine_spec
 from .cache import ResultCache
@@ -122,9 +123,9 @@ def _cell_breakdown(cell: SweepCell,
         metrics=False, faults=config.faults)
     path = capture.critical_path()
     return {
-        "components": {name: float(f"{value:.9g}")
+        "components": {name: round9(value)
                        for name, value in path.components.items()},
-        "total_us": float(f"{path.total_us:.9g}"),
+        "total_us": round9(path.total_us),
         "steps": len(path.steps),
     }
 

@@ -19,20 +19,21 @@ through the seeded streams in :mod:`repro.sim.rng`.
 Performance
 -----------
 Every class on the hot path uses ``__slots__``; the pending-event queue
-is pluggable (:mod:`repro.sim.scheduler` — binary heap or calendar
-queue, identical ``(time, priority, eid)`` ordering); and
+is one binary heap whose push and pop are C-level
+:func:`functools.partial` bindings of :mod:`heapq`; and
 :meth:`Environment.sleep` hands out pooled one-shot timeouts so the
 dominant fire-and-forget delay pattern does not allocate.  The
-differential-equivalence suite (``tests/sim/test_scheduler_equivalence``)
-is what licenses these shortcuts: it asserts both schedulers produce
-byte-identical event logs and work counters.
+equivalence suite (``tests/sim/test_shortcircuit_equivalence``) pins
+the pop order as run-to-run and cross-process deterministic, and
+proves the transport's analytic short-circuit delivers every message
+at exactly the time the full simulation does.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
-
-from .scheduler import EventScheduler, make_scheduler
 
 __all__ = [
     "SIM_VERSION",
@@ -416,25 +417,23 @@ class Environment:
     Time is a float; this package uses **microseconds** throughout, the
     unit the paper reports latencies in.
 
-    ``scheduler`` selects the pending-event queue implementation: a
-    name from :data:`repro.sim.scheduler.SCHEDULERS` (``"heap"`` or
-    ``"calendar"``), an :class:`~repro.sim.scheduler.EventScheduler`
-    instance, or ``None`` for the process default (the
-    ``REPRO_SIM_SCHEDULER`` environment variable, else the heap).  Both
-    implementations honor the same ``(time, priority, eid)`` ordering
-    contract, so the choice never changes simulation results.
+    Pending events live in one binary heap of ``(time, priority, eid,
+    event)`` tuples, so native tuple comparison is the whole ordering
+    contract.  ``_push``/``_pop`` are :func:`functools.partial`
+    bindings of :func:`heapq.heappush`/:func:`heapq.heappop` over that
+    heap: the engine calls them once per event, and a C-level partial
+    skips the Python frame a method would cost.
     """
 
-    __slots__ = ("_now", "_eid", "_scheduler", "_push", "_pop",
+    __slots__ = ("_now", "_eid", "_heap", "_push", "_pop",
                  "_active_process", "_sleep_pool", "profiler", "work")
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: Any = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._eid = 0
-        self._scheduler: EventScheduler = make_scheduler(scheduler)
-        self._push = self._scheduler.push
-        self._pop = self._scheduler.pop
+        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._push = partial(heappush, self._heap)
+        self._pop = partial(heappop, self._heap)
         self._active_process: Optional[Process] = None
         self._sleep_pool: List[_SleepTimeout] = []
         #: Optional observer (see :class:`repro.obs.EngineProfiler`)
@@ -455,11 +454,6 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently being stepped, if any."""
         return self._active_process
-
-    @property
-    def scheduler_name(self) -> str:
-        """Name of the pending-event queue implementation in use."""
-        return self._scheduler.name
 
     # -- event creation helpers ---------------------------------------------
     def event(self) -> Event:
@@ -556,7 +550,8 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._scheduler.peek_time()
+        heap = self._heap
+        return heap[0][0] if heap else float("inf")
 
     def _dispatch(self, event: Event) -> None:
         """Fire one popped event: run callbacks, recycle, re-raise."""
@@ -603,13 +598,16 @@ class Environment:
 
         ``until`` may be ``None`` (drain the queue), a number (stop when
         simulated time reaches it), or an :class:`Event` (stop when it
-        fires, returning its value).
+        fires, returning its value).  A failed stop event raises its
+        exception, whether it fails during this run or already had.
         """
         stop_event: Optional[Event] = None
         stop_time = float("inf")
         if isinstance(until, Event):
             stop_event = until
             if stop_event.callbacks is None:
+                if not stop_event._ok:
+                    raise stop_event._value
                 return stop_event._value
         elif until is not None:
             stop_time = float(until)
@@ -617,11 +615,12 @@ class Environment:
                 raise ValueError(
                     f"until ({stop_time}) is in the past (now={self._now})")
 
-        scheduler = self._scheduler
+        heap = self._heap
         pop = self._pop
-        bounded = stop_time != float("inf")
+        inf = float("inf")
+        bounded = stop_time != inf
         while True:
-            if bounded and scheduler.peek_time() > stop_time:
+            if bounded and (heap[0][0] if heap else inf) > stop_time:
                 self._now = stop_time
                 return None
             try:
@@ -637,6 +636,4 @@ class Environment:
         if stop_event is not None:
             raise SimulationError(
                 "run() until an event that can no longer fire")
-        if bounded:
-            self._now = stop_time
         return None

@@ -11,10 +11,11 @@ fastest; with no table loaded nothing anywhere changes.
 
 Quickstart::
 
-    from repro.tuner import run_tune, write_tuning
+    from repro.core.canonical import write
+    from repro.tuner import run_tune
 
     result = run_tune(["sp2", "t3d", "paragon"], grid="paper")
-    write_tuning(result.artifact(), "BENCH_tuning.json")
+    write(result.artifact(), "BENCH_tuning.json")
     print(result.summary())
 """
 
@@ -36,8 +37,6 @@ from .table import (
     build_tuning_artifact,
     dumps_tuning,
     load_decision_table,
-    load_tuning,
-    write_tuning,
 )
 
 __all__ = [
@@ -55,9 +54,7 @@ __all__ = [
     "dumps_tuning",
     "fit_decision_table",
     "load_decision_table",
-    "load_tuning",
     "run_tune",
     "tune_cells",
     "tune_grid",
-    "write_tuning",
 ]

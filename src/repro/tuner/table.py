@@ -8,30 +8,28 @@ Barchet-Estefanel & Mounié's "Fast Tuning" decision maps
 (arXiv:cs/0408034).  ``BENCH_tuning.json`` is its canonical rendering:
 key-sorted, 9-significant-digit times, one trailing newline — byte
 stable across runs, processes, and worker counts, like every other
-artifact in the repo.
+artifact in the repo (:mod:`repro.core.canonical`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..core.canonical import dumps, load, round9
 from ..sim import SIM_VERSION
 
 __all__ = ["TUNING_SCHEMA", "DecisionRule", "DecisionEntry",
            "DecisionTable", "build_tuning_artifact", "dumps_tuning",
-           "write_tuning", "load_tuning", "load_decision_table"]
+           "load_decision_table"]
 
 PathLike = Union[str, Path]
 
 TUNING_SCHEMA = "repro-tuning/1"
 
-
-def _round9(value: float) -> float:
-    """Canonical 9-significant-digit rounding used by all artifacts."""
-    return float(f"{value:.9g}")
+#: Kept for callers that serialize tuning artifacts by this name.
+dumps_tuning = dumps
 
 
 @dataclass(frozen=True, order=True)
@@ -167,7 +165,7 @@ def build_tuning_artifact(table: DecisionTable,
         row = dict(flip)
         for key in ("time_us", "default_time_us", "speedup"):
             if key in row:
-                row[key] = _round9(float(row[key]))
+                row[key] = round9(float(row[key]))
         flip_rows.append(row)
     payload: Dict[str, object] = {
         "schema": TUNING_SCHEMA,
@@ -184,33 +182,9 @@ def build_tuning_artifact(table: DecisionTable,
     return payload
 
 
-def dumps_tuning(payload: Dict[str, object]) -> str:
-    """Canonical serialization: sorted keys, fixed indent, one final
-    newline — the byte-stable form CI compares with ``cmp``."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_tuning(payload: Dict[str, object], path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(dumps_tuning(payload), "utf-8")
-    return path
-
-
-def load_tuning(path: PathLike) -> Dict[str, object]:
-    """Load and schema-check a ``BENCH_tuning.json`` document."""
-    path = Path(path)
-    payload = json.loads(path.read_text("utf-8"))
-    schema = payload.get("schema")
-    if schema != TUNING_SCHEMA:
-        raise ValueError(f"{path} is not a tuning artifact "
-                         f"(schema {schema!r}, expected "
-                         f"{TUNING_SCHEMA!r})")
-    return payload
-
-
 def load_decision_table(path: PathLike) -> DecisionTable:
     """Load, parse, and validate the decision table in an artifact."""
-    payload = load_tuning(path)
+    payload = load(path, TUNING_SCHEMA, "a tuning artifact")
     table = DecisionTable.from_payload(payload.get("machines", {}))
     table.validate()
     return table

@@ -1,7 +1,6 @@
 """Tests for the engine perf suite and BENCH_engine.json gate."""
 
 import copy
-import json
 
 import pytest
 
@@ -9,15 +8,13 @@ from repro.bench.perfsuite import (
     PERF_SCHEMA,
     build_perf_artifact,
     check_perf_artifact,
-    dumps_perf_artifact,
-    load_perf_artifact,
     perf_workload_names,
     run_perf_suite,
     run_workload,
     work_section_text,
-    write_perf_artifact,
 )
 from repro.bench import document_diff_paths
+from repro.core.canonical import load
 
 
 def _smoke_artifact():
@@ -51,22 +48,6 @@ def test_run_workload_returns_work_and_clock():
     assert run.sim_time_us == 400000.0
     assert run.wall_s > 0
     assert run.events_per_sec > 0
-
-
-def test_artifact_roundtrip_and_schema_gate(tmp_path):
-    artifact = _smoke_artifact()
-    assert artifact["schema"] == PERF_SCHEMA
-    path = tmp_path / "BENCH_engine.json"
-    write_perf_artifact(artifact, path)
-    assert load_perf_artifact(path) == artifact
-    # Canonical serialization: sorted keys, final newline.
-    text = path.read_text()
-    assert text.endswith("\n")
-    assert text == dumps_perf_artifact(artifact)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema": "other/1"}))
-    with pytest.raises(ValueError):
-        load_perf_artifact(bad)
 
 
 def test_work_section_byte_identical_across_runs():
@@ -165,7 +146,7 @@ def test_checked_in_baseline_matches_fresh_run():
 
     baseline_path = Path(__file__).resolve().parents[2] / \
         "BENCH_engine.json"
-    baseline = load_perf_artifact(baseline_path)
+    baseline = load(baseline_path, PERF_SCHEMA, "an engine-perf artifact")
     current = build_perf_artifact(run_perf_suite("default"),
                                   suite="default")
     result = check_perf_artifact(current, baseline, min_ratio=1e-9)

@@ -8,10 +8,11 @@ reviewable.
 """
 
 import difflib
-import json
 from pathlib import Path
 
 import pytest
+
+from repro.core.canonical import dumps
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -29,10 +30,6 @@ class GoldenComparator:
     def __init__(self, update: bool):
         self.update = update
 
-    @staticmethod
-    def render(payload) -> str:
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
     def check(self, name: str, payload) -> None:
         """Assert ``payload`` matches the golden file ``name``.
 
@@ -41,7 +38,7 @@ class GoldenComparator:
         pointer to the update flag.
         """
         path = GOLDEN_DIR / name
-        text = self.render(payload)
+        text = dumps(payload)
         if self.update:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, "utf-8")

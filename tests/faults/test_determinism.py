@@ -4,12 +4,12 @@ plan is timing-identical to running with no plan at all."""
 import dataclasses
 
 from repro.core import MeasurementConfig
+from repro.core.canonical import dumps
 from repro.faults import FAULT_FREE, fault_preset
 from repro.runner import (
     ResultCache,
     SweepConfig,
     build_artifact,
-    dumps_artifact,
     preset_grid,
     run_sweep,
 )
@@ -29,16 +29,16 @@ def _sweep_artifact(measurement, workers=1):
 def test_same_seed_and_plan_give_byte_identical_artifacts():
     measurement = dataclasses.replace(FAST,
                                       faults=fault_preset("lossy"))
-    first = dumps_artifact(_sweep_artifact(measurement))
-    second = dumps_artifact(_sweep_artifact(measurement))
+    first = dumps(_sweep_artifact(measurement))
+    second = dumps(_sweep_artifact(measurement))
     assert first == second
 
 
 def test_worker_count_does_not_change_faulty_artifacts():
     measurement = dataclasses.replace(FAST,
                                       faults=fault_preset("chaos"))
-    serial = dumps_artifact(_sweep_artifact(measurement, workers=1))
-    parallel = dumps_artifact(_sweep_artifact(measurement, workers=2))
+    serial = dumps(_sweep_artifact(measurement, workers=1))
+    parallel = dumps(_sweep_artifact(measurement, workers=2))
     assert serial == parallel
 
 

@@ -17,15 +17,12 @@ from repro.core import (
     AnalyticModel,
     table3_grid,
 )
+from repro.core.canonical import load, round9
 from repro.machines import get_machine_spec
-from repro.runner import preset_grid
+from repro.runner import ARTIFACT_SCHEMA, preset_grid
 
 TABLE3_SIZES = (4, 64, 1024, 16384, 65536)
 TABLE3_NODES = (2, 4, 8, 16, 32, 64, 128)
-
-
-def _round9(value: float) -> float:
-    return float(f"{value:.9g}")
 
 
 def test_table3_expression_outputs_golden(golden):
@@ -35,7 +32,7 @@ def test_table3_expression_outputs_golden(golden):
     for (machine, op), grid in sorted(grids.items()):
         series = {}
         for i, p in enumerate(TABLE3_NODES):
-            series[str(p)] = {str(m): _round9(grid[i, j])
+            series[str(p)] = {str(m): round9(grid[i, j])
                               for j, m in enumerate(TABLE3_SIZES)}
         payload[f"{machine}/{op}"] = series
     golden.check("table3_expressions.json", payload)
@@ -50,7 +47,7 @@ def _analytic_curves(ops, sizes):
             series = {}
             for p in machine_sizes_for(machine, PAPER_MACHINE_SIZES):
                 times = model.predict_batch(op, sizes, p)
-                series[str(p)] = {str(m): _round9(t)
+                series[str(p)] = {str(m): round9(t)
                                   for m, t in zip(sizes, times)}
             payload[f"{op}/{machine}"] = series
     return payload
@@ -88,7 +85,6 @@ def test_sweep_baseline_matches_model_mode():
         SweepConfig,
         build_artifact,
         diff_artifacts,
-        load_artifact,
         run_sweep,
     )
 
@@ -97,6 +93,6 @@ def test_sweep_baseline_matches_model_mode():
     result = run_sweep(preset_grid("smoke").cells(), config,
                        ResultCache(enabled=False))
     regenerated = build_artifact(result, "smoke", config)
-    diff = diff_artifacts(load_artifact(baseline_path), regenerated,
-                          rtol=1e-9)
+    baseline = load(baseline_path, ARTIFACT_SCHEMA, "a sweep artifact")
+    diff = diff_artifacts(baseline, regenerated, rtol=1e-9)
     assert diff.clean(), diff.format()

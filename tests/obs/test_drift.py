@@ -1,22 +1,18 @@
 """Drift auditor: Table 3 comparison, tolerances, byte stability."""
 
 import copy
-import json
 from pathlib import Path
 
 import pytest
 
+from repro.core.canonical import dumps, load
 from repro.obs.drift import (
-    DRIFT_SCHEMA,
     DriftTolerance,
     audit_artifact,
     build_drift_artifact,
-    dumps_drift_artifact,
     format_drift_trend,
-    load_drift_artifact,
-    write_drift_artifact,
 )
-from repro.runner import load_artifact
+from repro.runner import ARTIFACT_SCHEMA
 
 REPO_ROOT = Path(__file__).parents[2]
 BASELINE = REPO_ROOT / "tests" / "golden" / "BENCH_sweep_baseline.json"
@@ -25,7 +21,7 @@ TREND = REPO_ROOT / "BENCH_drift.json"
 
 @pytest.fixture(scope="module")
 def baseline():
-    return load_artifact(BASELINE)
+    return load(BASELINE, ARTIFACT_SCHEMA, "a sweep artifact")
 
 
 def test_baseline_audit_passes(baseline):
@@ -49,24 +45,16 @@ def test_report_format_table(baseline):
     assert text.endswith("-> PASS")
 
 
-def test_drift_artifact_byte_stable(baseline, tmp_path):
-    first = dumps_drift_artifact(
-        build_drift_artifact(audit_artifact(baseline)))
-    second = dumps_drift_artifact(
-        build_drift_artifact(audit_artifact(baseline)))
+def test_drift_artifact_byte_stable(baseline):
+    first = dumps(build_drift_artifact(audit_artifact(baseline)))
+    second = dumps(build_drift_artifact(audit_artifact(baseline)))
     assert first == second
-    path = write_drift_artifact(
-        build_drift_artifact(audit_artifact(baseline)),
-        tmp_path / "drift.json")
-    assert path.read_text("utf-8") == first
-    assert load_drift_artifact(path)["schema"] == DRIFT_SCHEMA
 
 
 def test_checked_in_trend_artifact_regenerates_identically(baseline):
     """Regenerating BENCH_drift.json from the golden sweep baseline
     must reproduce the checked-in file byte for byte."""
-    regenerated = dumps_drift_artifact(
-        build_drift_artifact(audit_artifact(baseline)))
+    regenerated = dumps(build_drift_artifact(audit_artifact(baseline)))
     assert TREND.exists(), \
         "BENCH_drift.json trend artifact missing from the repo root"
     assert TREND.read_text("utf-8") == regenerated
@@ -123,13 +111,6 @@ def test_tolerance_validation():
         DriftTolerance(max_rel_error=0.0)
     with pytest.raises(ValueError, match="barrier"):
         DriftTolerance(per_op={"barrier": -1.0})
-
-
-def test_load_rejects_wrong_schema(tmp_path):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"schema": "other/1"}))
-    with pytest.raises(ValueError, match="not a drift artifact"):
-        load_drift_artifact(bogus)
 
 
 def test_trend_sparklines_over_generations(baseline):

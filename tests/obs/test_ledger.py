@@ -15,13 +15,11 @@ from repro.obs.ledger import (
     classify_document,
     discover_artifacts,
     document_digest,
-    dumps_ledger,
-    load_ledger,
     scrub_volatile_deep,
     summarize_document,
     validate_ledger,
-    write_ledger,
 )
+from repro.core.canonical import dumps
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = str(REPO_ROOT / "src")
@@ -119,17 +117,15 @@ def test_golden_ledger(golden):
 
 
 def test_ledger_is_byte_stable_across_builds():
-    assert dumps_ledger(_golden_ledger()) \
-        == dumps_ledger(_golden_ledger())
+    assert dumps(_golden_ledger()) == dumps(_golden_ledger())
 
 
 def test_ledger_is_byte_stable_across_processes():
     snippet = (
-        "from repro.obs.ledger import build_ledger, "
-        "discover_artifacts, dumps_ledger\n"
+        "from repro.core.canonical import dumps\n"
+        "from repro.obs.ledger import build_ledger, discover_artifacts\n"
         f"inputs = {[str(p) for p in GOLDEN_INPUTS]!r}\n"
-        "print(dumps_ledger(build_ledger("
-        "discover_artifacts(inputs))), end='')\n"
+        "print(dumps(build_ledger(discover_artifacts(inputs))), end='')\n"
     )
     outputs = []
     for _ in range(2):
@@ -140,7 +136,7 @@ def test_ledger_is_byte_stable_across_processes():
                  "PYTHONHASHSEED": "random"})
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
-    assert outputs[0] == dumps_ledger(_golden_ledger())
+    assert outputs[0] == dumps(_golden_ledger())
 
 
 def test_bundle_digest_tracks_content():
@@ -225,12 +221,3 @@ def test_discover_rejects_explicit_unclassifiable_file(tmp_path):
         discover_artifacts([path])
     with pytest.raises(ValueError, match="neither a file nor"):
         discover_artifacts([tmp_path / "missing"])
-
-
-def test_write_and_load_roundtrip(tmp_path):
-    ledger = _golden_ledger()
-    path = write_ledger(ledger, tmp_path / "BENCH_ledger.json")
-    assert load_ledger(path) == ledger
-    path.write_text(json.dumps({"schema": "repro-sweep/1"}))
-    with pytest.raises(ValueError, match="not a ledger"):
-        load_ledger(path)

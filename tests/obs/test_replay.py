@@ -2,16 +2,9 @@
 
 import json
 
-import pytest
-
+from repro.core.canonical import dumps
 from repro.faults import fault_preset
-from repro.obs.capture import (
-    REPLAY_SCHEMA,
-    capture_collective,
-    dumps_replay_frames,
-    load_replay_frames,
-    write_replay_frames,
-)
+from repro.obs.capture import REPLAY_SCHEMA, capture_collective
 
 
 def _capture(machine="t3d", faults="single-link-outage", **kwargs):
@@ -81,17 +74,8 @@ def test_clean_capture_omits_faults_key():
 
 
 def test_replay_serialization_is_byte_stable():
-    first = dumps_replay_frames(_capture().to_replay_frames())
-    second = dumps_replay_frames(_capture().to_replay_frames())
+    first = dumps(_capture().to_replay_frames())
+    second = dumps(_capture().to_replay_frames())
     assert first == second
     assert first.endswith("\n")
     assert json.loads(first)["schema"] == REPLAY_SCHEMA
-
-
-def test_write_and_load_roundtrip(tmp_path):
-    doc = _capture().to_replay_frames()
-    path = write_replay_frames(doc, tmp_path / "replay.json")
-    assert load_replay_frames(path) == doc
-    path.write_text('{"schema": "repro-sweep/1"}')
-    with pytest.raises(ValueError, match="not a replay document"):
-        load_replay_frames(path)

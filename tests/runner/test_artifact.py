@@ -11,12 +11,10 @@ from repro.runner import (
     SweepConfig,
     build_artifact,
     diff_artifacts,
-    dumps_artifact,
-    load_artifact,
     preset_grid,
     run_sweep,
-    write_artifact,
 )
+from repro.core.canonical import dumps
 
 FAST = MeasurementConfig(iterations=1, warmup_iterations=0, runs=1)
 
@@ -28,7 +26,7 @@ def _artifact(mode="analytic"):
     return build_artifact(result, "smoke", config)
 
 
-def test_artifact_shape_and_roundtrip(tmp_path):
+def test_artifact_shape():
     artifact = _artifact()
     assert artifact["schema"] == ARTIFACT_SCHEMA
     assert artifact["grid"] == "smoke"
@@ -36,8 +34,6 @@ def test_artifact_shape_and_roundtrip(tmp_path):
     assert artifact["config"] is None  # closed-form: no protocol knobs
     assert len(artifact["cells"]) == \
         len(preset_grid("smoke").cells())
-    path = write_artifact(artifact, tmp_path / "BENCH_sweep.json")
-    assert load_artifact(path) == artifact
 
 
 def test_sim_mode_artifact_embeds_protocol():
@@ -50,14 +46,7 @@ def test_sim_mode_artifact_embeds_protocol():
 
 
 def test_dumps_is_byte_stable():
-    assert dumps_artifact(_artifact()) == dumps_artifact(_artifact())
-
-
-def test_load_rejects_foreign_json(tmp_path):
-    path = tmp_path / "not_sweep.json"
-    path.write_text('{"schema": "something-else"}', "utf-8")
-    with pytest.raises(ValueError, match="not a sweep artifact"):
-        load_artifact(path)
+    assert dumps(_artifact()) == dumps(_artifact())
 
 
 def test_diff_identical_is_clean():
@@ -138,4 +127,4 @@ def test_two_sweep_runs_are_byte_identical():
 
     first, second = _artifact(), _artifact()
     assert document_diff_paths(first, second) == []
-    assert dumps_artifact(first) == dumps_artifact(second)
+    assert dumps(first) == dumps(second)

@@ -5,12 +5,12 @@ failed cells."""
 import pytest
 
 from repro.core import MeasurementConfig
+from repro.core.canonical import dumps
 from repro.runner import (
     ResultCache,
     SweepCell,
     SweepConfig,
     build_artifact,
-    dumps_artifact,
     run_sweep,
 )
 
@@ -91,7 +91,7 @@ def test_clean_artifacts_have_no_quarantine_section():
     result = run_sweep(GOOD, config, ResultCache(enabled=False))
     payload = build_artifact(result, "adhoc", config)
     assert "quarantined" not in payload
-    assert "quarantined" not in dumps_artifact(payload)
+    assert "quarantined" not in dumps(payload)
 
 
 def test_cell_timeout_validation():

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import MeasurementConfig
+from repro.core.canonical import dumps
 from repro.machines import get_machine_spec
 from repro.runner import (
     ResultCache,
@@ -28,7 +29,6 @@ from repro.runner import (
     SweepConfig,
     build_artifact,
     cell_fingerprint,
-    dumps_artifact,
     run_sweep,
     spec_fingerprint,
 )
@@ -58,8 +58,8 @@ def test_parallel_sweep_bit_identical_to_serial(cells):
                            use_cache=False),
         ResultCache(enabled=False))
     config = SweepConfig(mode="sim", measurement=FAST, use_cache=False)
-    assert dumps_artifact(build_artifact(serial, "prop", config)) == \
-        dumps_artifact(build_artifact(parallel, "prop", config))
+    assert dumps(build_artifact(serial, "prop", config)) == \
+        dumps(build_artifact(parallel, "prop", config))
 
 
 _SUBPROCESS_SNIPPET = """\

@@ -439,6 +439,19 @@ def test_run_until_defused_failed_event_reraises():
         env.run(until=proc)
 
 
+def test_run_until_already_processed_failed_event_raises():
+    # Same outcome as waiting for the failure inside the run: raise,
+    # never hand the exception back as a value.
+    env = Environment()
+    event = env.event()
+    event.fail(RuntimeError("boom"))
+    event.defused()
+    env.run()
+    assert event.processed
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=event)
+
+
 def test_run_until_unfireable_event_rejected():
     env = Environment()
     orphan = env.event()  # never triggered, queue drains

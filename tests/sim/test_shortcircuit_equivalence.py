@@ -1,0 +1,299 @@
+"""Equivalence of the analytic short-circuit and the full simulation.
+
+The engine keeps every pending event in one binary heap ordered by
+``(time, priority, eid)``, and the transport completes contention- and
+fault-free transfers analytically instead of simulating their NIC and
+fabric legs.  Neither may ever be *observable*.  This harness runs
+randomized process/resource/store graphs (hypothesis) and real MPI
+workloads and asserts
+
+* the event queue pops a **run-to-run identical log** — the exact
+  ``(time, priority, eid, event-type)`` sequence, recorded by wrapping
+  ``env._pop`` — with identical :class:`~repro.obs.perf.WorkMeter`
+  snapshots, and the same work dump from fresh interpreters with random
+  hash seeds;
+* short-circuited (``fast_wire=True``) runs deliver **every message at
+  exactly the time** the full simulation (``fast_wire=False``) does:
+  the sorted per-message ``(src, dst, nbytes, sent_at, delivered_at)``
+  logs compare equal with ``==``, and end times agree to 1e-12 s.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.mpi import MpiWorld
+from repro.obs.perf import WorkMeter
+from repro.sim import Environment, Resource, Store
+
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: 1e-12 seconds in this repo's microsecond time unit.
+TIME_TOLERANCE_US = 1e-6
+
+
+def record_pops(env):
+    """Log every entry ``env`` pops from its event queue.
+
+    The log is the complete observable behaviour of the queue: two runs
+    that pop the same ``(time, priority, eid, type)`` sequence cannot be
+    told apart by the simulation.
+    """
+    log = []
+    pop = env._pop
+
+    def logged_pop():
+        entry = pop()
+        log.append((entry[0], entry[1], entry[2],
+                    type(entry[3]).__name__))
+        return entry
+
+    env._pop = logged_pop
+    return log
+
+
+def run_logged(program_factory):
+    """Run ``program_factory(env)`` to completion with its pops logged;
+    return (event log, work snapshot, final time)."""
+    env = Environment()
+    log = record_pops(env)
+    env.work = WorkMeter()
+    program_factory(env)
+    env.run()
+    return log, env.work.snapshot(), env.now
+
+
+def assert_deterministic(program_factory):
+    first = run_logged(program_factory)
+    second = run_logged(program_factory)
+    assert first == second
+    assert first[0], "workload fired no events at all"
+
+
+# -- randomized process/resource/store graphs -----------------------------
+
+@st.composite
+def process_graphs(draw):
+    """A random little simulation: N processes over shared resources
+    and stores, with timeouts, conditions, and handoffs."""
+    n_resources = draw(st.integers(1, 3))
+    n_stores = draw(st.integers(1, 2))
+    n_procs = draw(st.integers(2, 6))
+    durations = st.sampled_from(
+        [0.0, 0.25, 0.5, 1.0, 1.0, 2.5, 7.0, 1e3, 1e-3])
+    programs = []
+    for _ in range(n_procs):
+        actions = []
+        for _ in range(draw(st.integers(1, 8))):
+            kind = draw(st.sampled_from(
+                ["timeout", "hold", "put", "get", "anyof", "allof"]))
+            if kind == "timeout":
+                actions.append(("timeout", draw(durations)))
+            elif kind == "hold":
+                actions.append(("hold", draw(st.integers(0, n_resources - 1)),
+                                draw(durations)))
+            elif kind in ("put", "get"):
+                actions.append((kind, draw(st.integers(0, n_stores - 1))))
+            else:
+                actions.append((kind, draw(durations), draw(durations)))
+        programs.append(actions)
+    # Every get must have a matching put somewhere or the run deadlocks
+    # silently (run() just returns); balance per store.
+    for store in range(n_stores):
+        puts = sum(a[0] == "put" and a[1] == store
+                   for p in programs for a in p)
+        gets = sum(a[0] == "get" and a[1] == store
+                   for p in programs for a in p)
+        if gets > puts:
+            programs[0] = ([("put", store)] * (gets - puts)) + programs[0]
+    return n_resources, n_stores, programs
+
+
+def build_graph(env, spec):
+    n_resources, n_stores, programs = spec
+    resources = [Resource(env, capacity=1) for _ in range(n_resources)]
+    stores = [Store(env) for _ in range(n_stores)]
+
+    def run_actions(actions):
+        for action in actions:
+            if action[0] == "timeout":
+                yield env.timeout(action[1])
+            elif action[0] == "hold":
+                resource = resources[action[1]]
+                request = resource.request()
+                yield request
+                yield env.timeout(action[2])
+                resource.release(request)
+            elif action[0] == "put":
+                stores[action[1]].put(action[0])
+            elif action[0] == "get":
+                yield stores[action[1]].get()
+            elif action[0] == "anyof":
+                yield env.any_of([env.timeout(action[1]),
+                                  env.timeout(action[2])])
+            else:
+                yield env.all_of([env.timeout(action[1]),
+                                  env.timeout(action[2])])
+
+    for index, actions in enumerate(programs):
+        env.process(run_actions(actions), name=f"graph-{index}")
+
+
+@given(process_graphs())
+@settings(max_examples=60, deadline=None)
+def test_random_graphs_pop_identical_event_logs(spec):
+    assert_deterministic(lambda env: build_graph(env, spec))
+
+
+@given(st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1,
+                max_size=64))
+@settings(max_examples=60, deadline=None)
+def test_random_timeout_batches_pop_in_time_order(delays):
+    """Wide spreads and exact ties pop in ``(time, eid)`` order, the
+    same way every run."""
+    def factory(env):
+        def proc():
+            yield env.all_of([env.timeout(d) for d in delays])
+        env.process(proc())
+
+    assert_deterministic(factory)
+    log, _, _ = run_logged(factory)
+    timeouts = [(time, eid) for time, _, eid, kind in log
+                if kind == "Timeout"]
+    assert timeouts == sorted(timeouts)
+    assert len(timeouts) == len(delays)
+
+
+# -- analytic short-circuit vs full simulation -----------------------------
+
+MPI_CASES = [
+    ("sp2", "broadcast", 4096, 16),
+    ("t3d", "allreduce", 2048, 32),
+    ("paragon", "alltoall", 256, 8),
+    ("t3d", "broadcast", 65536, 64),
+    ("sp2", "scatter", 32768, 16),
+    ("paragon", "gather", 4096, 32),
+    ("t3d", "reduce", 64, 5),
+    ("sp2", "scan", 4096, 32),
+]
+
+
+@st.composite
+def mpi_workloads(draw):
+    machine = draw(st.sampled_from(["sp2", "t3d", "paragon"]))
+    op = draw(st.sampled_from(
+        ["broadcast", "scatter", "gather", "alltoall", "reduce", "scan",
+         "allreduce", "barrier"]))
+    nbytes = 0 if op == "barrier" else \
+        draw(st.sampled_from([0, 64, 4096, 32768]))
+    p = draw(st.sampled_from([2, 5, 16, 32]))
+    return machine, op, nbytes, p
+
+
+def run_collective(machine, op, nbytes, p, fast_wire=True):
+    """One collective; returns (elapsed, work snapshot, delivery log).
+
+    The delivery log is every message the transport hands to matching,
+    as sorted ``(src, dst, nbytes, sent_at, delivered_at)`` tuples.
+    Tags are left out: they embed a process-wide communicator counter,
+    so two worlds built one after the other never share them.
+    """
+    world = MpiWorld(machine, p, seed=0, fast_wire=fast_wire)
+    meter = WorkMeter()
+    world.env.work = meter
+    transport = world.comm.transport
+    deliver = transport._deliver
+    deliveries = []
+
+    def spy(envelope):
+        deliveries.append((envelope.src, envelope.dst, envelope.nbytes,
+                           envelope.sent_at, envelope.delivered_at))
+        deliver(envelope)
+
+    transport._deliver = spy
+    elapsed = world.run_collective(op, nbytes)
+    return elapsed, meter.snapshot(), sorted(deliveries)
+
+
+def assert_short_circuit_exact(workload):
+    fast_time, fast_work, fast_log = run_collective(*workload,
+                                                    fast_wire=True)
+    slow_time, slow_work, slow_log = run_collective(*workload,
+                                                    fast_wire=False)
+    assert fast_log == slow_log, workload
+    assert abs(fast_time - slow_time) <= TIME_TOLERANCE_US, workload
+    # The fast path may never simulate *less* traffic than it books.
+    assert fast_work["messages_sent"] == slow_work["messages_sent"]
+    assert fast_work["messages_delivered"] == \
+        slow_work["messages_delivered"] == len(fast_log)
+    assert slow_work["transfers_shortcircuited"] == 0
+    return fast_work
+
+
+@given(mpi_workloads())
+@settings(max_examples=25, deadline=None)
+def test_short_circuit_delivers_exactly_like_full_simulation(workload):
+    assert_short_circuit_exact(workload)
+
+
+def test_short_circuit_exact_on_fixed_cases():
+    for workload in MPI_CASES:
+        fast_work = assert_short_circuit_exact(workload)
+        assert fast_work["transfers_shortcircuited"] > 0, \
+            f"{workload} never took the analytic path"
+
+
+def test_collective_runs_are_deterministic():
+    for workload in MPI_CASES[:2]:
+        for fast_wire in (True, False):
+            assert run_collective(*workload, fast_wire=fast_wire) == \
+                run_collective(*workload, fast_wire=fast_wire)
+
+
+# -- cross-process determinism (fresh interpreter per run) -----------------
+
+_SUBPROCESS_SNIPPET = """
+import json
+from repro.mpi import MpiWorld
+from repro.obs import WorkMeter
+
+meter = WorkMeter()
+world = MpiWorld("sp2", 16, seed=0)
+world.env.work = meter
+pops = []
+pop = world.env._pop
+
+def logged_pop():
+    entry = pop()
+    pops.append((entry[0], entry[1], entry[2], type(entry[3]).__name__))
+    return entry
+
+world.env._pop = logged_pop
+elapsed = world.run_collective("allreduce", 4096)
+print(json.dumps({"work": meter.snapshot(), "elapsed": elapsed,
+                  "pops": pops}, sort_keys=True))
+"""
+
+
+def test_work_dump_identical_across_processes():
+    """The same perfsuite-style workload in two fresh interpreters with
+    random hash seeds must emit byte-identical WorkMeter dumps, pop
+    logs, and simulated times."""
+    outputs = set()
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SUBPROCESS_SNIPPET],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": REPO_SRC,
+                 "PYTHONHASHSEED": "random"})
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    payload = json.loads(outputs.pop())
+    assert payload["work"]["events_fired"] > 0
+    assert payload["work"]["events_fired"] == len(payload["pops"])
+    assert payload["elapsed"] > 0

@@ -392,6 +392,14 @@ def test_perf_command_check_fails_on_counter_change(capsys, tmp_path):
     assert "perf check: FAIL" in checked
 
 
+def test_perf_command_has_no_queue_selection_flag(capsys):
+    # The engine has one event queue; there is nothing to choose.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["perf", "--suite", "smoke", "--scheduler", "heap"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --scheduler" in capsys.readouterr().err
+
+
 def test_perf_command_check_rejects_foreign_artifact(capsys, tmp_path):
     bogus = tmp_path / "bogus.json"
     bogus.write_text('{"schema": "other/1"}')

@@ -13,17 +13,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.canonical import dumps
 from repro.mpi.collectives import algorithm_names
-from repro.tuner import dumps_tuning, run_tune
+from repro.tuner import run_tune
 
 MACHINES = ("paragon", "sp2", "t3d")
 
 _SUBPROCESS_SCRIPT = """\
 import sys
-from repro.tuner import dumps_tuning, run_tune
+from repro.core.canonical import dumps
+from repro.tuner import run_tune
 
 result = run_tune({machines!r}, grid="smoke", use_cache=False)
-sys.stdout.write(dumps_tuning(result.artifact()))
+sys.stdout.write(dumps(result.artifact()))
 """
 
 
@@ -38,8 +40,8 @@ def test_tuning_artifact_matches_golden(tune_result, golden):
 
 def test_tuning_is_byte_stable_across_runs(tune_result):
     again = run_tune(MACHINES, grid="smoke", use_cache=False)
-    assert dumps_tuning(again.artifact()) == \
-        dumps_tuning(tune_result.artifact())
+    assert dumps(again.artifact()) == \
+        dumps(tune_result.artifact())
 
 
 def test_tuning_is_byte_stable_across_processes(tune_result):
@@ -50,7 +52,7 @@ def test_tuning_is_byte_stable_across_processes(tune_result):
         env={**os.environ, "PYTHONPATH": str(src),
              "PYTHONHASHSEED": "random"},
         check=True)
-    assert proc.stdout == dumps_tuning(tune_result.artifact())
+    assert proc.stdout == dumps(tune_result.artifact())
 
 
 def test_every_table_entry_names_a_registered_algorithm(tune_result):
