@@ -260,127 +260,116 @@ class Transport:
               op: str, fast: bool, span: Optional[Span] = None,
               phase_span: Optional[Span] = None
               ) -> Generator[Event, None, None]:
-        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
-                            sent_at=self.env.now, span=span)
-        injector = self.machine.injector
-        if injector is None:
-            yield from self._wire_once(src, dst, nbytes, op, fast, span)
-        else:
-            yield from self._wire_reliably(injector, src, dst, nbytes,
-                                           tag, op, fast, span)
-        yield self.env.sleep(
-            self.spec.software.deliver_us * self.machine.jitter(dst))
-        envelope.delivered_at = self.env.now
-        tracer = self.machine.tracer
-        if span is not None:
-            tracer.end(span, self.env.now)
-        if phase_span is not None:
-            # The phase lasts until its last member message lands.
-            tracer.extend(phase_span, self.env.now)
-        self._deliver(envelope)
+        """The simulated wire pipeline, as an ack/timeout/retransmit
+        attempt loop.
 
-    def _wire_once(self, src: int, dst: int, nbytes: int, op: str,
-                   fast: bool, span: Optional[Span]
-                   ) -> Generator[Event, None, None]:
-        src_node = self.machine.nodes[src]
-        dst_node = self.machine.nodes[dst]
+        Transmit engine, wormhole transfer, and receive engine all
+        stream the same bytes cut-through: they overlap in time, and an
+        attempt ends once the slowest leg finishes.  Each engine is
+        still a FIFO resource, so back-to-back messages through one NIC
+        or link serialize.
+
+        Without a fault injector there is exactly one attempt, its fate
+        is ``"ok"``, and no stream draw is made.  With one, each attempt
+        draws a fate from the plan's seeded stream.  A lost, corrupted,
+        or aborted attempt delivers nothing: the sender learns of the
+        failure only when the attempt's retransmission timeout
+        (exponential backoff, bounded) expires, then retransmits —
+        possibly over a detour if a link died meanwhile.  After
+        ``max_retries`` retransmissions the message fails with
+        :class:`DeliveryError`.
+        """
+        env = self.env
+        machine = self.machine
+        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
+                            sent_at=env.now, span=span)
+        injector = machine.injector
+        src_node = machine.nodes[src]
+        dst_node = machine.nodes[dst]
         # The destination drains at DMA speed when its policy offloads
         # this collective's payloads (e.g. the Paragon coprocessor).
         fast_rx = dst_node.payload_mode(self.spec.uses_dma_for(op),
                                         nbytes) is not TransferMode.HOST
-        # Transmit engine, wormhole transfer, and receive engine all
-        # stream the same bytes cut-through: they overlap in time, and
-        # the message is in the destination's buffer once the slowest
-        # leg finishes.  Each engine is still a FIFO resource, so
-        # back-to-back messages through one NIC or link serialize.
-        legs = [
-            self.env.process(src_node.nic.transmit(nbytes, fast=fast)),
-            self.env.process(self.machine.fabric.transfer(
-                src, dst, nbytes, parent_span=span)),
-            self.env.process(dst_node.nic.receive(nbytes, fast=fast_rx)),
-        ]
-        yield self.env.all_of(legs)
-
-    def _wire_reliably(self, injector, src: int, dst: int, nbytes: int,
-                       tag: object, op: str, fast: bool,
-                       span: Optional[Span]
-                       ) -> Generator[Event, None, None]:
-        """Ack/timeout/retransmit protocol around the wire legs.
-
-        Each attempt pays the full wire pipeline, then draws a fate
-        from the plan's seeded stream.  A lost, corrupted, or aborted
-        attempt delivers nothing: the sender learns of the failure only
-        when the attempt's retransmission timeout (exponential backoff,
-        bounded) expires, then retransmits — possibly over a detour if
-        a link died meanwhile.  After ``max_retries`` retransmissions
-        the message fails with :class:`DeliveryError`.
-        """
-        retry = injector.plan.retry
-        src_node = self.machine.nodes[src]
-        dst_node = self.machine.nodes[dst]
-        fast_rx = dst_node.payload_mode(self.spec.uses_dma_for(op),
-                                        nbytes) is not TransferMode.HOST
-        attempts = retry.max_retries + 1
+        tracer = machine.tracer
+        attempts = 1 if injector is None else \
+            injector.plan.retry.max_retries + 1
         for attempt in range(attempts):
-            started = self.env.now
-            fate = injector.message_fate(src, dst)
+            started = env.now
+            fate = "ok" if injector is None else \
+                injector.message_fate(src, dst)
             aborted: List[TransferAborted] = []
-
-            def carry() -> Generator[Event, None, None]:
-                try:
-                    yield from self.machine.fabric.transfer(
-                        src, dst, nbytes, parent_span=span)
-                except TransferAborted as failure:
-                    aborted.append(failure)
-
-            legs = [
-                self.env.process(src_node.nic.transmit(nbytes, fast=fast)),
-                self.env.process(carry(), name=f"carry-{src}-{dst}"),
-                self.env.process(dst_node.nic.receive(nbytes,
-                                                      fast=fast_rx)),
-            ]
-            yield self.env.all_of(legs)
-            wire_us = self.env.now - started
+            carry = machine.fabric.transfer(src, dst, nbytes,
+                                            parent_span=span)
+            if injector is not None:
+                carry = self._catch_abort(carry, aborted)
+            yield env.all_of([
+                env.process(src_node.nic.transmit(nbytes, fast=fast)),
+                env.process(carry, name="transfer"),
+                env.process(dst_node.nic.receive(nbytes, fast=fast_rx)),
+            ])
+            if injector is None:
+                break
+            retry = injector.plan.retry
+            wire_us = env.now - started
             rto = retry.timeout_for_attempt(attempt)
             if not aborted and fate == "ok":
                 # Delivered.  If wire + ack return exceeded the RTO the
                 # real protocol would have retransmitted needlessly;
                 # count it, but don't re-run the delivery.
-                ack_us = self.machine.fabric.transfer_time(
-                    dst, src, retry.ack_bytes)
+                ack_us = machine.fabric.transfer_time(dst, src,
+                                                      retry.ack_bytes)
                 if wire_us + ack_us > rto:
                     injector.record_spurious_retransmit()
-                return
+                break
             # Failed attempt: the fate is only known now, so the
             # recovery span is opened retroactively over the wasted
             # wire time (the tracer accepts past start times).
-            tracer = self.machine.tracer
             if tracer.enabled:
                 reason = "aborted" if aborted else fate
                 doomed = tracer.begin(started, f"retransmit {src}->{dst}",
                                       "retransmit", node=src, parent=span,
                                       dst=dst, attempt=attempt,
                                       reason=reason)
-                tracer.end(doomed, self.env.now)
+                tracer.end(doomed, env.now)
             # No ack will come, so the sender sits out the rest of the
             # RTO before trying again.
             if rto > wire_us:
+                sitout = None
                 if tracer.enabled:
-                    sitout = tracer.begin(self.env.now,
-                                          f"backoff {src}->{dst}",
+                    sitout = tracer.begin(env.now, f"backoff {src}->{dst}",
                                           "backoff", node=src, parent=span,
                                           dst=dst, attempt=attempt,
                                           rto_us=rto)
-                    yield self.env.sleep(rto - wire_us)
-                    tracer.end(sitout, self.env.now)
-                else:
-                    yield self.env.sleep(rto - wire_us)
+                yield env.sleep(rto - wire_us)
+                if sitout is not None:
+                    tracer.end(sitout, env.now)
             if attempt + 1 < attempts:
                 injector.record_retransmit()
-                work = self.env.work
-                if work is not None:
-                    work.retransmissions += 1
-        raise DeliveryError(src, dst, tag, attempts)
+                if env.work is not None:
+                    env.work.retransmissions += 1
+        else:
+            raise DeliveryError(src, dst, tag, attempts)
+        yield env.sleep(
+            self.spec.software.deliver_us * machine.jitter(dst))
+        envelope.delivered_at = env.now
+        if span is not None:
+            tracer.end(span, env.now)
+        if phase_span is not None:
+            # The phase lasts until its last member message lands.
+            tracer.extend(phase_span, env.now)
+        self._deliver(envelope)
+
+    @staticmethod
+    def _catch_abort(transfer: Generator[Event, None, None],
+                     aborted: List[TransferAborted]
+                     ) -> Generator[Event, None, None]:
+        """Run a fabric transfer leg, recording an abort in ``aborted``
+        instead of failing the leg: a failed leg would fire the
+        attempt's ``all_of`` before the engine legs finish."""
+        try:
+            yield from transfer
+        except TransferAborted as failure:
+            aborted.append(failure)
 
     def _deliver(self, envelope: Envelope) -> None:
         profiler = self.env.profiler

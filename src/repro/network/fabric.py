@@ -141,9 +141,19 @@ class NetworkFabric:
             nbytes * self.params.us_per_byte
         if not self.contention:
             return hold, []
+        bookings = self._book_links(
+            sorted(route, key=self._order.__getitem__), hold)
+        return None if bookings is None else (hold, bookings)
+
+    def _book_links(self, ordered: List[LinkId], hold: float
+                    ) -> Optional[RouteBooking]:
+        """Book every link in ``ordered`` (canonical order) for ``hold``
+        starting now, all or nothing: the first link that is busy or
+        booked rolls back the bookings made so far and yields ``None``.
+        """
         now = self.env._now
         bookings: RouteBooking = []
-        for link_id in sorted(route, key=self._order.__getitem__):
+        for link_id in ordered:
             link = self._links[link_id]
             booking = link.resource.try_occupy(hold)
             if booking is None or booking[0] != now:
@@ -152,7 +162,7 @@ class NetworkFabric:
                 self.undo_route(bookings)
                 return None
             bookings.append((link, booking[1]))
-        return hold, bookings
+        return bookings
 
     def undo_route(self, bookings: RouteBooking) -> None:
         """Roll back a :meth:`try_book_route` booking (synchronously)."""
@@ -266,18 +276,7 @@ class NetworkFabric:
             # which is where waiting and stall accounting live.  No
             # injector means no Interrupt can arrive mid-hold, so the
             # bookings never need to be torn down early.
-            now = self.env._now
-            bookings: RouteBooking = []
-            for link_id in ordered:
-                link = self._links[link_id]
-                booking = link.resource.try_occupy(hold)
-                if booking is None or booking[0] != now:
-                    if booking is not None:
-                        link.resource.undo_occupy(booking[1])
-                    self.undo_route(bookings)
-                    bookings = None  # type: ignore[assignment]
-                    break
-                bookings.append((link, booking[1]))
+            bookings = self._book_links(ordered, hold)
             if bookings is not None:
                 if work is not None:
                     work.link_acquisitions += len(bookings)

@@ -42,6 +42,58 @@ def test_unknown_machine_rejected():
         main(["measure", "cm5", "broadcast"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["diff", "missing.json", "other.json"],
+    ["measure", "sp2", "bogus"],
+    ["measure", "sp2", "broadcast", "--nodes", "1"],
+    ["measure", "sp2", "broadcast", "--iterations", "0"],
+    ["measure", "sp2", "broadcast", "--runs", "0"],
+    ["measure", "sp2", "broadcast", "--bytes", "-5"],
+    ["profile", "sp2", "broadcast", "--nodes", "9999"],
+    ["trace", "sp2", "bogus"],
+    ["critpath", "sp2", "bogus"],
+    ["chaos", "sp2", "bogus"],
+    ["sensitivity", "sp2", "bogus"],
+    ["sensitivity", "sp2", "broadcast", "--nodes", "1"],
+    ["app", "stap", "t3d", "--nodes", "9999"],
+    ["sweep", "--grid", "smoke", "--iterations", "0", "--no-cache"],
+], ids=" ".join)
+def test_usage_errors_exit_2_with_one_line(argv, capsys, monkeypatch,
+                                           tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.fixture
+def custom_machine():
+    """A hypothetical machine registered like examples/custom_machine.py
+    does, removed from the registry again afterwards."""
+    from dataclasses import replace
+
+    from repro import register_machine_spec
+    from repro.machines import T3D, registry
+
+    spec = replace(T3D, name="dream", full_name="hypothetical T3D")
+    register_machine_spec(spec)
+    yield spec.name
+    del registry._REGISTRY[spec.name]
+
+
+def test_machine_choices_follow_the_registry(custom_machine, capsys,
+                                             tmp_path):
+    assert main(["measure", custom_machine, "broadcast", "--nodes", "4",
+                 "--iterations", "1", "--runs", "1"]) == 0
+    assert f"on {custom_machine} broadcast" in capsys.readouterr().out
+    assert main(["dash", "--artifacts", str(tmp_path),
+                 "--capture", "cm5:broadcast",
+                 "--out", str(tmp_path / "site")]) == 2
+    assert f"sp2/t3d/paragon/{custom_machine}" in capsys.readouterr().err
+
+
 def test_sensitivity_command(capsys):
     code = main(["sensitivity", "t3d", "scatter", "--bytes", "65536",
                  "--nodes", "64", "--top", "3"])
