@@ -347,7 +347,7 @@ def _measure(args) -> None:
 @_command("sensitivity",
           "which machine parameter dominates one (op, m, p) point",
           _point(nbytes=1024, nodes=32),
-          _arg("--top", type=int, default=8))
+          _arg("--top", type=_positive_int, default=8))
 def _sensitivity(args) -> None:
     from .core import format_sensitivities, scan_sensitivities
     spec = _check_point(args, simulated=False)
@@ -396,7 +396,7 @@ def _trace(args) -> None:
 @_command("profile",
           "utilization + engine hot-path report for one collective",
           _point(nbytes=4096, nodes=16), _SINGLE_CALL,
-          _arg("--top", type=int, default=8,
+          _arg("--top", type=_positive_int, default=8,
                help="links/process types to list"),
           _arg("--csv", metavar="PATH",
                help="also write the site rankings as CSV"),

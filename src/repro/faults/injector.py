@@ -160,7 +160,7 @@ class FaultInjector:
             self.messages_corrupted += 1
             if self.metrics.enabled:
                 self.metrics.counter("faults.messages_corrupted").inc()
-            self.tracer.emit(self.env.now, "fault-corrupt", src, dst=dst)
+            self.tracer.mark(self.env.now, "fault-corrupt", src, dst=dst)
             return FATE_CORRUPT
         return FATE_OK
 
@@ -169,7 +169,7 @@ class FaultInjector:
         self.messages_lost += 1
         if self.metrics.enabled:
             self.metrics.counter("faults.messages_lost").inc()
-        self.tracer.emit(self.env.now, "fault-loss", src, dst=dst)
+        self.tracer.mark(self.env.now, "fault-loss", src, dst=dst)
 
     def record_reroute(self) -> None:
         self.reroutes += 1
@@ -211,7 +211,7 @@ class FaultInjector:
         link = self._first_hop(outage.src, outage.dst)
         if self.metrics.enabled:
             self.metrics.counter("faults.link_outages").inc()
-        self.tracer.emit(self.env.now, "fault-link-outage", outage.src,
+        self.tracer.mark(self.env.now, "fault-link-outage", outage.src,
                          dst=outage.dst)
         # Snapshot: interrupts mutate the registry via end_transfer.
         for process, links in list(self._active.items()):

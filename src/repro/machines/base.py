@@ -273,10 +273,10 @@ class Machine:
                     f"slowdown factor must be >= 1.0, got {factor}")
         #: Allow the transport's analytic short-circuit (see
         #: :meth:`repro.mpi.transport.Transport._wire_fast`).  The
-        #: short-circuit additionally requires no fault injector and
-        #: tracing/metrics off; ``False`` forces full simulation of
-        #: every message regardless (the equivalence suite runs both
-        #: ways and asserts identical times).
+        #: short-circuit additionally requires no fault injector;
+        #: tracing and metrics do not affect it.  ``False`` forces full
+        #: simulation of every message (the equivalence suite runs both
+        #: ways and asserts identical times, spans and metrics).
         self.fast_wire = fast_wire
         self.topology = spec.network.build_topology(num_nodes)
         # A fault-free plan builds no injector at all, which keeps the

@@ -49,6 +49,7 @@ class Envelope:
     sent_at: float
     delivered_at: Optional[float] = None
     span: Optional[Span] = None
+    phase_span: Optional[Span] = None
 
 
 @dataclass
@@ -134,21 +135,23 @@ class Transport:
                     assert node.dma is not None
                     yield from node.dma.stream(nbytes)
         fast = mode is not TransferMode.HOST
-        if not self._wire_fast(src, dst, nbytes, tag, op, fast):
-            self.env.process(self._wire(src, dst, nbytes, tag, op,
-                                        fast=fast, span=span,
-                                        phase_span=parent_span),
+        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
+                            sent_at=self.env._now, span=span,
+                            phase_span=parent_span)
+        if not self._wire_fast(envelope, op, fast):
+            self.env.process(self._wire(envelope, op, fast),
                              name=f"wire-{src}-{dst}")
 
     # -- analytic short-circuit -------------------------------------------
-    def _wire_fast(self, src: int, dst: int, nbytes: int, tag: object,
-                   op: str, fast: bool) -> bool:
+    def _wire_fast(self, envelope: Envelope, op: str, fast: bool) -> bool:
         """Try to carry one message analytically, without wire processes.
 
         Eligibility is checked explicitly: no fault injector (a
-        :class:`~repro.faults.FaultPlan` must see every hop simulated),
-        the machine's ``fast_wire`` switch on, and tracing/metrics off
-        (observability wants the real spans and gauges).  Even then the
+        :class:`~repro.faults.FaultPlan` must see every hop simulated)
+        and the machine's ``fast_wire`` switch on.  Tracing and metrics
+        play no part: the engine and route commits record the same
+        spans and metrics the full pipeline would, so an observed run
+        executes the same events as an unobserved one.  Even then the
         message only takes this path when the transmit engine, every
         route link *at this instant*, and the receive engine can all be
         timestamp-booked — any contention rolls the bookings back and
@@ -163,9 +166,9 @@ class Transport:
         *deliver* event after the kernel dispatch latency.
         """
         machine = self.machine
-        if machine.injector is not None or not machine.fast_wire or \
-                machine.tracer.enabled or machine.metrics.enabled:
+        if machine.injector is not None or not machine.fast_wire:
             return False
+        src, dst, nbytes = envelope.src, envelope.dst, envelope.nbytes
         env = self.env
         src_node = machine.nodes[src]
         dst_node = machine.nodes[dst]
@@ -186,8 +189,8 @@ class Transport:
         if rx is None:
             tx[1].undo_occupy(tx[2])
             return False
-        src_node.nic.commit_transmit()
-        dst_node.nic.commit_receive()
+        src_node.nic.commit_transmit(nbytes, fast, tx[3])
+        dst_node.nic.commit_receive(nbytes, fast_rx, rx[3])
         work = env.work
         if work is not None:
             work.resource_occupancies += 2  # the two engine bookings
@@ -197,19 +200,17 @@ class Transport:
             # path's engine legs run concurrently with the fabric leg
             # anyway) and only the fabric part is simulated, by a lean
             # process that queues in the link FIFOs like any other.
-            env.process(self._wire_contended(src, dst, nbytes, tag,
-                                             tx[0], rx[0]))
+            env.process(self._wire_contended(envelope, tx[0], rx[0]))
             return True
         hold, bookings = routed
-        machine.fabric.commit_route(bookings, nbytes, hold)
+        machine.fabric.commit_route(bookings, nbytes, hold, src, dst,
+                                    envelope.span)
         now = env._now
         wire_end = tx[0]
         if now + hold > wire_end:
             wire_end = now + hold
         if rx[0] > wire_end:
             wire_end = rx[0]
-        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
-                            sent_at=now)
         landing = Event(env)
         landing._ok = True
         landing._value = envelope
@@ -217,25 +218,23 @@ class Transport:
         env._schedule(landing, wire_end, NORMAL)
         return True
 
-    def _wire_contended(self, src: int, dst: int, nbytes: int,
-                        tag: object, tx_end: float, rx_end: float
-                        ) -> Generator[Event, None, None]:
+    def _wire_contended(self, envelope: Envelope, tx_end: float,
+                        rx_end: float) -> Generator[Event, None, None]:
         """Wire pipeline for a short-circuit-eligible message whose
         route was busy: the engine ends are already booked/known, the
         fabric transfer is simulated (waiting in link queues), and the
         wire ends when the slowest of the three is done — exactly when
         the full path's ``all_of`` over the legs would have fired."""
         env = self.env
-        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
-                            sent_at=env._now)
-        yield from self.machine.fabric.transfer(src, dst, nbytes)
+        yield from self.machine.fabric.transfer(
+            envelope.src, envelope.dst, envelope.nbytes,
+            parent_span=envelope.span)
         wire_end = tx_end if tx_end > rx_end else rx_end
         if wire_end > env._now:
             yield env.sleep_until(wire_end)
         yield env.sleep(self.spec.software.deliver_us *
-                        self.machine.jitter(dst))
-        envelope.delivered_at = env._now
-        self._deliver(envelope)
+                        self.machine.jitter(envelope.dst))
+        self._delivered(envelope)
 
     def _wire_fast_landed(self, event: Event) -> None:
         """The message's tail has left the network: draw the delivery
@@ -252,13 +251,21 @@ class Transport:
         env._schedule(deliver, env._now + delay, NORMAL)
 
     def _deliver_fast(self, event: Event) -> None:
-        envelope = event._value
-        envelope.delivered_at = self.env._now
+        self._delivered(event._value)
+
+    def _delivered(self, envelope: Envelope) -> None:
+        """The wire is done, on whichever path carried the message:
+        close its span, stretch its phase, and hand it to matching."""
+        now = self.env._now
+        envelope.delivered_at = now
+        if envelope.span is not None:
+            self.machine.tracer.end(envelope.span, now)
+        if envelope.phase_span is not None:
+            # The phase lasts until its last member message lands.
+            self.machine.tracer.extend(envelope.phase_span, now)
         self._deliver(envelope)
 
-    def _wire(self, src: int, dst: int, nbytes: int, tag: object,
-              op: str, fast: bool, span: Optional[Span] = None,
-              phase_span: Optional[Span] = None
+    def _wire(self, envelope: Envelope, op: str, fast: bool
               ) -> Generator[Event, None, None]:
         """The simulated wire pipeline, as an ack/timeout/retransmit
         attempt loop.
@@ -281,8 +288,8 @@ class Transport:
         """
         env = self.env
         machine = self.machine
-        envelope = Envelope(src=src, dst=dst, tag=tag, nbytes=nbytes,
-                            sent_at=env.now, span=span)
+        src, dst, nbytes, span = envelope.src, envelope.dst, \
+            envelope.nbytes, envelope.span
         injector = machine.injector
         src_node = machine.nodes[src]
         dst_node = machine.nodes[dst]
@@ -348,16 +355,10 @@ class Transport:
                 if env.work is not None:
                     env.work.retransmissions += 1
         else:
-            raise DeliveryError(src, dst, tag, attempts)
+            raise DeliveryError(src, dst, envelope.tag, attempts)
         yield env.sleep(
             self.spec.software.deliver_us * machine.jitter(dst))
-        envelope.delivered_at = env.now
-        if span is not None:
-            tracer.end(span, env.now)
-        if phase_span is not None:
-            # The phase lasts until its last member message lands.
-            tracer.extend(phase_span, env.now)
-        self._deliver(envelope)
+        self._delivered(envelope)
 
     @staticmethod
     def _catch_abort(transfer: Generator[Event, None, None],
@@ -403,7 +404,7 @@ class Transport:
         self.unexpected_arrivals += 1
         if metrics.enabled:
             metrics.counter("mpi.unexpected_arrivals").inc()
-        self.machine.tracer.emit(self.env.now, "unexpected-message",
+        self.machine.tracer.mark(self.env.now, "unexpected-message",
                                  envelope.dst, src=envelope.src,
                                  tag=envelope.tag)
 

@@ -18,7 +18,9 @@ Observability: every link accumulates busy/wait time (see
 :class:`~repro.network.link.Link`), transfers emit ``link``-category
 occupancy spans nested under the message span when tracing is on, and
 the fabric feeds transfer/stall counters and wait/size histograms to
-the machine's metrics registry.
+the machine's metrics registry.  A booked route and a route acquired
+hop by hop record the same spans and metrics, so observing a run never
+changes which of the two it takes.
 """
 
 from __future__ import annotations
@@ -128,11 +130,12 @@ class NetworkFabric:
         (the caller checks), and only succeeds when every link on the
         route is idle at the current instant — any busy or booked link
         rolls the whole attempt back and returns ``None``, forcing the
-        full simulation path (which is where contention waits, stall
-        counters, and spans live).  Returns ``(hold, bookings)``; the
-        caller must finish with :meth:`commit_route` (success) or
+        full simulation path (which is where contention waits and stall
+        counters live).  Returns ``(hold, bookings)``; the caller must
+        finish with :meth:`commit_route` (success) or
         :meth:`undo_route` (a later leg of its own booking failed).
-        No counters or link statistics are touched until commit.
+        No counters, link statistics or spans are touched until
+        commit.
         """
         route = self._route(src, dst)
         if not route:
@@ -170,18 +173,55 @@ class NetworkFabric:
             link.resource.undo_occupy(previous)
 
     def commit_route(self, bookings: RouteBooking, nbytes: int,
-                     hold: float) -> None:
-        """Commit a booking: link statistics and work counters."""
+                     hold: float, src: int, dst: int,
+                     parent_span: Optional[Span]) -> None:
+        """Commit a booking: link statistics, work counters, metrics
+        and link spans."""
         for link, _ in bookings:
             link.record(nbytes, busy_us=hold)
+        self._held(bookings, nbytes, hold, src, dst, parent_span)
         work = self.env.work
         if work is not None:
-            if bookings:
-                work.link_acquisitions += len(bookings)
-                work.resource_occupancies += len(bookings)
             work.transfers_booked += 1
             work.transfers_completed += 1
             work.transfers_shortcircuited += 1
+
+    def _held(self, bookings: RouteBooking, nbytes: int, hold: float,
+              src: int, dst: int, parent_span: Optional[Span]) -> None:
+        """Account a route booked idle at ``now``: one occupancy per
+        link, the transfer metrics (it waited for nothing), and one
+        ``link`` span per link over ``[now, now + hold]`` — what the
+        per-hop protocol records for a transfer that never queued."""
+        if not bookings:
+            return
+        work = self.env.work
+        if work is not None:
+            work.link_acquisitions += len(bookings)
+            work.resource_occupancies += len(bookings)
+        if self.metrics.enabled:
+            self._record_transfer(nbytes, 0.0, src, dst)
+        tracer = self.tracer
+        if tracer.enabled:
+            now = self.env._now
+            for link, _ in bookings:
+                tracer.begin(now, f"link {link.link_id}", "link",
+                             node=src, parent=parent_span, dst=dst,
+                             nbytes=nbytes).end = now + hold
+
+    def _record_transfer(self, nbytes: int, wait: float, src: int,
+                         dst: int) -> None:
+        """Transfer metrics and the contention mark, shared by every
+        path that acquires a route."""
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.counter("fabric.transfers").inc()
+            metrics.histogram("fabric.transfer_bytes").observe(nbytes)
+            if wait > 0:
+                metrics.counter("fabric.contention_stalls").inc()
+                metrics.histogram("fabric.wait_us").observe(wait)
+        if wait > 0:
+            self.tracer.mark(self.env._now, "link-contention", src,
+                             dst=dst, waited_us=wait, nbytes=nbytes)
 
     def transfer(self, src: int, dst: int, nbytes: int,
                  parent_span: Optional[Span] = None
@@ -266,8 +306,7 @@ class NetworkFabric:
                 work.transfers_completed += 1
             return
         ordered = sorted(route, key=self._order.__getitem__)
-        if self.injector is None and not self.tracer.enabled and \
-                not self.metrics.enabled:
+        if self.injector is None:
             # Batched booking: with every link on the route idle right
             # now (the common case) the whole multi-hop occupancy is
             # one synchronous booking plus ONE completion event,
@@ -278,9 +317,7 @@ class NetworkFabric:
             # bookings never need to be torn down early.
             bookings = self._book_links(ordered, hold)
             if bookings is not None:
-                if work is not None:
-                    work.link_acquisitions += len(bookings)
-                    work.resource_occupancies += len(bookings)
+                self._held(bookings, nbytes, hold, src, dst, parent_span)
                 yield self.env.sleep(hold)
                 for link, _ in bookings:
                     link.record(nbytes, busy_us=hold)
@@ -304,16 +341,7 @@ class NetworkFabric:
                 work.link_acquisitions += len(ordered)
                 if wait > 0:
                     work.transfers_stalled += 1
-            metrics = self.metrics
-            if metrics.enabled:
-                metrics.counter("fabric.transfers").inc()
-                metrics.histogram("fabric.transfer_bytes").observe(nbytes)
-                if wait > 0:
-                    metrics.counter("fabric.contention_stalls").inc()
-                    metrics.histogram("fabric.wait_us").observe(wait)
-            if wait > 0:
-                self.tracer.emit(self.env.now, "link-contention", src,
-                                 dst=dst, waited_us=wait, nbytes=nbytes)
+            self._record_transfer(nbytes, wait, src, dst)
             if self.tracer.enabled:
                 occupancy = [
                     self.tracer.begin(self.env.now, f"link {link_id}",

@@ -79,31 +79,37 @@ class DmaEngine:
         if nbytes < 0:
             raise ValueError(f"negative stream size {nbytes}")
         env = self.env
-        if not self.metrics.enabled:
-            # Engine idle or contiguously booked: one booking + one
-            # completion event instead of request/grant/release churn.
-            duration = self.params.setup_us + \
-                nbytes * self.params.us_per_byte
-            booking = self._engine.try_occupy(duration)
-            if booking is not None:
-                work = env.work
-                if work is not None:
-                    work.resource_occupancies += 1
-                yield env.sleep_until(booking[0] + duration)
-                self.bytes_streamed += nbytes
-                return
-        request = self._engine.request()
         metrics = self.metrics
         if metrics.enabled:
-            metrics.gauge("dma.queue_depth").set(
-                self._engine.queue_length)
             metrics.counter("dma.streams").inc()
             metrics.counter("dma.bytes").inc(nbytes)
+        duration = self.params.setup_us + nbytes * self.params.us_per_byte
+        # Engine idle or contiguously booked: one booking + one
+        # completion event instead of request/grant/release churn.
+        booking = self._engine.try_occupy(duration)
+        if booking is not None:
+            if metrics.enabled:
+                self._record_wait(booking[0] - env._now)
+            work = env.work
+            if work is not None:
+                work.resource_occupancies += 1
+            yield env.sleep_until(booking[0] + duration)
+            self.bytes_streamed += nbytes
+            return
+        requested = env._now
+        request = self._engine.request()
         yield request
-        yield env.sleep(
-            self.params.setup_us + nbytes * self.params.us_per_byte)
+        if metrics.enabled:
+            self._record_wait(env._now - requested)
+        yield env.sleep(duration)
         self.bytes_streamed += nbytes
         self._engine.release(request)
+
+    def _record_wait(self, wait: float) -> None:
+        """How long a stream sat behind the engine (booking start, or
+        grant, minus now); observed only when it waited at all."""
+        if wait > 0:
+            self.metrics.histogram("dma.wait_us").observe(wait)
 
 
 def engine_for(env: Environment,

@@ -47,29 +47,37 @@ class MemorySystem:
         if nbytes < 0:
             raise ValueError(f"negative copy size {nbytes}")
         env = self.env
-        if not self.metrics.enabled:
-            # Bus idle or contiguously booked: book the interval and
-            # sleep to its end instead of request/grant/release.
-            duration = nbytes * self.copy_us_per_byte
-            booking = self.bus.try_occupy(duration)
-            if booking is not None:
-                work = env.work
-                if work is not None:
-                    work.resource_occupancies += 1
-                yield env.sleep_until(booking[0] + duration)
-                self.bytes_copied += nbytes
-                return
-        request = self.bus.request()
         metrics = self.metrics
         if metrics.enabled:
-            metrics.gauge("mem.bus.queue_depth").set(
-                self.bus.queue_length)
             metrics.counter("mem.copies").inc()
             metrics.counter("mem.bytes_copied").inc(nbytes)
+        duration = nbytes * self.copy_us_per_byte
+        # Bus idle or contiguously booked: book the interval and sleep
+        # to its end instead of request/grant/release.
+        booking = self.bus.try_occupy(duration)
+        if booking is not None:
+            if metrics.enabled:
+                self._record_wait(booking[0] - env._now)
+            work = env.work
+            if work is not None:
+                work.resource_occupancies += 1
+            yield env.sleep_until(booking[0] + duration)
+            self.bytes_copied += nbytes
+            return
+        requested = env._now
+        request = self.bus.request()
         yield request
-        yield env.sleep(nbytes * self.copy_us_per_byte)
+        if metrics.enabled:
+            self._record_wait(env._now - requested)
+        yield env.sleep(duration)
         self.bytes_copied += nbytes
         self.bus.release(request)
+
+    def _record_wait(self, wait: float) -> None:
+        """How long a copy sat behind the bus (booking start, or grant,
+        minus now); observed only when it waited at all."""
+        if wait > 0:
+            self.metrics.histogram("mem.bus.wait_us").observe(wait)
 
     def first_touch_penalty(self, key: Hashable, nbytes: int) -> float:
         """Cold-start cost for working set ``key``; zero once warm."""

@@ -21,6 +21,10 @@ from ..sim import Environment, Event, Resource
 
 __all__ = ["Nic"]
 
+#: A fast-path engine booking: ``(end, engine, previous_busy_until,
+#: start)``.
+Booking = Tuple[float, Resource, float, float]
+
 
 class Nic:
     """Transmit/receive engines of one node's network adapter."""
@@ -70,11 +74,11 @@ class Nic:
 
     # -- synchronous booking fast path ------------------------------------
     def try_book_transmit(self, nbytes: int, fast: bool = False
-                          ) -> Optional[Tuple[float, Resource, float]]:
+                          ) -> Optional[Booking]:
         """Timestamp-book the transmit engine for one message.
 
-        Returns ``(end_time, engine, previous_busy_until)`` — the
-        latter two so the caller can roll back with
+        Returns ``(end_time, engine, previous_busy_until, start_time)``
+        — the middle two so the caller can roll back with
         ``engine.undo_occupy(previous)`` — or ``None`` when the engine
         has queued/granted requests and the protocol path must be used.
         The booking may start at the end of an earlier booking (the
@@ -85,7 +89,7 @@ class Nic:
         return self._try_book(self._tx, nbytes, fast)
 
     def try_book_receive(self, nbytes: int, fast: bool = False
-                         ) -> Optional[Tuple[float, Resource, float]]:
+                         ) -> Optional[Booking]:
         """Timestamp-book the receive engine (see :meth:`try_book_transmit`).
 
         On a half-duplex adapter this is the *same* engine as transmit,
@@ -95,8 +99,8 @@ class Nic:
         return self._try_book(self._rx, nbytes, fast)
 
     def _try_book(self, engine: Resource, nbytes: int, fast: bool
-                  ) -> Optional[Tuple[float, Resource, float]]:
-        if self.injector is not None or self.metrics.enabled:
+                  ) -> Optional[Booking]:
+        if self.injector is not None:
             return None
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
@@ -105,15 +109,23 @@ class Nic:
         if booking is None:
             return None
         start, previous = booking
-        return start + duration, engine, previous
+        return start + duration, engine, previous, start
 
-    def commit_transmit(self) -> None:
-        """Account one fast-booked transmit."""
+    def commit_transmit(self, nbytes: int, fast: bool,
+                        start: float) -> None:
+        """Account one fast-booked transmit starting at ``start``."""
         self.messages_sent += 1
+        if self.metrics.enabled:
+            self._record("nic.tx", self.occupancy_us(nbytes, fast),
+                         start - self.env._now)
 
-    def commit_receive(self) -> None:
-        """Account one fast-booked receive."""
+    def commit_receive(self, nbytes: int, fast: bool,
+                       start: float) -> None:
+        """Account one fast-booked receive starting at ``start``."""
         self.messages_received += 1
+        if self.metrics.enabled:
+            self._record("nic.rx", self.occupancy_us(nbytes, fast),
+                         start - self.env._now)
 
     def transmit(self, nbytes: int,
                  fast: bool = False) -> Generator[Event, None, None]:
@@ -127,36 +139,43 @@ class Nic:
         yield from self._occupy(self._rx, nbytes, fast, "nic.rx")
         self.messages_received += 1
 
+    def _record(self, label: str, duration: float, wait: float) -> None:
+        """Metrics of one engine occupancy, shared by the booking and
+        the protocol path: ``wait`` is how long the message sat behind
+        the engine (booking start, or grant, minus now)."""
+        metrics = self.metrics
+        metrics.counter(f"{label}.messages").inc()
+        metrics.histogram(f"{label}.busy_us").observe(duration)
+        if wait > 0:
+            metrics.histogram(f"{label}.wait_us").observe(wait)
+
     def _occupy(self, engine: Resource, nbytes: int, fast: bool,
                 label: str) -> Generator[Event, None, None]:
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
         env = self.env
-        if self.injector is None and not self.metrics.enabled:
+        duration = self.occupancy_us(nbytes, fast)
+        if self.injector is None:
             # Engine idle or contiguously booked: one booking + one
             # completion event instead of request/grant/release churn.
-            duration = self.occupancy_us(nbytes, fast)
             booking = engine.try_occupy(duration)
             if booking is not None:
+                if self.metrics.enabled:
+                    self._record(label, duration, booking[0] - env._now)
                 work = env.work
                 if work is not None:
                     work.resource_occupancies += 1
                 yield env.sleep_until(booking[0] + duration)
                 return
+        requested = env._now
         request = engine.request()
-        metrics = self.metrics
-        if metrics.enabled:
-            # Depth *before* this request is granted: how many messages
-            # are serialized behind the engine right now.
-            metrics.gauge(f"{label}.queue_depth").set(engine.queue_length)
-            metrics.counter(f"{label}.messages").inc()
-            metrics.histogram(f"{label}.busy_us").observe(
-                self.occupancy_us(nbytes, fast))
         yield request
+        if self.metrics.enabled:
+            self._record(label, duration, env._now - requested)
         if self.injector is not None:
             # The injector records faults.nic_stall* metrics itself.
             stall = self.injector.nic_delay(self.node_index, self.env.now)
             if stall > 0:
                 yield env.sleep(stall)
-        yield env.sleep(self.occupancy_us(nbytes, fast))
+        yield env.sleep(duration)
         engine.release(request)

@@ -4,8 +4,8 @@ This package is the cross-cutting measurement substrate the paper's
 methodology calls for at simulator scale: span-based tracing nests
 collective -> phase -> message -> link occupancy
 (:mod:`repro.sim.trace` holds the span primitives; this package the
-aggregation and export), a :class:`MetricsRegistry` collects counters/
-gauges/histograms from the network, node, and MPI layers, and an
+aggregation and export), a :class:`MetricsRegistry` collects counters
+and histograms from the network, node, and MPI layers, and an
 :class:`EngineProfiler` ranks the simulator's own hot paths.
 
 Import note: the runtime layers (``network``, ``node``, ``mpi``)
@@ -37,7 +37,7 @@ from .export import (
     write_profile_csv,
     write_spans_csv,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .perf import WORK_COUNTERS, WorkMeter
 from .profiler import EngineProfiler
 from .report import (
@@ -53,7 +53,6 @@ __all__ = [
     "Counter",
     "CriticalPath",
     "EngineProfiler",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "PathStep",

@@ -104,12 +104,11 @@ class CollectiveCapture:
                  f"p={self.num_nodes}, m={self.nbytes} B, "
                  f"{self.iterations} iteration(s): "
                  f"{self.elapsed_us:.1f} us simulated"]
-        if spans or self.tracer.records():
+        if spans:
             categories = ", ".join(
                 f"{count} {category}"
                 for category, count in sorted(by_category.items()))
             parts.append(f"spans: {len(spans)} ({categories}); "
-                         f"flat records: {len(self.tracer.records())}; "
                          f"dropped: {self.tracer.dropped}")
         return "\n".join(parts)
 
@@ -198,7 +197,6 @@ def capture_collective(machine: str, op: str, nbytes: int = 1024,
                        contention: bool = True, trace: bool = True,
                        metrics: bool = True, profile: bool = False,
                        work: bool = False,
-                       max_records: Optional[int] = None,
                        max_spans: Optional[int] = None,
                        faults=None) -> CollectiveCapture:
     """Run ``iterations`` of one collective with full observability.
@@ -214,9 +212,8 @@ def capture_collective(machine: str, op: str, nbytes: int = 1024,
     world = MpiWorld(machine, num_nodes, seed=seed,
                      contention=contention, trace=trace,
                      metrics=metrics, faults=faults)
-    if max_records is not None or max_spans is not None:
-        world.tracer.configure_limits(max_records=max_records,
-                                      max_spans=max_spans)
+    if max_spans is not None:
+        world.tracer.configure_limits(max_spans)
     profiler = None
     if profile:
         profiler = EngineProfiler()

@@ -243,10 +243,10 @@ def critical_path(tracer: Tracer,
     messages = [s for s in spans
                 if s.category == "message" and s.parent in phase_ids
                 and s.end is not None]
-    contention = [(r.time, float(r.detail.get("waited_us", 0.0)),
-                   r.node, r.detail.get("dst"))
-                  for r in tracer.records("link-contention")
-                  if r.detail.get("waited_us", 0.0) > 0]
+    contention = [(s.start, float(s.detail.get("waited_us", 0.0)),
+                   s.node, s.detail.get("dst"))
+                  for s in tracer.spans("link-contention")
+                  if s.detail.get("waited_us", 0.0) > 0]
 
     # -- chain extraction: walk causality backwards from the last
     #    delivery.  A message's predecessor is the latest message that

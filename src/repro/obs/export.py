@@ -19,10 +19,11 @@ byte-identical documents:
   aggregate spans, ``node + 1`` otherwise — never an enumeration
   order;
 * all ``thread_name`` metadata events are emitted up front in
-  ascending ``tid`` order (one per track that carries *spans*;
-  record-only tracks need no name), before any ``X``/``i`` event;
-* span and record events follow in the tracer's own deterministic
-  order (monotone start times from the simulated clock).
+  ascending ``tid`` order (one per track that carries spans), before
+  any ``X`` event;
+* span events follow in the tracer's own deterministic order (monotone
+  start times from the simulated clock).  Point-in-time marks
+  (contention stalls, faults) are zero-length spans like any other.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _track(node: Any) -> int:
 
 
 def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
-    """Spans and records as Chrome trace-event dicts."""
+    """Spans as Chrome trace-event dicts."""
     events: List[Dict[str, Any]] = [
         {"ph": "M", "name": "process_name", "pid": 0,
          "args": {"name": "simulator"}},
@@ -83,12 +84,6 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
             "ts": span.start, "dur": end - span.start,
             "pid": 0, "tid": tid, "args": args,
         })
-    for record in tracer.records():
-        events.append({
-            "ph": "i", "name": record.category, "cat": record.category,
-            "ts": record.time, "s": "t", "pid": 0,
-            "tid": _track(record.node), "args": dict(record.detail),
-        })
     return events
 
 
@@ -99,7 +94,6 @@ def chrome_trace_document(tracer: Tracer) -> Dict[str, Any]:
         "displayTimeUnit": "ms",
         "otherData": {
             "spans": len(tracer.spans()),
-            "records": len(tracer.records()),
             "dropped": tracer.dropped,
         },
     }

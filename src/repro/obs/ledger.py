@@ -192,7 +192,6 @@ def _summary_trace(doc: Mapping[str, Any]) -> Dict[str, Any]:
     return {
         "events": len(events),
         "spans": other.get("spans"),
-        "records": other.get("records"),
         "dropped": other.get("dropped"),
         "categories": sorted({e.get("cat") for e in events
                               if isinstance(e, Mapping) and "cat" in e}),

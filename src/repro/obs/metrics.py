@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and log2-bucket histograms.
+"""Metrics registry: counters and log2-bucket histograms.
 
 The registry follows the :class:`~repro.sim.Tracer` convention: it
 always exists (every :class:`~repro.machines.Machine` owns one) but is
@@ -7,7 +7,7 @@ single ``registry.enabled`` check so the hot paths stay flat when
 nobody is measuring.
 
 Instruments are identified by dotted names (``fabric.transfers``,
-``nic.tx.queue_depth``) and created on first use, so layers never need
+``nic.tx.wait_us``) and created on first use, so layers never need
 to pre-register what they record.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
 #: Histogram buckets are powers of two: bucket ``i`` (i >= 1) counts
 #: observations in ``[2**(i-1), 2**i)``; bucket 0 counts values < 1.
@@ -36,35 +36,6 @@ class Counter:
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """An instantaneous level with a high-water mark (queue depths)."""
-
-    __slots__ = ("name", "value", "high_water", "samples")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self.high_water = 0.0
-        self.samples = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.high_water:
-            self.high_water = value
-        self.samples += 1
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-        self.samples += 1
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": "gauge", "value": self.value,
-                "high_water": self.high_water, "samples": self.samples}
 
 
 class Histogram:
@@ -135,9 +106,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
@@ -167,9 +135,6 @@ class MetricsRegistry:
             instrument = self._instruments[name]
             if isinstance(instrument, Counter):
                 lines.append(f"  {name:<34s} {instrument.value}")
-            elif isinstance(instrument, Gauge):
-                lines.append(f"  {name:<34s} now={instrument.value:g} "
-                             f"high-water={instrument.high_water:g}")
             else:
                 lines.append(
                     f"  {name:<34s} n={instrument.count} "

@@ -20,7 +20,7 @@ from .engine import (
 )
 from .resources import FilterStore, Request, Resource, Store
 from .rng import RandomStreams
-from .trace import NULL_SPAN, Span, TraceRecord, Tracer
+from .trace import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "AllOf",
@@ -41,6 +41,5 @@ __all__ = [
     "Store",
     "StopProcess",
     "Timeout",
-    "TraceRecord",
     "Tracer",
 ]

@@ -1,45 +1,34 @@
 """Structured event tracing for the simulator.
 
-Two complementary record kinds:
+Everything the tracer records is a :class:`Span`: an interval with
+explicit begin/end times and a parent id, forming the nesting the
+observability layer exports: collective -> phase -> message ->
+link-occupancy.  Spans are opened with :meth:`Tracer.begin` and closed
+with :meth:`Tracer.end`; point-in-time occurrences (a contention stall,
+a lost message, a link going down) are zero-length spans made by
+:meth:`Tracer.mark`.
 
-* **Flat records** (:class:`TraceRecord`) — point-in-time occurrences
-  (time, category, node, detail), emitted via :meth:`Tracer.emit`.
-* **Spans** (:class:`Span`) — intervals with explicit begin/end times
-  and parent ids, forming the nesting the observability layer exports:
-  collective -> phase -> message -> link-occupancy.  Spans are opened
-  with :meth:`Tracer.begin` and closed with :meth:`Tracer.end`.
-
-Tracing is off by default and costs one predicate check per record when
+Tracing is off by default and costs one predicate check per span when
 disabled.  A disabled tracer's :meth:`Tracer.begin` returns the shared
 :data:`NULL_SPAN` sentinel so instrumented code never branches on the
-enabled flag itself.
+enabled flag itself.  Recording a span never schedules an event, so a
+traced run executes exactly the events of an untraced one.
 
-Memory is bounded when ``max_records`` / ``max_spans`` are given: the
-tracer keeps the newest entries (drop-oldest ring) and counts what it
-discarded in ``dropped_records`` / ``dropped_spans``.
+Memory is bounded when ``max_spans`` is given: the tracer keeps the
+newest spans (drop-oldest ring) and counts what it discarded in
+``dropped_spans``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Collection, Deque, Dict, Iterator, List, Optional,
-                    Union)
+from typing import Any, Collection, Deque, Dict, List, Optional, Union
 
-__all__ = ["TraceRecord", "Span", "Tracer", "NULL_SPAN"]
+__all__ = ["Span", "Tracer", "NULL_SPAN"]
 
 #: Category filters accept one category or a collection of them.
 CategoryFilter = Optional[Union[str, Collection[str]]]
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One traced point-in-time occurrence inside the simulator."""
-
-    time: float
-    category: str
-    node: Optional[int]
-    detail: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -84,48 +73,14 @@ def _matches(category: str, wanted: CategoryFilter) -> bool:
 
 
 class Tracer:
-    """Collects trace records and spans; disabled tracers are ~free."""
+    """Collects spans; disabled tracers are ~free."""
 
     def __init__(self, enabled: bool = False,
-                 max_records: Optional[int] = None,
                  max_spans: Optional[int] = None):
-        if max_records is not None and max_records < 1:
-            raise ValueError(f"max_records must be >= 1, got {max_records}")
-        if max_spans is not None and max_spans < 1:
-            raise ValueError(f"max_spans must be >= 1, got {max_spans}")
         self.enabled = enabled
-        self.max_records = max_records
-        self.max_spans = max_spans
-        self._records: Deque[TraceRecord] = deque(maxlen=max_records)
-        self._spans: Deque[Span] = deque(maxlen=max_spans)
-        self.dropped_records = 0
-        self.dropped_spans = 0
         self._next_span_id = 1
+        self.configure_limits(max_spans)
 
-    # -- flat records -------------------------------------------------------
-    def emit(self, time: float, category: str, node: Optional[int] = None,
-             **detail: Any) -> None:
-        """Record an occurrence if tracing is enabled."""
-        if self.enabled:
-            records = self._records
-            if records.maxlen is not None and \
-                    len(records) == records.maxlen:
-                self.dropped_records += 1
-            records.append(TraceRecord(time, category, node, detail))
-
-    def records(self, category: CategoryFilter = None) -> List[TraceRecord]:
-        """All records, optionally filtered by one or more categories."""
-        if category is None:
-            return list(self._records)
-        return [r for r in self._records if _matches(r.category, category)]
-
-    def between(self, t0: float, t1: float,
-                category: CategoryFilter = None) -> List[TraceRecord]:
-        """Records with ``t0 <= time < t1``, optionally by category."""
-        return [r for r in self._records
-                if t0 <= r.time < t1 and _matches(r.category, category)]
-
-    # -- spans --------------------------------------------------------------
     def begin(self, time: float, name: str, category: str,
               node: Optional[int] = None, parent: Optional[Span] = None,
               **detail: Any) -> Span:
@@ -142,6 +97,13 @@ class Tracer:
             self.dropped_spans += 1
         spans.append(span)
         return span
+
+    def mark(self, time: float, category: str, node: Optional[int] = None,
+             **detail: Any) -> None:
+        """Record a point-in-time occurrence: a zero-length root span
+        named after its category."""
+        if self.enabled:
+            self.begin(time, category, category, node, **detail).end = time
 
     def end(self, span: Span, time: float, **detail: Any) -> None:
         """Close ``span`` at ``time`` (no-op for the null span)."""
@@ -175,35 +137,20 @@ class Tracer:
                 if s.start < t1 and (s.end is None or s.end >= t0)
                 and _matches(s.category, category)]
 
-    # -- bookkeeping --------------------------------------------------------
     @property
     def dropped(self) -> int:
-        """Total entries discarded by the bounded-memory rings."""
-        return self.dropped_records + self.dropped_spans
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
+        """Spans discarded by the bounded-memory ring."""
+        return self.dropped_spans
 
     def clear(self) -> None:
-        """Drop all collected records and spans, reset drop counters."""
-        self._records.clear()
+        """Drop all collected spans and reset the drop counter."""
         self._spans.clear()
-        self.dropped_records = 0
         self.dropped_spans = 0
 
-    def configure_limits(self, max_records: Optional[int] = None,
-                         max_spans: Optional[int] = None) -> None:
-        """Re-bound the rings; existing content and drop counts reset."""
-        if max_records is not None and max_records < 1:
-            raise ValueError(f"max_records must be >= 1, got {max_records}")
+    def configure_limits(self, max_spans: Optional[int] = None) -> None:
+        """Re-bound the span ring; existing spans and drops reset."""
         if max_spans is not None and max_spans < 1:
             raise ValueError(f"max_spans must be >= 1, got {max_spans}")
-        self.max_records = max_records
         self.max_spans = max_spans
-        self._records = deque(maxlen=max_records)
-        self._spans = deque(maxlen=max_spans)
-        self.dropped_records = 0
+        self._spans: Deque[Span] = deque(maxlen=max_spans)
         self.dropped_spans = 0

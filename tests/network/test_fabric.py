@@ -107,9 +107,13 @@ def test_contention_trace_emitted():
     run_transfer(fabric, env, 0, 1, 1048)
     run_transfer(fabric, env, 0, 1, 1048)
     env.run()
-    records = tracer.records("link-contention")
-    assert len(records) == 1
-    assert records[0].detail["waited_us"] > 0
+    marks = tracer.spans("link-contention")
+    assert len(marks) == 1
+    assert marks[0].detail["waited_us"] > 0
+    assert marks[0].duration == 0.0
+    # Both transfers show their link occupancy, the first one booked
+    # without the request protocol, the second one queued behind it.
+    assert len(tracer.spans("link")) == 2
 
 
 def test_utilisation_accounting():

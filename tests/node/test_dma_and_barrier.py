@@ -6,6 +6,7 @@ import pytest
 
 from repro.node import DmaEngine, DmaParameters, HardwareBarrier, \
     TransferMode
+from repro.obs import MetricsRegistry
 from repro.sim import Environment
 
 BLT = DmaParameters(kind=TransferMode.BLT, setup_us=25.0,
@@ -59,6 +60,25 @@ def test_streams_serialize_on_engine():
     single = 25.0 + 4096 * 0.005
     assert done[0][1] == pytest.approx(single)
     assert done[1][1] == pytest.approx(2 * single)
+
+
+def test_stream_wait_histogram_only_for_streams_that_waited():
+    env = Environment()
+    engine = DmaEngine(env, BLT, metrics=MetricsRegistry(enabled=True))
+
+    def proc():
+        yield from engine.stream(4096)
+
+    for _ in range(3):
+        env.process(proc())
+    env.run()
+    single = 25.0 + 4096 * 0.005
+    snapshot = engine.metrics.snapshot()
+    assert snapshot["dma.streams"]["value"] == 3
+    wait = snapshot["dma.wait_us"]
+    assert wait["count"] == 2  # the first stream found the engine idle
+    assert wait["min"] == pytest.approx(single)
+    assert wait["max"] == pytest.approx(2 * single)
 
 
 def test_dma_parameter_validation():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.node import MemorySystem
+from repro.obs import MetricsRegistry
 from repro.sim import Environment
 
 
@@ -32,6 +33,34 @@ def test_concurrent_copies_serialize_on_bus():
     env.run()
     assert result["a"] == pytest.approx(10.0)
     assert result["b"] == pytest.approx(20.0)  # waited for the bus
+
+
+@pytest.mark.parametrize("holder", ["booking", "request"])
+def test_bus_wait_recorded_alike_on_both_paths(holder):
+    """A copy that finds the bus busy observes its wait in
+    ``mem.bus.wait_us`` whether the bus is timestamp-booked by an
+    earlier copy or held through the request protocol."""
+    env = Environment()
+    memory = MemorySystem(env, copy_us_per_byte=0.01,
+                          metrics=MetricsRegistry(enabled=True))
+    result = {}
+    if holder == "booking":
+        run_copy(env, memory, 1000, result, "a")
+    else:
+        def hold():
+            request = memory.bus.request()
+            yield request
+            yield env.timeout(10.0)
+            memory.bus.release(request)
+        env.process(hold())
+    run_copy(env, memory, 1000, result, "b")
+    env.run()
+    assert result["b"] == pytest.approx(20.0)
+    snapshot = memory.metrics.snapshot()
+    assert snapshot["mem.bus.wait_us"]["count"] == 1
+    assert snapshot["mem.bus.wait_us"]["max"] == pytest.approx(10.0)
+    assert snapshot["mem.copies"]["value"] == (2 if holder == "booking"
+                                               else 1)
 
 
 def test_zero_byte_copy_free():

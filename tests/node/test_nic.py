@@ -3,6 +3,7 @@
 import pytest
 
 from repro.node import Nic
+from repro.obs import MetricsRegistry
 from repro.sim import Environment
 
 
@@ -69,6 +70,30 @@ def test_same_direction_messages_serialize():
     run_leg(env, nic.transmit(10486), result, "second")
     env.run()
     assert result["second"] == pytest.approx(2 * result["first"])
+
+
+def test_wait_recorded_alike_when_booked_processed_or_committed():
+    """Back-to-back messages wait for the engine: the wait lands in
+    ``nic.tx.wait_us`` whether the message went through ``transmit``
+    or was booked and committed by the transport's short-circuit."""
+    env = Environment()
+    nic = Nic(env, per_message_us=1.0, bandwidth_mbs=100.0,
+              metrics=MetricsRegistry(enabled=True))
+    single = nic.occupancy_us(1000)
+    booked = nic.try_book_transmit(1000)
+    nic.commit_transmit(1000, False, booked[3])
+    run_leg(env, nic.transmit(1000), {}, "processed")
+    env.run()
+    booked = nic.try_book_transmit(1000)
+    assert booked[0] == pytest.approx(env.now + single)
+    nic.commit_transmit(1000, False, booked[3])
+    snapshot = nic.metrics.snapshot()
+    assert snapshot["nic.tx.messages"]["value"] == 3
+    assert snapshot["nic.tx.busy_us"]["count"] == 3
+    # The first booking and the one after the run found it idle.
+    assert snapshot["nic.tx.wait_us"]["count"] == 1
+    assert snapshot["nic.tx.wait_us"]["max"] == pytest.approx(single)
+    assert "nic.rx.wait_us" not in snapshot
 
 
 def test_message_counters():

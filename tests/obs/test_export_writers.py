@@ -118,16 +118,20 @@ def test_thread_metadata_up_front_in_sorted_tid_order():
     assert [e["tid"] for e in rest] == [6, 3, 1]
 
 
-def test_record_only_tracks_get_no_thread_name():
+def test_marks_export_as_zero_length_spans_on_named_tracks():
     tracer = Tracer(enabled=True)
     span = tracer.begin(0.0, "msg 0", "message", node=0)
     tracer.end(span, 1.0)
-    tracer.emit(0.5, "link-contention", node=9, waited_us=1.0)
+    tracer.mark(0.5, "link-contention", node=9, waited_us=1.0)
     events = chrome_trace_events(tracer)
     named = {e["tid"] for e in events
              if e["ph"] == "M" and e["name"] == "thread_name"}
-    assert named == {0, 1}  # node 9's record track stays unnamed
-    assert any(e["ph"] == "i" and e["tid"] == 10 for e in events)
+    assert named == {0, 1, 10}
+    assert {e["ph"] for e in events} == {"M", "X"}
+    mark = [e for e in events if e.get("cat") == "link-contention"]
+    assert len(mark) == 1
+    assert (mark[0]["tid"], mark[0]["ts"], mark[0]["dur"]) == (10, 0.5, 0)
+    assert mark[0]["args"]["waited_us"] == 1.0
 
 
 _TRACE_SNIPPET = """\

@@ -90,7 +90,7 @@ def test_every_family_summarizes():
         {"ph": "M", "name": "process_name"},
         {"ph": "X", "cat": "message", "name": "msg 0->1"},
         {"ph": "X", "cat": "link", "name": "link x"},
-    ], "otherData": {"spans": 2, "records": 0, "dropped": 0}}
+    ], "otherData": {"spans": 2, "dropped": 0}}
     replay = {"schema": "repro-replay/1", "machine": "t3d",
               "op": "broadcast", "nbytes": 64, "num_nodes": 4,
               "frames": [{"id": 1}], "faults": "lossy",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Counter, Histogram, MetricsRegistry
 
 
 def test_counter_accumulates():
@@ -11,25 +11,6 @@ def test_counter_accumulates():
     counter.inc()
     counter.inc(41)
     assert registry.counter("x").value == 42
-
-
-def test_gauge_tracks_high_water():
-    gauge = MetricsRegistry().gauge("depth")
-    gauge.set(3)
-    gauge.set(7)
-    gauge.set(2)
-    assert gauge.value == 2
-    assert gauge.high_water == 7
-    assert gauge.samples == 3
-
-
-def test_gauge_inc_dec():
-    gauge = MetricsRegistry().gauge("g")
-    gauge.inc()
-    gauge.inc()
-    gauge.dec()
-    assert gauge.value == 1
-    assert gauge.high_water == 2
 
 
 def test_histogram_log2_buckets():
@@ -63,7 +44,7 @@ def test_registry_get_or_create_and_type_conflict():
     registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")
     with pytest.raises(TypeError):
-        registry.gauge("a")
+        registry.histogram("a")
 
 
 def test_registry_snapshot_is_json_friendly():
@@ -71,22 +52,19 @@ def test_registry_snapshot_is_json_friendly():
 
     registry = MetricsRegistry(enabled=True)
     registry.counter("c").inc(5)
-    registry.gauge("g").set(1.5)
     registry.histogram("h").observe(10)
     snapshot = registry.snapshot()
     json.dumps(snapshot)  # must not raise
     assert snapshot["c"] == {"type": "counter", "value": 5}
-    assert snapshot["g"]["high_water"] == 1.5
     assert snapshot["h"]["count"] == 1
 
 
 def test_registry_format_report_mentions_all_instruments():
     registry = MetricsRegistry(enabled=True)
     registry.counter("alpha").inc()
-    registry.gauge("beta").set(2)
     registry.histogram("gamma").observe(4)
     report = registry.format_report()
-    for name in ("alpha", "beta", "gamma"):
+    for name in ("alpha", "gamma"):
         assert name in report
 
 
@@ -97,5 +75,4 @@ def test_registry_disabled_by_default():
 
 def test_instruments_importable_directly():
     assert Counter("c").value == 0
-    assert Gauge("g").high_water == 0.0
     assert Histogram("h").count == 0

@@ -50,76 +50,79 @@ def test_uniform_in_range():
         assert 10.0 <= value < 20.0
 
 
-def test_tracer_disabled_drops_records():
+def test_tracer_disabled_drops_marks():
     tracer = Tracer(enabled=False)
-    tracer.emit(1.0, "event", node=0, detail="x")
-    assert len(tracer) == 0
+    tracer.mark(1.0, "event", node=0, detail="x")
+    assert tracer.spans() == []
 
 
-def test_tracer_enabled_collects_and_filters():
+def test_tracer_marks_are_zero_length_spans():
     tracer = Tracer(enabled=True)
-    tracer.emit(1.0, "send", node=0, nbytes=64)
-    tracer.emit(2.0, "recv", node=1)
-    tracer.emit(3.0, "send", node=1, nbytes=32)
-    assert len(tracer) == 3
-    sends = tracer.records("send")
-    assert [r.time for r in sends] == [1.0, 3.0]
+    tracer.mark(1.0, "send", node=0, nbytes=64)
+    tracer.mark(2.0, "recv", node=1)
+    tracer.mark(3.0, "send", node=1, nbytes=32)
+    assert len(tracer.spans()) == 3
+    sends = tracer.spans("send")
+    assert [(s.start, s.end) for s in sends] == [(1.0, 1.0), (3.0, 3.0)]
+    assert [s.name for s in sends] == ["send", "send"]
+    assert [s.node for s in sends] == [0, 1]
     assert sends[0].detail["nbytes"] == 64
-    assert len(list(iter(tracer))) == 3
+    assert sends[0].parent == 0 and sends[0].duration == 0.0
 
 
 def test_tracer_clear():
     tracer = Tracer(enabled=True)
-    tracer.emit(1.0, "x")
+    tracer.mark(1.0, "x")
     span = tracer.begin(1.0, "s", "cat")
     tracer.end(span, 2.0)
     tracer.clear()
-    assert len(tracer) == 0
     assert tracer.spans() == []
+    assert tracer.dropped == 0
 
 
 def test_tracer_category_filter_accepts_collections():
     tracer = Tracer(enabled=True)
-    tracer.emit(1.0, "send")
-    tracer.emit(2.0, "recv")
-    tracer.emit(3.0, "link")
-    assert [r.category for r in tracer.records(("send", "link"))] == \
+    tracer.mark(1.0, "send")
+    tracer.mark(2.0, "recv")
+    tracer.mark(3.0, "link")
+    assert [s.category for s in tracer.spans(("send", "link"))] == \
         ["send", "link"]
-    assert [r.category for r in tracer.records({"recv"})] == ["recv"]
-    assert len(tracer.records("send")) == 1
+    assert [s.category for s in tracer.spans({"recv"})] == ["recv"]
+    assert len(tracer.spans("send")) == 1
 
 
-def test_tracer_between_time_window():
+def test_tracer_marks_in_time_window():
     tracer = Tracer(enabled=True)
     for t in (0.0, 1.0, 2.0, 3.0):
-        tracer.emit(t, "tick")
-    window = tracer.between(1.0, 3.0)
-    assert [r.time for r in window] == [1.0, 2.0]
-    assert tracer.between(1.0, 3.0, category="other") == []
+        tracer.mark(t, "tick")
+    window = tracer.spans_between(1.0, 3.0)
+    assert [s.start for s in window] == [1.0, 2.0]
+    assert tracer.spans_between(1.0, 3.0, category="other") == []
 
 
-def test_tracer_max_records_drops_oldest_and_counts():
-    tracer = Tracer(enabled=True, max_records=3)
+def test_tracer_mark_ring_drops_oldest_and_counts():
+    tracer = Tracer(enabled=True, max_spans=3)
     for t in range(5):
-        tracer.emit(float(t), "tick", index=t)
-    assert len(tracer) == 3
-    assert [r.time for r in tracer.records()] == [2.0, 3.0, 4.0]
-    assert tracer.dropped_records == 2
+        tracer.mark(float(t), "tick", index=t)
+    assert [s.start for s in tracer.spans()] == [2.0, 3.0, 4.0]
+    assert tracer.dropped_spans == 2
     assert tracer.dropped == 2
 
 
-def test_tracer_max_records_rejects_nonpositive():
+def test_tracer_max_spans_rejects_nonpositive():
     with pytest.raises(ValueError):
-        Tracer(max_records=0)
+        Tracer(max_spans=0)
+    with pytest.raises(ValueError):
+        Tracer().configure_limits(max_spans=0)
 
 
 def test_tracer_configure_limits_resets():
-    tracer = Tracer(enabled=True, max_records=2)
-    tracer.emit(0.0, "a")
-    tracer.emit(1.0, "b")
-    tracer.emit(2.0, "c")
-    tracer.configure_limits(max_records=5)
-    assert len(tracer) == 0
+    tracer = Tracer(enabled=True, max_spans=2)
+    tracer.mark(0.0, "a")
+    tracer.mark(1.0, "b")
+    tracer.mark(2.0, "c")
+    tracer.configure_limits(max_spans=5)
+    assert tracer.spans() == []
     assert tracer.dropped == 0
 
 

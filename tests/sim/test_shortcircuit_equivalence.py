@@ -15,18 +15,27 @@ workloads and asserts
 * short-circuited (``fast_wire=True``) runs deliver **every message at
   exactly the time** the full simulation (``fast_wire=False``) does:
   the sorted per-message ``(src, dst, nbytes, sent_at, delivered_at)``
-  logs compare equal with ``==``, and end times agree to 1e-12 s.
+  logs compare equal with ``==``, and end times agree to 1e-12 s;
+* observation is not an input: a run with tracing and metrics on pops
+  the same event log and does the same work as the plain run, with or
+  without a fault plan, and a traced short-circuited run records the
+  same spans and metrics as the traced full simulation.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import NamedTuple, Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import fault_preset
 from repro.mpi import MpiWorld
 from repro.obs.perf import WorkMeter
 from repro.sim import Environment, Resource, Store
@@ -195,17 +204,81 @@ def mpi_workloads(draw):
     return machine, op, nbytes, p
 
 
-def run_collective(machine, op, nbytes, p, fast_wire=True):
-    """One collective; returns (elapsed, work snapshot, delivery log).
+class CollectiveRun(NamedTuple):
+    elapsed: float
+    work: dict
+    deliveries: list
+    pops: list
+    spans: Optional[Counter]
+    metrics: Optional[dict]
+
+
+def _canonical_detail(detail, comm_base):
+    """A span's detail with communicator ids made relative to the
+    world's own communicator: ids come from a process-wide counter, so
+    two worlds built one after the other never share them."""
+    items = []
+    for key, value in sorted(detail.items()):
+        if key == "comm":
+            value -= comm_base
+        elif key == "tag":
+            value = (value[0], value[1] - comm_base) + tuple(value[2:])
+        items.append((key, repr(value)))
+    return tuple(items)
+
+
+def span_multiset(tracer, comm_base):
+    """Every span as ``(category, name, node, start, end, detail,
+    parent)``, where ``parent`` is the enclosing span's own tuple — the
+    parent chain stands in for span ids, which depend on the order
+    spans were opened in."""
+    by_id = {span.id: span for span in tracer.spans()}
+    keys = {}
+
+    def key(span):
+        if span.id not in keys:
+            parent = by_id.get(span.parent)
+            keys[span.id] = (
+                span.category, span.name, span.node, span.start, span.end,
+                _canonical_detail(span.detail, comm_base),
+                None if parent is None else key(parent))
+        return keys[span.id]
+
+    return Counter(key(span) for span in by_id.values())
+
+
+def assert_metrics_match(left, right):
+    """Identical instruments and values, except that histogram sums
+    (and so means) may differ in the last bits: the same observations
+    can be added up in another order."""
+    assert sorted(left) == sorted(right)
+    for name, snapshot in left.items():
+        other = dict(right[name])
+        snapshot = dict(snapshot)
+        if snapshot["type"] == "histogram":
+            for field in ("sum", "mean"):
+                assert math.isclose(snapshot.pop(field), other.pop(field),
+                                    rel_tol=1e-9), (name, field)
+        assert snapshot == other, name
+
+
+def run_collective(machine, op, nbytes, p, fast_wire=True, observed=False,
+                   faults=None):
+    """One collective, with its event queue's pops logged.
 
     The delivery log is every message the transport hands to matching,
     as sorted ``(src, dst, nbytes, sent_at, delivered_at)`` tuples.
     Tags are left out: they embed a process-wide communicator counter,
     so two worlds built one after the other never share them.
+    ``observed`` switches tracing and metrics on and also returns the
+    spans (see :func:`span_multiset`) and the metrics snapshot.
     """
-    world = MpiWorld(machine, p, seed=0, fast_wire=fast_wire)
+    world = MpiWorld(machine, p, seed=0, fast_wire=fast_wire,
+                     trace=observed, metrics=observed,
+                     faults=None if faults is None else fault_preset(faults))
     meter = WorkMeter()
     world.env.work = meter
+    pops = record_pops(world.env)
     transport = world.comm.transport
     deliver = transport._deliver
     deliveries = []
@@ -217,22 +290,44 @@ def run_collective(machine, op, nbytes, p, fast_wire=True):
 
     transport._deliver = spy
     elapsed = world.run_collective(op, nbytes)
-    return elapsed, meter.snapshot(), sorted(deliveries)
+    spans = metrics = None
+    if observed:
+        spans = span_multiset(world.tracer, world.comm.comm_id)
+        metrics = world.machine.metrics.snapshot()
+    return CollectiveRun(elapsed, meter.snapshot(), sorted(deliveries),
+                         pops, spans, metrics)
 
 
 def assert_short_circuit_exact(workload):
-    fast_time, fast_work, fast_log = run_collective(*workload,
-                                                    fast_wire=True)
-    slow_time, slow_work, slow_log = run_collective(*workload,
-                                                    fast_wire=False)
-    assert fast_log == slow_log, workload
-    assert abs(fast_time - slow_time) <= TIME_TOLERANCE_US, workload
+    fast = run_collective(*workload, fast_wire=True)
+    slow = run_collective(*workload, fast_wire=False)
+    assert fast.deliveries == slow.deliveries, workload
+    assert abs(fast.elapsed - slow.elapsed) <= TIME_TOLERANCE_US, workload
     # The fast path may never simulate *less* traffic than it books.
-    assert fast_work["messages_sent"] == slow_work["messages_sent"]
-    assert fast_work["messages_delivered"] == \
-        slow_work["messages_delivered"] == len(fast_log)
-    assert slow_work["transfers_shortcircuited"] == 0
-    return fast_work
+    assert fast.work["messages_sent"] == slow.work["messages_sent"]
+    assert fast.work["messages_delivered"] == \
+        slow.work["messages_delivered"] == len(fast.deliveries)
+    assert slow.work["transfers_shortcircuited"] == 0
+    return fast.work
+
+
+def assert_observation_is_not_an_input(workload, faults=None):
+    """Tracing and metrics on vs off: the same pops and the same work,
+    on either wire setting; and the traced short-circuit records the
+    spans and metrics of the traced full simulation."""
+    observed = {}
+    for fast_wire in (True, False):
+        plain = run_collective(*workload, fast_wire=fast_wire,
+                               faults=faults)
+        seen = run_collective(*workload, fast_wire=fast_wire,
+                              observed=True, faults=faults)
+        assert seen.pops == plain.pops, (workload, fast_wire)
+        assert seen.work == plain.work, (workload, fast_wire)
+        assert seen.elapsed == plain.elapsed, (workload, fast_wire)
+        observed[fast_wire] = seen
+    assert observed[True].spans == observed[False].spans, workload
+    assert_metrics_match(observed[True].metrics, observed[False].metrics)
+    return observed[True]
 
 
 @given(mpi_workloads())
@@ -246,6 +341,26 @@ def test_short_circuit_exact_on_fixed_cases():
         fast_work = assert_short_circuit_exact(workload)
         assert fast_work["transfers_shortcircuited"] > 0, \
             f"{workload} never took the analytic path"
+
+
+def test_observation_is_not_an_input_on_fixed_cases():
+    for workload in MPI_CASES:
+        traced = assert_observation_is_not_an_input(workload)
+        assert traced.work["transfers_shortcircuited"] > 0, \
+            f"{workload} never took the analytic path when traced"
+        assert any(key[0] == "link" for key in traced.spans), workload
+
+
+@pytest.mark.parametrize("preset", ["lossy", "single-link-outage"])
+def test_observation_is_not_an_input_under_faults(preset):
+    for workload in MPI_CASES[:2]:
+        assert_observation_is_not_an_input(workload, faults=preset)
+
+
+@given(mpi_workloads())
+@settings(max_examples=25, deadline=None)
+def test_observation_is_not_an_input(workload):
+    assert_observation_is_not_an_input(workload)
 
 
 def test_collective_runs_are_deterministic():

@@ -68,6 +68,20 @@ def test_usage_errors_exit_2_with_one_line(argv, capsys, monkeypatch,
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "sp2", "broadcast", "--nodes", "4", "--top", "-1"],
+    ["sensitivity", "sp2", "broadcast", "--top", "-1"],
+    ["sensitivity", "sp2", "broadcast", "--top", "0"],
+], ids=" ".join)
+def test_top_must_be_positive(argv, capsys):
+    # Like every other --top: a count of zero or less is a usage error,
+    # not a slice that silently drops the last entry.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "argument --top: must be >= 1" in capsys.readouterr().err
+
+
 @pytest.fixture
 def custom_machine():
     """A hypothetical machine registered like examples/custom_machine.py
@@ -151,6 +165,24 @@ def test_profile_command_reports_utilization_and_engine(capsys):
     assert "engine profile:" in out
     assert "metrics:" in out
     assert "mpi.messages_sent" in out
+
+
+def test_profile_work_counters_are_those_of_the_plain_run(capsys):
+    """Profiling records metrics, yet the run it reports is the one a
+    sweep executes: same events, same short-circuited transfers."""
+    from repro.mpi import MpiWorld
+    from repro.obs import WorkMeter
+
+    assert main(["profile", "sp2", "broadcast", "--work"]) == 0
+    out = capsys.readouterr().out
+    block = out[out.index("work counters:"):].split("\n\n")[0]
+    world = MpiWorld("sp2", 16)
+    meter = WorkMeter()
+    world.env.work = meter
+    world.run_collective("broadcast", 4096)
+    assert block == meter.format_report()
+    assert meter.events_fired == 148
+    assert meter.transfers_shortcircuited == 11
 
 
 def test_fast_flag_sets_env(monkeypatch, capsys):
