@@ -49,6 +49,12 @@ __all__ = [
     "Machine",
 ]
 
+#: Normals drawn per refill of a node's ``sw.<i>`` jitter stream.
+#: ``Generator.normal`` fills an array by drawing in sequence from the
+#: same bit generator, so a block yields exactly the values, in order,
+#: that one scalar draw per call would.
+_JITTER_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class SoftwareCosts:
@@ -296,10 +302,13 @@ class Machine:
                                     metrics=self.metrics,
                                     injector=self.injector)
         self.nodes = [self._build_node(i) for i in range(num_nodes)]
-        # Lazily cached ``generator.normal`` bound methods, one per
-        # node: jitter() runs several times per message, and the
-        # f-string + stream-dict lookup dwarf the draw itself.
-        self._jitter_normals: List[Optional[Any]] = [None] * num_nodes
+        # Per-node pools of pre-drawn ``sw.<i>`` normals, stored
+        # reversed so ``pop()`` yields them in draw order.  jitter()
+        # runs several times per message, and a scalar numpy draw
+        # costs several times a list pop.
+        self._jitter_sigma = spec.software.jitter_sigma
+        self._jitter_pools: List[List[float]] = [
+            [] for _ in range(num_nodes)]
         self.hardware_barrier: Optional[HardwareBarrier] = None
         if spec.barrier_wire is not None:
             self.hardware_barrier = HardwareBarrier(
@@ -332,19 +341,23 @@ class Machine:
         """One software-cost multiplier for ``node_index``.
 
         Combines the random run-to-run jitter with the node's
-        interference slowdown (1.0 in dedicated mode).  Draws the same
-        value from the same ``sw.<node>`` stream as
-        :meth:`RandomStreams.jitter`, via a cached bound method.
+        interference slowdown (1.0 in dedicated mode) and, under a
+        fault plan, the injector's CPU factor.  The random part is
+        ``max(normal(1.0, sigma), 1e-3)`` from the node's ``sw.<node>``
+        stream, the same sequence one scalar draw per call gives; the
+        stream is only created once a draw is needed (never when
+        ``jitter_sigma`` is 0).
         """
-        sigma = self.spec.software.jitter_sigma
+        sigma = self._jitter_sigma
         if sigma <= 0.0:
             factor = 1.0
         else:
-            normal = self._jitter_normals[node_index]
-            if normal is None:
-                normal = self.streams.stream(f"sw.{node_index}").normal
-                self._jitter_normals[node_index] = normal
-            draw = normal(1.0, sigma)
+            pool = self._jitter_pools[node_index]
+            if not pool:
+                pool.extend(self.streams.stream(f"sw.{node_index}")
+                            .normal(1.0, sigma, _JITTER_BLOCK).tolist())
+                pool.reverse()
+            draw = pool.pop()
             factor = draw if draw > 1e-3 else 1e-3
         if self.cpu_slowdown:
             factor = factor * self.cpu_slowdown.get(node_index, 1.0)

@@ -16,11 +16,12 @@ paper reports.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..machines import Machine
 from ..obs.spans import CollectiveObserver
 from ..sim import Event
+from .collectives import get_algorithm
 from .context import RankContext
 from .errors import MpiError, RankError
 from .transport import Transport
@@ -57,6 +58,7 @@ class Communicator:
             else Transport(machine)
         self.obs = CollectiveObserver(machine.tracer, machine.metrics,
                                       self.comm_id)
+        self._algorithms: Dict[Tuple[str, int], Callable] = {}
         self.contexts: List[RankContext] = [
             RankContext(self, rank)
             for rank in range(len(self.world_ranks))]
@@ -81,11 +83,27 @@ class Communicator:
         if self._completion_counts[seq] == self.size:
             self.obs.complete(seq, self.machine.env.now)
             event.succeed()
-            # The fence is only ever awaited for seq-1; drop older state.
-            stale = [s for s in self._completions if s < seq]
-            for s in stale:
-                del self._completions[s]
-                del self._completion_counts[s]
+            # The fence is only ever awaited for seq-1, and every rank
+            # has passed it by now; seq-2 went when seq-1 completed.
+            self._completions.pop(seq - 1, None)
+            self._completion_counts.pop(seq - 1, None)
+
+    def algorithm(self, op: str, nbytes: int) -> Callable:
+        """The algorithm this communicator runs for ``op`` at ``nbytes``.
+
+        Resolved through :meth:`MachineSpec.algorithm_for` once per
+        ``(op, nbytes)``: the spec, its decision table and the
+        communicator size are fixed for the communicator's lifetime,
+        and the table lookup is pure.
+        """
+        key = (op, nbytes)
+        try:
+            return self._algorithms[key]
+        except KeyError:
+            algorithm = get_algorithm(self.spec.algorithm_for(
+                op, nbytes=nbytes, p=self.size))
+            self._algorithms[key] = algorithm
+            return algorithm
 
     @property
     def size(self) -> int:
@@ -108,12 +126,6 @@ class Communicator:
             raise RankError(rank, self.size)
         return self.contexts[rank]
 
-    def world_rank_of(self, rank: int) -> int:
-        """Translate a communicator-local rank to a node index."""
-        if not 0 <= rank < self.size:
-            raise RankError(rank, self.size)
-        return self.world_ranks[rank]
-
     # -- MPI_Comm_split -----------------------------------------------------
     def register_split(self, rank: int, color: Optional[int],
                        key: int) -> Event:
@@ -130,8 +142,9 @@ class Communicator:
             raise MpiError(f"rank {rank} called split twice in one "
                            f"collective round")
         calls.append((rank, color, key))
-        event = self._split_events.setdefault(seq,
-                                              self.machine.env.event())
+        event = self._split_events.get(seq)
+        if event is None:
+            event = self._split_events[seq] = self.machine.env.event()
         if len(calls) == self.size:
             self._split_seq += 1
             event.succeed(self._build_children(calls))

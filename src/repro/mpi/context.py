@@ -48,35 +48,32 @@ class RankContext:
         self.comm = comm
         self.rank = rank
         self._collective_seq = 0
+        # A communicator's membership never changes after construction,
+        # so everything derived from it is bound once here rather than
+        # re-derived through property chains on every message.
+        machine = comm.machine
+        #: Number of processes in the communicator.
+        self.size = comm.size
+        #: The communicator's local-rank -> node-index table.
+        self.world_ranks = comm.world_ranks
+        #: The node index this rank runs on.
+        self.world_rank = comm.world_ranks[rank]
+        #: The hardware machine this communicator runs on.
+        self.machine = machine
+        self.env = machine.env
+        self.transport: Transport = comm.transport
+        #: The hardware node this rank runs on (one process per node).
+        self.node = machine.nodes[self.world_rank]
 
-    # -- basic properties -------------------------------------------------
-    @property
-    def size(self) -> int:
-        """Number of processes in the communicator."""
-        return self.comm.size
+    def _world_rank_of(self, rank: int) -> int:
+        """Node index of communicator-local ``rank``.
 
-    @property
-    def machine(self):
-        """The hardware machine this communicator runs on."""
-        return self.comm.machine
-
-    @property
-    def transport(self) -> Transport:
-        return self.comm.transport
-
-    @property
-    def env(self):
-        return self.comm.machine.env
-
-    @property
-    def world_rank(self) -> int:
-        """The node index this rank runs on."""
-        return self.comm.world_rank_of(self.rank)
-
-    @property
-    def node(self):
-        """The hardware node this rank runs on (one process per node)."""
-        return self.comm.machine.nodes[self.world_rank]
+        The explicit range check matters: a bare list index would
+        silently wrap a negative rank onto the end of the group.
+        """
+        if not 0 <= rank < self.size:
+            raise RankError(rank, self.size)
+        return self.world_ranks[rank]
 
     def wtime(self) -> float:
         """``MPI_Wtime``: this node's local wall clock, microseconds."""
@@ -92,13 +89,13 @@ class RankContext:
         """Blocking standard-mode send (locally blocking, like
         ``MPI_Send`` with an eager protocol)."""
         yield from self.transport.send(
-            self.world_rank, self.comm.world_rank_of(dst), nbytes,
+            self.world_rank, self._world_rank_of(dst), nbytes,
             ("u", self.comm.comm_id, tag), **kwargs)
 
     def irecv(self, src: int, tag: object = 0) -> PostedReceive:
         """Post a nonblocking receive; complete it with :meth:`wait`."""
         return self.transport.post_receive(
-            self.world_rank, self.comm.world_rank_of(src),
+            self.world_rank, self._world_rank_of(src),
             ("u", self.comm.comm_id, tag))
 
     def wait(self, receive: PostedReceive,
@@ -121,7 +118,7 @@ class RankContext:
         """Send within collective ``seq``, phase ``phase``."""
         phase_span = self.comm.obs.phase(seq, phase, self.env.now)
         yield from self.transport.send(
-            self.world_rank, self.comm.world_rank_of(dst), nbytes,
+            self.world_rank, self._world_rank_of(dst), nbytes,
             ("c", self.comm.comm_id, seq, phase), op=op,
             parent_span=phase_span, **kwargs)
 
@@ -129,7 +126,7 @@ class RankContext:
         """Post a receive within collective ``seq``, phase ``phase``."""
         self.comm.obs.phase(seq, phase, self.env.now)
         return self.transport.post_receive(
-            self.world_rank, self.comm.world_rank_of(src),
+            self.world_rank, self._world_rank_of(src),
             ("c", self.comm.comm_id, seq, phase))
 
     def coll_wait(self, receive: PostedReceive, op: str,
@@ -148,7 +145,7 @@ class RankContext:
 
     def combine(self, nbytes: int) -> Generator[Event, None, None]:
         """Apply the reduction operator to one received operand."""
-        software = self.comm.spec.software
+        software = self.machine.spec.software
         cost = software.reduce_round_us + \
             nbytes * software.reduce_us_per_byte
         yield self.env.timeout(cost * self.machine.jitter(self.world_rank))
@@ -170,9 +167,9 @@ class RankContext:
         """
         seq = self._collective_seq
         self._collective_seq += 1
-        if seq > 0 and self.comm.spec.serialize_collectives:
+        if seq > 0 and self.machine.spec.serialize_collectives:
             yield self.comm.completion_event(seq - 1)
-        software = self.comm.spec.software
+        software = self.machine.spec.software
         setup = software.call_setup_us
         if op == "barrier" and software.barrier_call_setup_us is not None:
             setup = software.barrier_call_setup_us
@@ -191,9 +188,7 @@ class RankContext:
             raise RankError(root, self.size)
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
-        from .collectives import get_algorithm
-        algorithm = get_algorithm(
-            self.comm.spec.algorithm_for(op, nbytes=nbytes, p=self.size))
+        algorithm = self.comm.algorithm(op, nbytes)
         seq = yield from self._enter_collective(op, nbytes)
         self.comm.obs.enter(seq, op, nbytes, self.env.now)
         yield from algorithm(self, seq, nbytes, root)
@@ -256,7 +251,7 @@ class RankContext:
         ``MPI_UNDEFINED``) yields ``None``.  Returns this rank's
         context in its new communicator.
         """
-        software = self.comm.spec.software
+        software = self.machine.spec.software
         yield from self.delay(software.call_setup_us)
         gate = self.comm.register_split(self.rank, color, key)
         assignment = yield gate

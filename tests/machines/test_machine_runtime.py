@@ -1,11 +1,16 @@
 """Tests for the Machine runtime wrapper (jitter, topology sizing)."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, NodeSlowdown
 from repro.machines import Machine, PARAGON, SP2, T3D
+from repro.machines.base import _JITTER_BLOCK
 from repro.sim import Environment, RandomStreams
+from repro.sim.rng import _derive_seed
 
 
 def test_log2_nodes():
@@ -30,6 +35,57 @@ def test_jitter_always_positive():
     env = Environment()
     machine = Machine(env, PARAGON, 4)
     assert all(machine.jitter(i % 4) > 0 for i in range(200))
+
+
+def _spec_with_sigma(sigma):
+    return replace(SP2, software=replace(SP2.software, jitter_sigma=sigma))
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2024])
+@pytest.mark.parametrize("sigma", [0.03, 0.5, 2.0])
+def test_block_drawn_jitter_matches_scalar_draws(seed, sigma):
+    """Each node's jitter sequence is its ``sw.<i>`` stream drawn one
+    scalar at a time, however calls interleave across nodes."""
+    p = 8
+    machine = Machine(Environment(), _spec_with_sigma(sigma), p,
+                      streams=RandomStreams(seed))
+    per_node = 3 * _JITTER_BLOCK + 5
+    # Uneven interleaving: node i is called i + 1 times per round, so
+    # the nodes refill their blocks at different points.
+    got = {i: [] for i in range(p)}
+    while any(len(draws) < per_node for draws in got.values()):
+        for i in range(p):
+            for _ in range(i + 1):
+                if len(got[i]) < per_node:
+                    got[i].append(machine.jitter(i))
+    for i in range(p):
+        oracle = np.random.Generator(np.random.PCG64(
+            _derive_seed(seed, f"sw.{i}")))
+        expected = [max(oracle.normal(1.0, sigma), 1e-3)
+                    for _ in range(per_node)]
+        assert got[i] == expected
+
+
+def test_zero_sigma_jitter_is_one_without_a_stream():
+    streams = RandomStreams(3)
+    machine = Machine(Environment(), _spec_with_sigma(0.0), 4,
+                      streams=streams)
+    assert [machine.jitter(i % 4) for i in range(20)] == [1.0] * 20
+    assert not any(name.startswith("sw.") for name in streams._streams)
+
+
+def test_slowdown_and_fault_factor_compose_with_block_draws():
+    plan = FaultPlan(node_slowdowns=(NodeSlowdown(node=2, factor=2.5),))
+    base = Machine(Environment(), SP2, 4, streams=RandomStreams(5))
+    loaded = Machine(Environment(), SP2, 4, streams=RandomStreams(5),
+                     cpu_slowdown={1: 3.0}, faults=plan)
+    for _ in range(2 * _JITTER_BLOCK):
+        for node in range(4):
+            draw = base.jitter(node)
+            expected = draw * {1: 3.0}.get(node, 1.0)
+            expected *= loaded.injector.cpu_factor(node, 0.0)
+            assert loaded.jitter(node) == expected
+    assert loaded.injector.cpu_factor(2, 0.0) == 2.5
 
 
 def test_topology_sized_to_machine():

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.mpi import MpiWorld
+from repro.mpi import MpiWorld, RankError
+from repro.mpi.collectives import base as registry
+from repro.tuner import DecisionEntry, DecisionRule, DecisionTable
 
 
 def run(program, machine="t3d", nodes=4, **kwargs):
@@ -113,3 +115,106 @@ def test_run_collective_many_iterations_accumulate():
     marginal_35 = (five - three) / 2
     marginal_13 = (three - one) / 2
     assert marginal_35 == pytest.approx(marginal_13, rel=0.3)
+
+
+def _assert_bound_like_communicator(ctx):
+    comm = ctx.comm
+    assert ctx.size == comm.size
+    assert ctx.world_rank == comm.world_ranks[ctx.rank]
+    assert ctx.env is comm.machine.env
+    assert ctx.transport is comm.transport
+    assert ctx.machine is comm.machine
+    assert ctx.node is comm.machine.nodes[comm.world_ranks[ctx.rank]]
+
+
+def test_context_binding_matches_communicator():
+    world = MpiWorld("sp2", 8, seed=1)
+
+    def program(ctx):
+        _assert_bound_like_communicator(ctx)
+        # Reversed keys make child local ranks differ from world ranks.
+        child = yield from ctx.comm_split(color=ctx.rank % 3,
+                                          key=-ctx.rank)
+        _assert_bound_like_communicator(child)
+        return child.size, child.world_rank
+
+    results = world.run(program)
+    assert [size for size, _ in results] == [3, 3, 2, 3, 3, 2, 3, 3]
+    assert [world_rank for _, world_rank in results] == list(range(8))
+
+
+@pytest.mark.parametrize("operation", ["send", "irecv", "coll_send",
+                                       "coll_post"])
+def test_out_of_range_ranks_raise_instead_of_wrapping(operation):
+    world = MpiWorld("t3d", 4, seed=8)
+    ctx = world.comm.contexts[1]
+    calls = {
+        "send": lambda peer: list(ctx.send(peer, 8)),
+        "irecv": lambda peer: ctx.irecv(peer),
+        "coll_send": lambda peer: list(ctx.coll_send(
+            0, 0, peer, 8, "broadcast")),
+        "coll_post": lambda peer: ctx.coll_post(0, 0, peer),
+    }
+    for peer in (-1, ctx.size):
+        with pytest.raises(RankError):
+            calls[operation](peer)
+
+
+_FLIP_AT = 4096
+_FLIP_TABLE = DecisionTable(entries={("sp2", "broadcast"): (
+    DecisionEntry(min_p=2, rules=(
+        DecisionRule(0, "binomial_broadcast"),
+        DecisionRule(_FLIP_AT, "segmented_binomial_broadcast"))),)})
+
+
+def _back_to_back_broadcasts(sizes, resolve_every_call):
+    """Broadcasts of ``sizes`` in order on one world's communicator;
+    ``resolve_every_call`` empties the algorithm cache before each."""
+    world = MpiWorld("sp2", 8, seed=4, decision_table=_FLIP_TABLE)
+
+    def program(ctx):
+        ends = []
+        for nbytes in sizes:
+            if resolve_every_call:
+                ctx.comm._algorithms.clear()
+            yield from ctx.bcast(nbytes)
+            ends.append(ctx.env.now)
+        return ends
+
+    return world, world.run(program)
+
+
+def test_algorithm_cache_follows_decision_table(monkeypatch):
+    """Sizes either side of a decision-table flip, back to back on one
+    communicator, each run the algorithm the spec names for them, with
+    the same simulated times as a world resolving on every call."""
+    names = ("binomial_broadcast", "segmented_binomial_broadcast")
+    ran = {}
+    for name in names:
+        original = registry.get_algorithm(name)
+
+        def spy(ctx, seq, nbytes, root=0, _name=name, _original=original):
+            ran.setdefault(ctx.rank, []).append(_name)
+            yield from _original(ctx, seq, nbytes, root)
+
+        monkeypatch.setitem(registry._ALGORITHMS, name, spy)
+    sizes = [_FLIP_AT // 4, 4 * _FLIP_AT, _FLIP_AT // 4, 4 * _FLIP_AT]
+    cached_world, cached = _back_to_back_broadcasts(sizes, False)
+    spec = cached_world.machine.spec
+    expected = [spec.algorithm_for("broadcast", nbytes=n, p=8)
+                for n in sizes]
+    assert expected == [names[0], names[1], names[0], names[1]]
+    assert ran == {rank: expected for rank in range(8)}
+    ran.clear()
+    _, uncached = _back_to_back_broadcasts(sizes, True)
+    assert uncached == cached
+    assert ran == {rank: expected for rank in range(8)}
+
+
+def test_completion_fence_keeps_at_most_one_stale_entry():
+    world = MpiWorld("paragon", 8, seed=2)
+    world.run_collective("broadcast", 64, iterations=50)
+    comm = world.comm
+    assert len(comm._completions) <= 1
+    assert comm._completions.keys() == comm._completion_counts.keys()
+    assert all(event.triggered for event in comm._completions.values())
