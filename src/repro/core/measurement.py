@@ -88,12 +88,11 @@ def _timing_program(op: str, nbytes: int, config: MeasurementConfig):
     """Build the per-rank timing program (the paper's pseudocode)."""
 
     def program(ctx: RankContext):
-        for _ in range(config.warmup_iterations):
-            yield from ctx.collective(op, nbytes)
+        if config.warmup_iterations:
+            yield from ctx.repeat(op, nbytes, config.warmup_iterations)
         yield from ctx.barrier()
         start = ctx.wtime()
-        for _ in range(config.iterations):
-            yield from ctx.collective(op, nbytes)
+        yield from ctx.repeat(op, nbytes, config.iterations)
         local_time = (ctx.wtime() - start) / config.iterations
         return local_time
 

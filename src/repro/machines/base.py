@@ -278,9 +278,10 @@ class Machine:
                 raise ValueError(
                     f"slowdown factor must be >= 1.0, got {factor}")
         #: Allow the transport's analytic short-circuit (see
-        #: :meth:`repro.mpi.transport.Transport._wire_fast`).  The
-        #: short-circuit additionally requires no fault injector;
-        #: tracing and metrics do not affect it.  ``False`` forces full
+        #: :meth:`repro.mpi.transport.Transport._wire_fast`) and the
+        #: whole-collective one built on it (:mod:`repro.mpi.episode`).
+        #: Both additionally require no fault injector; tracing and
+        #: metrics do not affect them.  ``False`` forces full
         #: simulation of every message (the equivalence suite runs both
         #: ways and asserts identical times, spans and metrics).
         self.fast_wire = fast_wire
@@ -364,6 +365,39 @@ class Machine:
         if self.injector is not None:
             factor *= self.injector.cpu_factor(node_index, self.env.now)
         return factor
+
+    def peek_jitter(self, node_index: int, count: int) -> List[float]:
+        """The next ``count`` factors :meth:`jitter` will return for
+        ``node_index``, in order, without consuming any draw.
+
+        Only valid with no fault injector (whose CPU factor depends on
+        the time of the call).  Peeking may draw further blocks into
+        the node's pool; that is harmless, because ``sw.<node>`` has no
+        other consumer and the pool hands the values out in order.
+        """
+        slowdown = self.cpu_slowdown.get(node_index, 1.0) \
+            if self.cpu_slowdown else None
+        if self._jitter_sigma <= 0.0:
+            draws = [1.0] * count
+        else:
+            pool = self._jitter_pools[node_index]
+            while len(pool) < count:
+                block = self.streams.stream(f"sw.{node_index}").normal(
+                    1.0, self._jitter_sigma, _JITTER_BLOCK).tolist()
+                block.reverse()
+                pool[:0] = block
+            draws = [draw if draw > 1e-3 else 1e-3
+                     for draw in reversed(pool[len(pool) - count:])]
+        if slowdown is None:
+            return draws
+        return [factor * slowdown for factor in draws]
+
+    def skip_jitter(self, node_index: int, count: int) -> None:
+        """Consume ``count`` draws of ``node_index`` that were already
+        used through :meth:`peek_jitter`."""
+        if count and self._jitter_sigma > 0.0:
+            pool = self._jitter_pools[node_index]
+            del pool[len(pool) - count:]
 
     def log2_nodes(self) -> float:
         """log2 of the machine size (0 for a single node)."""

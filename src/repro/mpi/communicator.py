@@ -11,6 +11,12 @@ transmitting on any rank before every rank has finished collective
 pipeline and the measured per-iteration time would collapse to the
 per-node throughput bound instead of the critical-path latency the
 paper reports.
+
+The fence is also what lets a repeated collective call be evaluated
+off the event loop (see :mod:`repro.mpi.episode`): a call whose ranks
+were all released by one fence, on an otherwise idle machine, and that
+every rank follows with the next fence, cannot interact with anything
+else.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from ..obs.spans import CollectiveObserver
 from ..sim import Event
 from .collectives import get_algorithm
 from .context import RankContext
+from .episode import EpisodeEvaluator
 from .errors import MpiError, RankError
 from .transport import Transport
 
@@ -59,11 +66,13 @@ class Communicator:
         self.obs = CollectiveObserver(machine.tracer, machine.metrics,
                                       self.comm_id)
         self._algorithms: Dict[Tuple[str, int], Callable] = {}
+        self.episodes = EpisodeEvaluator(self)
         self.contexts: List[RankContext] = [
             RankContext(self, rank)
             for rank in range(len(self.world_ranks))]
         self._completions: Dict[int, Event] = {}
         self._completion_counts: Dict[int, int] = {}
+        self._fence_waiters: Dict[int, int] = {}
         self._split_calls: Dict[int, list] = {}
         self._split_events: Dict[int, Event] = {}
         self._split_seq = 0
@@ -74,7 +83,23 @@ class Communicator:
         if seq not in self._completions:
             self._completions[seq] = self.machine.env.event()
             self._completion_counts[seq] = 0
+            self._fence_waiters[seq] = 0
         return self._completions[seq]
+
+    def fence(self, seq: int) -> Event:
+        """:meth:`completion_event` for a rank about to wait on it,
+        counted in :meth:`fence_waiters` while the fence has not fired
+        yet (a rank arriving later resumes on its own, not with the
+        others)."""
+        event = self.completion_event(seq)
+        if event.callbacks is not None:
+            self._fence_waiters[seq] += 1
+        return event
+
+    def fence_waiters(self, seq: int) -> int:
+        """How many ranks waited on the fence of collective ``seq``
+        before it fired."""
+        return self._fence_waiters.get(seq, 0)
 
     def report_completion(self, seq: int) -> None:
         """Record one rank's completion of collective ``seq``."""
@@ -87,6 +112,7 @@ class Communicator:
             # has passed it by now; seq-2 went when seq-1 completed.
             self._completions.pop(seq - 1, None)
             self._completion_counts.pop(seq - 1, None)
+            self._fence_waiters.pop(seq - 1, None)
 
     def algorithm(self, op: str, nbytes: int) -> Callable:
         """The algorithm this communicator runs for ``op`` at ``nbytes``.

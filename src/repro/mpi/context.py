@@ -14,7 +14,7 @@ All blocking operations are generators and must be driven with
 from __future__ import annotations
 
 import math
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Callable, Generator, Optional, TYPE_CHECKING
 
 from ..sim import Event
 from .errors import MpiError, RankError
@@ -88,13 +88,13 @@ class RankContext:
              **kwargs) -> Generator[Event, None, None]:
         """Blocking standard-mode send (locally blocking, like
         ``MPI_Send`` with an eager protocol)."""
-        yield from self.transport.send(
+        yield from self.transport._send(
             self.world_rank, self._world_rank_of(dst), nbytes,
             ("u", self.comm.comm_id, tag), **kwargs)
 
     def irecv(self, src: int, tag: object = 0) -> PostedReceive:
         """Post a nonblocking receive; complete it with :meth:`wait`."""
-        return self.transport.post_receive(
+        return self.transport._post(
             self.world_rank, self._world_rank_of(src),
             ("u", self.comm.comm_id, tag))
 
@@ -117,7 +117,7 @@ class RankContext:
                   op: str, **kwargs) -> Generator[Event, None, None]:
         """Send within collective ``seq``, phase ``phase``."""
         phase_span = self.comm.obs.phase(seq, phase, self.env.now)
-        yield from self.transport.send(
+        yield from self.transport._send(
             self.world_rank, self._world_rank_of(dst), nbytes,
             ("c", self.comm.comm_id, seq, phase), op=op,
             parent_span=phase_span, **kwargs)
@@ -125,7 +125,7 @@ class RankContext:
     def coll_post(self, seq: int, phase: int, src: int) -> PostedReceive:
         """Post a receive within collective ``seq``, phase ``phase``."""
         self.comm.obs.phase(seq, phase, self.env.now)
-        return self.transport.post_receive(
+        return self.transport._post(
             self.world_rank, self._world_rank_of(src),
             ("c", self.comm.comm_id, seq, phase))
 
@@ -154,45 +154,82 @@ class RankContext:
         """Jittered software delay on this rank's CPU."""
         yield self.env.timeout(base_us * self.machine.jitter(self.world_rank))
 
-    def _enter_collective(self, op: str,
-                          nbytes: int) -> Generator[Event, None, int]:
-        """Charge per-call entry costs and allocate a sequence number.
-
-        All ranks must invoke collectives in the same order (an MPI
-        requirement); the per-rank counter then agrees across ranks and
-        serves as the tag namespace for the operation's messages.
-        Entry also waits on the communicator's completion fence for the
-        previous collective (see :class:`~repro.mpi.communicator.
-        Communicator`).
-        """
-        seq = self._collective_seq
-        self._collective_seq += 1
-        if seq > 0 and self.machine.spec.serialize_collectives:
-            yield self.comm.completion_event(seq - 1)
-        software = self.machine.spec.software
-        setup = software.call_setup_us
-        if op == "barrier" and software.barrier_call_setup_us is not None:
-            setup = software.barrier_call_setup_us
-        cost = setup * self.machine.jitter(self.world_rank)
-        cost += self.node.memory.first_touch_penalty((op, nbytes), nbytes)
-        yield self.env.timeout(cost)
-        return seq
-
-    # -- collectives ----------------------------------------------------------
-    def collective(self, op: str, nbytes: int = 0,
-                   root: int = 0) -> Generator[Event, None, None]:
-        """Run collective ``op`` by name (dispatch used by the bench)."""
+    def _algorithm(self, op: str, nbytes: int, root: int) -> Callable:
+        """Validate one collective call; return its algorithm."""
         if op not in COLLECTIVE_OPS:
             raise MpiError(f"unknown collective {op!r}")
         if not 0 <= root < self.size:
             raise RankError(root, self.size)
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
-        algorithm = self.comm.algorithm(op, nbytes)
-        seq = yield from self._enter_collective(op, nbytes)
-        self.comm.obs.enter(seq, op, nbytes, self.env.now)
+        return self.comm.algorithm(op, nbytes)
+
+    def _entry_cost(self, op: str, nbytes: int) -> float:
+        """Per-call entry cost: the jittered call setup plus the
+        first-touch penalty of a cold working set."""
+        software = self.machine.spec.software
+        setup = software.call_setup_us
+        if op == "barrier" and software.barrier_call_setup_us is not None:
+            setup = software.barrier_call_setup_us
+        cost = setup * self.machine.jitter(self.world_rank)
+        return cost + self.node.memory.first_touch_penalty((op, nbytes),
+                                                           nbytes)
+
+    def _call(self, op: str, nbytes: int, root: int, algorithm: Callable,
+              final: bool) -> Generator[Event, None, None]:
+        """One collective call: wait on the previous call's completion
+        fence, pay the entry cost, run the algorithm, report completion.
+
+        All ranks must invoke collectives in the same order (an MPI
+        requirement); the per-rank counter then agrees across ranks and
+        serves as the tag namespace for the operation's messages.
+        ``final`` is ``False`` only for a :meth:`repeat` iteration that
+        the next one follows on this rank; when every rank's call is
+        such an iteration, the communicator's
+        :class:`~repro.mpi.episode.EpisodeEvaluator` may evaluate the
+        whole call off the event loop, and this rank then resumes at
+        its own finish time.
+        """
+        comm = self.comm
+        seq = self._collective_seq
+        self._collective_seq += 1
+        if seq > 0 and self.machine.spec.serialize_collectives:
+            yield comm.fence(seq - 1)
+        cost = self._entry_cost(op, nbytes)
+        gate = comm.episodes.register(self.rank, seq, cost,
+                                      (op, algorithm, root, nbytes), final)
+        if gate is None:
+            yield self.env.timeout(cost)
+        elif (yield gate):
+            comm.report_completion(seq)
+            return
+        comm.obs.enter(seq, op, nbytes, self.env.now)
         yield from algorithm(self, seq, nbytes, root)
-        self.comm.report_completion(seq)
+        comm.report_completion(seq)
+
+    # -- collectives ----------------------------------------------------------
+    def collective(self, op: str, nbytes: int = 0,
+                   root: int = 0) -> Generator[Event, None, None]:
+        """Run collective ``op`` by name (dispatch used by the bench)."""
+        algorithm = self._algorithm(op, nbytes, root)
+        yield from self._call(op, nbytes, root, algorithm, True)
+
+    def repeat(self, op: str, nbytes: int, count: int,
+               root: int = 0) -> Generator[Event, None, None]:
+        """Run collective ``op`` ``count`` times back to back: the
+        paper's timing loop (Section 2) as one call.
+
+        Same simulated behaviour as ``count`` calls of
+        :meth:`collective`; every iteration but the last is followed by
+        the next one's fence on this communicator, which is what lets
+        those iterations be evaluated off the event loop.
+        """
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        algorithm = self._algorithm(op, nbytes, root)
+        for _ in range(count - 1):
+            yield from self._call(op, nbytes, root, algorithm, False)
+        yield from self._call(op, nbytes, root, algorithm, True)
 
     def barrier(self) -> Generator[Event, None, None]:
         """``MPI_Barrier``: block until all ranks have entered."""

@@ -1,0 +1,662 @@
+"""Whole-collective short-circuit: one repeated collective call
+("episode") evaluated off the event loop.
+
+The paper times a collective as ``k`` back-to-back calls, and the
+communicator's completion fence (:mod:`repro.mpi.communicator`) makes
+every call but the first start with all ranks released at one instant.
+When, in addition, the engine has nothing else pending and every rank
+follows the call with the next fence (a :meth:`RankContext.repeat
+<repro.mpi.context.RankContext.repeat>` iteration other than the last),
+the call cannot interact with anything else: the
+:class:`EpisodeEvaluator` then runs it in a private event heap instead
+of the engine's.
+
+Exactness comes from mirroring, not from a closed form.  The private
+heap schedules, one for one and in the same order, the events the
+engine would schedule for the call on the transport's per-message
+short-circuit: each rank's entry timeout, its send sleeps, DMA streams,
+the wire's landing and delivery, receive-event firings (or the urgent
+passthrough when a rank waits on an already fired one), receive
+sleeps, unexpected-message copies and combine timeouts.  Ties break on
+``(time, priority, insertion order)`` as in the engine, every time is
+computed by the same floating-point expression, and jitter is peeked
+from the same per-node ``sw.<i>`` streams in the same per-node order,
+so every result is bit-identical to the engine's.
+
+The replay is exact or it aborts.  Anything the per-message
+short-circuit would refuse -- a busy route link, a resource with queued
+protocol requests -- aborts it with no side effect, the ranks take
+their entry timeouts exactly as they would have, and the shape is not
+tried again on this communicator.  A successful replay is committed at
+once: the jitter draws are consumed, every resource's booking horizon
+is set, every message is accounted through the same helpers the
+short-circuit uses (counters, metrics, spans), and each rank is
+scheduled to resume at its own finish time, in completion order.
+
+Algorithms are recorded once per ``(algorithm, root, nbytes)`` per
+communicator by running their generators against a recording context
+that exposes only ``rank``, ``size``, ``coll_send``, ``coll_post``,
+``coll_wait``, ``coll_recv`` and ``combine``; touching anything else
+(the hardware barrier, the machine, ``buffered=`` sends, ...) leaves
+the algorithm to the engine.
+"""
+
+from __future__ import annotations
+
+import itertools
+from heapq import heappop, heappush
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Set,
+                    Tuple)
+
+from ..node import TransferMode
+from ..sim import Event
+from ..sim.engine import NORMAL, URGENT
+from .transport import Envelope
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .communicator import Communicator
+
+__all__ = ["EpisodeEvaluator", "record"]
+
+#: Operation codes of a recorded rank schedule.
+_SEND, _POST, _WAIT, _COMBINE = range(4)
+
+#: Private heap entry kinds.
+_RESUME, _LAND, _DELIVER, _FIRE = range(4)
+
+#: Rank states: what the rank does when its next event fires.
+(_ENTERING, _RUNNING, _SENT, _STREAMED, _RECEIVING,
+ _RECEIVED) = range(6)
+
+#: Receive-event states: untriggered, scheduled, fired.
+_PENDING, _SCHEDULED, _FIRED = range(3)
+
+
+class _Unrecordable(Exception):
+    """The algorithm used something a recorded schedule cannot hold."""
+
+
+class _Abort(Exception):
+    """The replay met something the per-message short-circuit would
+    refuse."""
+
+
+# -- recording ------------------------------------------------------------
+
+class _Handle:
+    """A receive posted while recording: its index among the rank's
+    posts."""
+
+    __slots__ = ("owner", "index", "waited")
+
+    def __init__(self, owner: "_Recorder", index: int):
+        self.owner = owner
+        self.index = index
+        self.waited = False
+
+
+class _Recorder:
+    """Stands in for a rank's context while its algorithm's generator
+    runs once, listing the rank's operations."""
+
+    __slots__ = ("rank", "size", "ops", "_seq", "_posts")
+
+    def __init__(self, rank: int, size: int, seq: int):
+        self.rank = rank
+        self.size = size
+        self.ops: List[tuple] = []
+        self._seq = seq
+        self._posts = 0
+
+    def __getattr__(self, name: str):
+        raise _Unrecordable(name)
+
+    def _check(self, seq: int, peer: int) -> None:
+        if seq != self._seq or not 0 <= peer < self.size:
+            raise _Unrecordable(f"peer {peer} of seq {seq}")
+
+    def coll_send(self, seq: int, phase: int, dst: int, nbytes: int,
+                  op: str, **kwargs):
+        if kwargs or nbytes < 0:
+            raise _Unrecordable("send options")
+        self._check(seq, dst)
+        self.ops.append((_SEND, dst, nbytes, op, phase))
+        return ()
+
+    def coll_post(self, seq: int, phase: int, src: int) -> _Handle:
+        self._check(seq, src)
+        self.ops.append((_POST, src, phase))
+        self._posts += 1
+        return _Handle(self, self._posts - 1)
+
+    def coll_wait(self, receive: _Handle, op: str, **kwargs):
+        if kwargs or not isinstance(receive, _Handle) or \
+                receive.owner is not self or receive.waited:
+            raise _Unrecordable("receive options")
+        receive.waited = True
+        self.ops.append((_WAIT, receive.index, op))
+        return ()
+
+    def coll_recv(self, seq: int, phase: int, src: int, op: str,
+                  **kwargs):
+        return self.coll_wait(self.coll_post(seq, phase, src), op,
+                              **kwargs)
+
+    def combine(self, nbytes: int):
+        self.ops.append((_COMBINE, nbytes))
+        return ()
+
+
+def record(algorithm: Callable, size: int, seq: int, nbytes: int,
+           root: int) -> Optional[List[List[tuple]]]:
+    """Each rank's operation list for one call of ``algorithm``, or
+    ``None`` when the algorithm is not recordable.
+
+    Any exception while recording means the algorithm needs something
+    the recording context lacks (an envelope, the machine, ...): the
+    engine then runs it and raises whatever it raises for real.
+    """
+    schedule = []
+    for rank in range(size):
+        recorder = _Recorder(rank, size, seq)
+        try:
+            for _ in algorithm(recorder, seq, nbytes, root):
+                return None  # it waits on an engine event of its own
+        except Exception:
+            return None
+        schedule.append(recorder.ops)
+    return schedule
+
+
+# -- the compiled schedule ---------------------------------------------------
+
+class _Schedule:
+    """A recorded algorithm compiled for one communicator: per rank,
+    its operations with every machine constant resolved, and how many
+    jitter draws a complete replay makes on its node."""
+
+    __slots__ = ("ops", "draws")
+
+    def __init__(self, ops: List[List[tuple]], draws: List[int]):
+        self.ops = ops
+        self.draws = draws
+
+
+class _Send:
+    """A recorded send with every per-message constant resolved."""
+
+    __slots__ = ("dst", "nbytes", "op", "phase", "dma", "dma_us", "fast",
+                 "tx", "tx_us", "fast_rx", "rx", "rx_us", "links",
+                 "bookings", "hold", "src_nic", "dst_nic")
+
+
+class _Message:
+    """One message of a replayed episode: when its send was issued,
+    when it asked for and got the DMA engine, when it entered the wire
+    and got the two NIC engines, and when it was delivered."""
+
+    __slots__ = ("src", "send", "issued", "dma_asked", "dma_start",
+                 "sent_at", "tx_start", "rx_start", "delivered_at",
+                 "unexpected")
+
+    def __init__(self, src: int, send: _Send, issued: float):
+        self.src = src
+        self.send = send
+        self.issued = issued
+        self.unexpected = False
+
+
+class _Receive:
+    """One posted receive of a replayed episode."""
+
+    __slots__ = ("rank", "src", "phase", "state", "waiting", "message",
+                 "unexpected", "prefer_dma")
+
+    def __init__(self, rank: int, src: int, phase: int):
+        self.rank = rank
+        self.src = src
+        self.phase = phase
+        self.state = _PENDING
+        self.waiting = False
+        self.message: Optional[_Message] = None
+        self.unexpected = False
+
+
+class _Outcome:
+    """Everything a successful replay hands to the commit."""
+
+    __slots__ = ("entered", "finished", "messages", "copies", "phases",
+                 "horizons")
+
+
+class EpisodeEvaluator:
+    """Decides, replays and commits the episodes of one communicator.
+
+    Every rank of a fenced collective call registers here after its
+    fence (:meth:`register`); the last registration decides whether the
+    call is evaluated.  The per-shape caches live here, per
+    communicator, so a monkeypatched algorithm never leaks across
+    worlds.
+    """
+
+    def __init__(self, comm: "Communicator"):
+        self.comm = comm
+        self._pending: List[tuple] = []
+        #: (algorithm, root, nbytes) -> compiled schedule.
+        self._schedules: Dict[tuple, _Schedule] = {}
+        #: Shapes never to try again: unrecordable, or aborted once.
+        self._refused: Set[tuple] = set()
+
+    # -- eligibility ------------------------------------------------------
+    def register(self, rank: int, seq: int, cost: float, shape: tuple,
+                 final: bool) -> Optional[Event]:
+        """Register ``rank``'s entry into collective ``seq``, an
+        ``(op, algorithm, root, nbytes)`` call whose entry costs
+        ``cost``; ``final`` unless the rank's next call follows it.
+
+        Returns ``None`` when the call cannot be an episode (the rank
+        then takes its entry timeout itself), or the event the rank
+        waits on instead: fired with ``False`` at the end of its entry
+        cost when the engine is to run the call, or with ``True`` at
+        its finish time when the call was evaluated.  Eligibility reads
+        state only, never the tracer, metrics, work meter or profiler.
+        """
+        comm = self.comm
+        machine = comm.machine
+        if comm.fence_waiters(seq - 1) != comm.size or \
+                machine.injector is not None or not machine.fast_wire:
+            return None
+        gate = machine.env.event()
+        # Every rank waited on the fence that released this one, so all
+        # register in this same dispatch, back to back: deferring the
+        # entry timeouts to the last registration schedules them in the
+        # order and at the times the ranks would have.
+        self._pending.append((rank, cost, gate, shape, final))
+        if len(self._pending) == comm.size:
+            self._decide(seq)
+        return gate
+
+    def _decide(self, seq: int) -> None:
+        pending, self._pending = self._pending, []
+        env = self.comm.machine.env
+        shape = pending[0][3]
+        outcome = None
+        if env.peek() == float("inf") and \
+                all(entry[3] == shape and not entry[4] for entry in pending):
+            profiler = env.profiler
+            if profiler is None:
+                outcome = self._evaluate(shape, pending, seq)
+            else:
+                profiler.enter("mpi.episode")
+                try:
+                    outcome = self._evaluate(shape, pending, seq)
+                finally:
+                    profiler.leave()
+        if outcome is None:
+            now = env.now
+            for _, cost, gate, _, _ in pending:
+                gate.succeed_at(now + cost, False)
+            return
+        gates = {entry[0]: entry[2] for entry in pending}
+        for rank, finish in outcome.finished:
+            gates[rank].succeed_at(finish, True)
+
+    def _evaluate(self, shape: tuple, pending: List[tuple],
+                  seq: int) -> Optional[_Outcome]:
+        """Replay and commit the episode; ``None`` leaves it to the
+        engine."""
+        op, algorithm, root, nbytes = shape
+        key = (algorithm, root, nbytes)
+        if key in self._refused:
+            return None
+        schedule = self._schedules.get(key)
+        if schedule is None:
+            recorded = record(algorithm, self.comm.size, seq, nbytes, root)
+            if recorded is None:
+                self._refused.add(key)
+                return None
+            schedule = self._schedules[key] = self._compile(recorded)
+        env = self.comm.machine.env
+        try:
+            outcome = self._replay(schedule, pending, env.now)
+        except _Abort:
+            outcome = None
+        work = env.work
+        if outcome is None:
+            self._refused.add(key)
+            if work is not None:
+                work.episodes_aborted += 1
+            return None
+        self._commit(outcome, schedule.draws, seq, op, nbytes)
+        if work is not None:
+            work.episodes_evaluated += 1
+        return outcome
+
+    # -- compiling a recorded schedule --------------------------------------
+    def _compile(self, recorded: List[List[tuple]]) -> _Schedule:
+        """Resolve every machine constant of a recorded schedule once:
+        nodes, engines, durations, route links and hold times.
+
+        A replay draws jitter once per send on the sender (its software
+        cost), once per message on the receiver (its delivery latency),
+        once per wait (the receive cost) and once per combine."""
+        comm = self.comm
+        machine = comm.machine
+        spec = machine.spec
+        fabric = machine.fabric
+        software = spec.software
+        nodes = [machine.nodes[node] for node in comm.world_ranks]
+        compiled = []
+        draws = [len(ops) - sum(entry[0] == _POST for entry in ops)
+                 for ops in recorded]
+        for rank, ops in enumerate(recorded):
+            src_node = nodes[rank]
+            out = []
+            for entry in ops:
+                kind = entry[0]
+                if kind == _SEND:
+                    _, dst, nbytes, op, phase = entry
+                    draws[dst] += 1
+                    dst_node = nodes[dst]
+                    prefer_dma = spec.uses_dma_for(op)
+                    send = _Send()
+                    send.dst, send.nbytes, send.op, send.phase = \
+                        dst, nbytes, op, phase
+                    send.fast = src_node.payload_mode(
+                        prefer_dma, nbytes) is not TransferMode.HOST
+                    send.dma = src_node.dma \
+                        if send.fast and nbytes > 0 else None
+                    send.dma_us = 0.0 if send.dma is None \
+                        else send.dma.duration_us(nbytes)
+                    send.src_nic = src_node.nic
+                    send.tx = src_node.nic.tx_engine
+                    send.tx_us = src_node.nic.occupancy_us(nbytes,
+                                                           send.fast)
+                    send.fast_rx = dst_node.payload_mode(
+                        prefer_dma, nbytes) is not TransferMode.HOST
+                    send.dst_nic = dst_node.nic
+                    send.rx = dst_node.nic.rx_engine
+                    send.rx_us = dst_node.nic.occupancy_us(nbytes,
+                                                           send.fast_rx)
+                    route = fabric.route_links(src_node.index,
+                                               dst_node.index)
+                    send.hold = fabric.hold_us(len(route), nbytes) \
+                        if route else 0.0
+                    route = route if fabric.contention else []
+                    send.links = [link.resource for link in route]
+                    send.bookings = [(link, None) for link in route]
+                    out.append((_SEND, send))
+                elif kind == _WAIT:
+                    _, index, op = entry
+                    out.append((_WAIT, index, spec.uses_dma_for(op)))
+                elif kind == _COMBINE:
+                    cost = software.reduce_round_us + \
+                        entry[1] * software.reduce_us_per_byte
+                    out.append((_COMBINE, cost))
+                else:
+                    out.append(entry)
+            compiled.append(out)
+        return _Schedule(compiled, draws)
+
+    # -- the private heap ---------------------------------------------------
+    def _replay(self, compiled: _Schedule, pending: List[tuple],
+                start: float) -> Optional[_Outcome]:
+        """Run the episode in a private heap mirroring the engine's.
+
+        Raises :class:`_Abort` (or returns ``None`` for an episode that
+        does not finish cleanly) without touching any shared state.
+        """
+        comm = self.comm
+        machine = comm.machine
+        software = machine.spec.software
+        send_us = software.send_msg_us
+        recv_us = software.recv_msg_us
+        unexpected_us = software.unexpected_us
+        deliver_us = software.deliver_us
+        world_ranks = comm.world_ranks
+        nodes = [machine.nodes[node] for node in world_ranks]
+        schedule = compiled.ops
+        size = len(schedule)
+        # Each rank's jitter factors, in the order its node draws them.
+        draw = [iter(machine.peek_jitter(world_ranks[rank], count)).__next__
+                for rank, count in enumerate(compiled.draws)]
+
+        heap: List[tuple] = []
+        tick = itertools.count().__next__
+        horizons: Dict[object, float] = {}
+        pc = [0] * size
+        state = [_ENTERING] * size
+        current: List[object] = [None] * size
+        posts: List[List[_Receive]] = [[] for _ in range(size)]
+        posted: List[List[_Receive]] = [[] for _ in range(size)]
+        unexpected: List[List[_Message]] = [[] for _ in range(size)]
+        entered: List[Tuple[int, float]] = []
+        finished: List[Tuple[int, float]] = []
+        messages: List[_Message] = []
+        copies: List[Tuple[int, int, float]] = []
+        phases: List[Tuple[float, int]] = []
+
+        def first_use(resource) -> float:
+            """A resource's booking horizon when the replay first books
+            it; one held through the request protocol refuses bookings."""
+            if resource._users or resource._waiting:
+                raise _Abort("resource held through the protocol")
+            return resource._busy_until
+
+        def book(resource, duration: float, now: float) -> float:
+            busy = horizons.get(resource)
+            if busy is None:
+                busy = first_use(resource)
+            begin = busy if busy > now else now
+            horizons[resource] = begin + duration
+            return begin
+
+        def wire(message: _Message, now: float) -> None:
+            send = message.send
+            message.sent_at = now
+            message.tx_start = tx_start = book(send.tx, send.tx_us, now)
+            message.rx_start = rx_start = book(send.rx, send.rx_us, now)
+            hold = send.hold
+            for resource in send.links:
+                busy = horizons.get(resource)
+                if busy is None:
+                    busy = first_use(resource)
+                if busy > now:
+                    raise _Abort("route contended")
+                horizons[resource] = now + hold
+            end = tx_start + send.tx_us
+            if now + hold > end:
+                end = now + hold
+            rx_end = rx_start + send.rx_us
+            if rx_end > end:
+                end = rx_end
+            messages.append(message)
+            heappush(heap, (end, NORMAL, tick(), _LAND, message))
+
+        def run(rank: int, now: float) -> None:
+            """Advance ``rank`` at ``now`` until it waits again."""
+            step = state[rank]
+            if step == _SENT:
+                message = current[rank]
+                if message.send.dma is not None:
+                    send = message.send
+                    message.dma_asked = now
+                    begin = book(send.dma.engine, send.dma_us, now)
+                    message.dma_start = begin
+                    state[rank] = _STREAMED
+                    heappush(heap, (begin + send.dma_us, NORMAL, tick(),
+                                    _RESUME, rank))
+                    return
+                wire(message, now)
+            elif step == _STREAMED:
+                wire(current[rank], now)
+            elif step == _RECEIVING:
+                receive = current[rank]
+                cost = recv_us
+                if receive.unexpected:
+                    cost += unexpected_us
+                state[rank] = _RECEIVED
+                heappush(heap, (now + cost * draw[rank](), NORMAL, tick(),
+                                _RESUME, rank))
+                return
+            elif step == _RECEIVED:
+                receive = current[rank]
+                nbytes = receive.message.send.nbytes
+                if receive.unexpected and nbytes > 0 and \
+                        nodes[rank].payload_mode(receive.prefer_dma, nbytes) \
+                        is TransferMode.HOST:
+                    memory = nodes[rank].memory
+                    duration = nbytes * memory.copy_us_per_byte
+                    begin = book(memory.bus, duration, now)
+                    copies.append((rank, nbytes, begin - now))
+                    state[rank] = _RUNNING
+                    heappush(heap, (begin + duration, NORMAL, tick(),
+                                    _RESUME, rank))
+                    return
+            elif step == _ENTERING:
+                entered.append((rank, now))
+            ops = schedule[rank]
+            index = pc[rank]
+            while index < len(ops):
+                entry = ops[index]
+                index += 1
+                kind = entry[0]
+                if kind == _SEND:
+                    send = entry[1]
+                    phases.append((now, send.phase))
+                    current[rank] = _Message(rank, send, now)
+                    state[rank] = _SENT
+                    pc[rank] = index
+                    heappush(heap, (now + send_us * draw[rank](), NORMAL,
+                                    tick(), _RESUME, rank))
+                    return
+                if kind == _POST:
+                    _, src, phase = entry
+                    phases.append((now, phase))
+                    receive = _Receive(rank, src, phase)
+                    posts[rank].append(receive)
+                    queue = unexpected[rank]
+                    for position, message in enumerate(queue):
+                        if message.src == src and \
+                                message.send.phase == phase:
+                            del queue[position]
+                            receive.message = message
+                            receive.unexpected = True
+                            receive.state = _SCHEDULED
+                            heappush(heap, (now, NORMAL, tick(), _FIRE,
+                                            receive))
+                            break
+                    else:
+                        posted[rank].append(receive)
+                    continue
+                if kind == _WAIT:
+                    receive = posts[rank][entry[1]]
+                    receive.prefer_dma = entry[2]
+                    current[rank] = receive
+                    state[rank] = _RECEIVING
+                    pc[rank] = index
+                    if receive.state == _FIRED:
+                        heappush(heap, (now, URGENT, tick(), _RESUME,
+                                        rank))
+                    else:
+                        receive.waiting = True
+                    return
+                state[rank] = _RUNNING
+                pc[rank] = index
+                heappush(heap, (now + entry[1] * draw[rank](), NORMAL,
+                                tick(), _RESUME, rank))
+                return
+            pc[rank] = index
+            finished.append((rank, now))
+
+        for rank, cost, _, _, _ in pending:
+            heappush(heap, (start + cost, NORMAL, tick(), _RESUME, rank))
+        while heap:
+            now, _, _, kind, item = heappop(heap)
+            if kind == _RESUME:
+                run(item, now)
+            elif kind == _LAND:
+                heappush(heap, (now + deliver_us * draw[item.send.dst](),
+                                NORMAL, tick(), _DELIVER, item))
+            elif kind == _DELIVER:
+                item.delivered_at = now
+                dst = item.send.dst
+                queue = posted[dst]
+                for position, receive in enumerate(queue):
+                    if receive.src == item.src and \
+                            receive.phase == item.send.phase:
+                        del queue[position]
+                        receive.message = item
+                        receive.state = _SCHEDULED
+                        heappush(heap, (now, NORMAL, tick(), _FIRE,
+                                        receive))
+                        break
+                else:
+                    item.unexpected = True
+                    unexpected[dst].append(item)
+            else:
+                item.state = _FIRED
+                if item.waiting:
+                    run(item.rank, now)
+        if len(finished) != size or any(posted) or any(unexpected):
+            return None
+        outcome = _Outcome()
+        outcome.entered = entered
+        outcome.finished = finished
+        outcome.messages = messages
+        outcome.copies = copies
+        outcome.phases = phases
+        outcome.horizons = horizons
+        return outcome
+
+    # -- commit ---------------------------------------------------------------
+    def _commit(self, outcome: _Outcome, draws: List[int], seq: int,
+                op: str, nbytes: int) -> None:
+        """Make the replayed episode the machine's state: consume the
+        jitter draws, set every booking horizon, and account every
+        message and copy as the short-circuit would have."""
+        comm = self.comm
+        machine = comm.machine
+        transport = comm.transport
+        fabric = machine.fabric
+        world_ranks = comm.world_ranks
+        for rank, count in enumerate(draws):
+            machine.skip_jitter(world_ranks[rank], count)
+        for resource, busy in outcome.horizons.items():
+            resource._busy_until = busy
+        obs = comm.obs
+        phase_spans: Dict[int, object] = {}
+        if obs.active:
+            for _, entered_at in outcome.entered:
+                obs.enter(seq, op, nbytes, entered_at)
+            for called_at, phase in outcome.phases:
+                phase_spans[phase] = obs.phase(seq, phase, called_at)
+        tag = ("c", comm.comm_id, seq)
+        for message in outcome.messages:
+            send = message.send
+            size = send.nbytes
+            src = world_ranks[message.src]
+            dst = world_ranks[send.dst]
+            parent = phase_spans.get(send.phase)
+            span = transport.record_send(src, dst, size, send.op, parent,
+                                         message.issued)
+            if send.dma is not None:
+                send.dma.record_booked(size,
+                                       message.dma_start - message.dma_asked)
+            sent_at = message.sent_at
+            send.src_nic.commit_transmit(size, send.fast,
+                                         message.tx_start, sent_at)
+            send.dst_nic.commit_receive(size, send.fast_rx,
+                                        message.rx_start, sent_at)
+            fabric.commit_route(send.bookings, size, send.hold, src, dst,
+                                span, sent_at)
+            transport.record_delivery(
+                Envelope(src=src, dst=dst, tag=tag + (send.phase,),
+                         nbytes=size, sent_at=sent_at,
+                         delivered_at=message.delivered_at, span=span,
+                         phase_span=parent),
+                message.unexpected)
+        transport.messages_delivered += len(outcome.messages)
+        nodes = machine.nodes
+        for rank, size, wait in outcome.copies:
+            nodes[world_ranks[rank]].memory.record_booked(size, wait)

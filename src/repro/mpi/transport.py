@@ -98,21 +98,19 @@ class Transport:
         """
         self._check_rank(src)
         self._check_rank(dst)
+        yield from self._send(src, dst, nbytes, tag, op, buffered,
+                              sw_cost_us, parent_span)
+
+    def _send(self, src: int, dst: int, nbytes: int, tag: object,
+              op: str = "ptp", buffered: bool = False,
+              sw_cost_us: Optional[float] = None,
+              parent_span: Optional[Span] = None
+              ) -> Generator[Event, None, None]:
+        """:meth:`send` for ranks the caller has already validated."""
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
-        work = self.env.work
-        if work is not None:
-            work.messages_sent += 1
-        tracer = self.machine.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.begin(self.env.now, f"msg {src}->{dst}",
-                                "message", node=src, parent=parent_span,
-                                dst=dst, nbytes=nbytes, op=op)
-        metrics = self.machine.metrics
-        if metrics.enabled:
-            metrics.counter("mpi.messages_sent").inc()
-            metrics.histogram("mpi.message_bytes").observe(nbytes)
+        span = self.record_send(src, dst, nbytes, op, parent_span,
+                                self.env._now)
         software = self.spec.software
         node = self.machine.nodes[src]
         mode = node.payload_mode(self.spec.uses_dma_for(op), nbytes)
@@ -141,6 +139,26 @@ class Transport:
         if not self._wire_fast(envelope, op, fast):
             self.env.process(self._wire(envelope, op, fast),
                              name=f"wire-{src}-{dst}")
+
+    def record_send(self, src: int, dst: int, nbytes: int, op: str,
+                    parent_span: Optional[Span],
+                    now: float) -> Optional[Span]:
+        """Account one message issued at ``now``: the work counter, the
+        send metrics, and its trace span (returned; ``None`` when
+        tracing is off)."""
+        work = self.env.work
+        if work is not None:
+            work.messages_sent += 1
+        metrics = self.machine.metrics
+        if metrics.enabled:
+            metrics.counter("mpi.messages_sent").inc()
+            metrics.histogram("mpi.message_bytes").observe(nbytes)
+        tracer = self.machine.tracer
+        if not tracer.enabled:
+            return None
+        return tracer.begin(now, f"msg {src}->{dst}", "message", node=src,
+                            parent=parent_span, dst=dst, nbytes=nbytes,
+                            op=op)
 
     # -- analytic short-circuit -------------------------------------------
     def _wire_fast(self, envelope: Envelope, op: str, fast: bool) -> bool:
@@ -191,9 +209,6 @@ class Transport:
             return False
         src_node.nic.commit_transmit(nbytes, fast, tx[3])
         dst_node.nic.commit_receive(nbytes, fast_rx, rx[3])
-        work = env.work
-        if work is not None:
-            work.resource_occupancies += 2  # the two engine bookings
         routed = machine.fabric.try_book_route(src, dst, nbytes)
         if routed is None:
             # Route contended: the engine bookings stand (the full
@@ -255,14 +270,8 @@ class Transport:
 
     def _delivered(self, envelope: Envelope) -> None:
         """The wire is done, on whichever path carried the message:
-        close its span, stretch its phase, and hand it to matching."""
-        now = self.env._now
-        envelope.delivered_at = now
-        if envelope.span is not None:
-            self.machine.tracer.end(envelope.span, now)
-        if envelope.phase_span is not None:
-            # The phase lasts until its last member message lands.
-            self.machine.tracer.extend(envelope.phase_span, now)
+        hand it to matching."""
+        envelope.delivered_at = self.env._now
         self._deliver(envelope)
 
     def _wire(self, envelope: Envelope, op: str, fast: bool
@@ -384,14 +393,6 @@ class Transport:
             profiler.leave()
 
     def _deliver_now(self, envelope: Envelope) -> None:
-        work = self.env.work
-        if work is not None:
-            work.messages_delivered += 1
-        metrics = self.machine.metrics
-        if metrics.enabled:
-            metrics.counter("mpi.messages_delivered").inc()
-            metrics.histogram("mpi.delivery_latency_us").observe(
-                self.env.now - envelope.sent_at)
         posted = self._posted[envelope.dst]
         for index, receive in enumerate(posted):
             if receive.src == envelope.src and receive.tag == envelope.tag:
@@ -399,14 +400,40 @@ class Transport:
                 receive.was_unexpected = False
                 receive.event.succeed(envelope)
                 self.messages_delivered += 1
+                self.record_delivery(envelope, False)
                 return
         self._unexpected[envelope.dst].append(envelope)
-        self.unexpected_arrivals += 1
+        self.record_delivery(envelope, True)
+
+    def record_delivery(self, envelope: Envelope, unexpected: bool) -> None:
+        """Account one message handed to matching at
+        ``envelope.delivered_at``: close its span, stretch its phase,
+        count it, and mark it when no receive was posted for it.
+
+        Every delivered message passes through here exactly once,
+        whichever path carried it.
+        """
+        now = envelope.delivered_at
+        tracer = self.machine.tracer
+        if envelope.span is not None:
+            tracer.end(envelope.span, now)
+        if envelope.phase_span is not None:
+            # The phase lasts until its last member message lands.
+            tracer.extend(envelope.phase_span, now)
+        work = self.env.work
+        if work is not None:
+            work.messages_delivered += 1
+        metrics = self.machine.metrics
         if metrics.enabled:
-            metrics.counter("mpi.unexpected_arrivals").inc()
-        self.machine.tracer.mark(self.env.now, "unexpected-message",
-                                 envelope.dst, src=envelope.src,
-                                 tag=envelope.tag)
+            metrics.counter("mpi.messages_delivered").inc()
+            metrics.histogram("mpi.delivery_latency_us").observe(
+                now - envelope.sent_at)
+        if unexpected:
+            self.unexpected_arrivals += 1
+            if metrics.enabled:
+                metrics.counter("mpi.unexpected_arrivals").inc()
+            tracer.mark(now, "unexpected-message", envelope.dst,
+                        src=envelope.src, tag=envelope.tag)
 
     # -- receive side ---------------------------------------------------------
     def post_receive(self, rank: int, src: int,
@@ -414,6 +441,11 @@ class Transport:
         """Post a receive for ``(src, tag)``; returns a waitable handle."""
         self._check_rank(rank)
         self._check_rank(src)
+        return self._post(rank, src, tag)
+
+    def _post(self, rank: int, src: int, tag: object) -> PostedReceive:
+        """:meth:`post_receive` for ranks the caller has already
+        validated."""
         unexpected = self._unexpected[rank]
         for index, envelope in enumerate(unexpected):
             if envelope.src == src and envelope.tag == tag:

@@ -108,8 +108,7 @@ class MpiWorld:
         start = self.env.now
 
         def body(ctx: RankContext):
-            for _ in range(iterations):
-                yield from ctx.collective(op, nbytes, root)
+            yield from ctx.repeat(op, nbytes, iterations, root)
             return self.env.now
 
         finished = self.run(body)

@@ -80,6 +80,7 @@ class NetworkFabric:
         # transfer (positions/turns math) shows up hard in alltoall.
         # Detours around dead links are computed fresh every time.
         self._route_cache: Dict[Tuple[int, int], List[LinkId]] = {}
+        self._links_cache: Dict[Tuple[int, int], List[Link]] = {}
 
     def _route(self, src: int, dst: int) -> List[LinkId]:
         """The (cached) fault-free route for ``src`` -> ``dst``."""
@@ -90,15 +91,25 @@ class NetworkFabric:
             self._route_cache[key] = route
         return route
 
+    def route_links(self, src: int, dst: int) -> List[Link]:
+        """The links of the fault-free ``src`` -> ``dst`` route in
+        canonical acquisition order (cached)."""
+        key = (src, dst)
+        links = self._links_cache.get(key)
+        if links is None:
+            links = [self._links[link_id] for link_id in
+                     sorted(self._route(src, dst),
+                            key=self._order.__getitem__)]
+            self._links_cache[key] = links
+        return links
+
     def link(self, link_id: LinkId) -> Link:
         """The :class:`Link` object for ``link_id``."""
         return self._links[link_id]
 
     def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
         """Uncontended duration of a transfer (the occupancy hold time)."""
-        hops = self.topology.distance(src, dst)
-        return hops * self.params.hop_latency_us + \
-            nbytes * self.params.us_per_byte
+        return self.hold_us(self.topology.distance(src, dst), nbytes)
 
     def _select_route(self, src: int, dst: int
                       ) -> Tuple[List[LinkId], bool]:
@@ -137,18 +148,21 @@ class NetworkFabric:
         No counters, link statistics or spans are touched until
         commit.
         """
-        route = self._route(src, dst)
+        route = self.route_links(src, dst)
         if not route:
             return 0.0, []
-        hold = len(route) * self.params.hop_latency_us + \
-            nbytes * self.params.us_per_byte
+        hold = self.hold_us(len(route), nbytes)
         if not self.contention:
             return hold, []
-        bookings = self._book_links(
-            sorted(route, key=self._order.__getitem__), hold)
+        bookings = self._book_links(route, hold)
         return None if bookings is None else (hold, bookings)
 
-    def _book_links(self, ordered: List[LinkId], hold: float
+    def hold_us(self, hops: int, nbytes: int) -> float:
+        """Fault-free occupancy of a ``hops``-link route by ``nbytes``."""
+        return hops * self.params.hop_latency_us + \
+            nbytes * self.params.us_per_byte
+
+    def _book_links(self, ordered: List[Link], hold: float
                     ) -> Optional[RouteBooking]:
         """Book every link in ``ordered`` (canonical order) for ``hold``
         starting now, all or nothing: the first link that is busy or
@@ -156,8 +170,7 @@ class NetworkFabric:
         """
         now = self.env._now
         bookings: RouteBooking = []
-        for link_id in ordered:
-            link = self._links[link_id]
+        for link in ordered:
             booking = link.resource.try_occupy(hold)
             if booking is None or booking[0] != now:
                 if booking is not None:
@@ -174,12 +187,14 @@ class NetworkFabric:
 
     def commit_route(self, bookings: RouteBooking, nbytes: int,
                      hold: float, src: int, dst: int,
-                     parent_span: Optional[Span]) -> None:
-        """Commit a booking: link statistics, work counters, metrics
-        and link spans."""
+                     parent_span: Optional[Span],
+                     at: Optional[float] = None) -> None:
+        """Commit a booking made at time ``at`` (default: now): link
+        statistics, work counters, metrics and link spans."""
         for link, _ in bookings:
             link.record(nbytes, busy_us=hold)
-        self._held(bookings, nbytes, hold, src, dst, parent_span)
+        self._held(bookings, nbytes, hold, src, dst, parent_span,
+                   self.env._now if at is None else at)
         work = self.env.work
         if work is not None:
             work.transfers_booked += 1
@@ -187,7 +202,8 @@ class NetworkFabric:
             work.transfers_shortcircuited += 1
 
     def _held(self, bookings: RouteBooking, nbytes: int, hold: float,
-              src: int, dst: int, parent_span: Optional[Span]) -> None:
+              src: int, dst: int, parent_span: Optional[Span],
+              now: float) -> None:
         """Account a route booked idle at ``now``: one occupancy per
         link, the transfer metrics (it waited for nothing), and one
         ``link`` span per link over ``[now, now + hold]`` — what the
@@ -202,7 +218,6 @@ class NetworkFabric:
             self._record_transfer(nbytes, 0.0, src, dst)
         tracer = self.tracer
         if tracer.enabled:
-            now = self.env._now
             for link, _ in bookings:
                 tracer.begin(now, f"link {link.link_id}", "link",
                              node=src, parent=parent_span, dst=dst,
@@ -315,9 +330,11 @@ class NetworkFabric:
             # which is where waiting and stall accounting live.  No
             # injector means no Interrupt can arrive mid-hold, so the
             # bookings never need to be torn down early.
-            bookings = self._book_links(ordered, hold)
+            bookings = self._book_links(
+                [self._links[link_id] for link_id in ordered], hold)
             if bookings is not None:
-                self._held(bookings, nbytes, hold, src, dst, parent_span)
+                self._held(bookings, nbytes, hold, src, dst, parent_span,
+                           self.env._now)
                 yield self.env.sleep(hold)
                 for link, _ in bookings:
                     link.record(nbytes, busy_us=hold)

@@ -67,7 +67,7 @@ class DmaEngine:
         self.params = params
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry(enabled=False)
-        self._engine = Resource(env, capacity=1)
+        self.engine = Resource(env, capacity=1)
         self.bytes_streamed = 0
 
     def applicable(self, nbytes: int) -> bool:
@@ -79,31 +79,43 @@ class DmaEngine:
         if nbytes < 0:
             raise ValueError(f"negative stream size {nbytes}")
         env = self.env
+        duration = self.duration_us(nbytes)
+        # Engine idle or contiguously booked: one booking + one
+        # completion event instead of request/grant/release churn.
+        booking = self.engine.try_occupy(duration)
+        if booking is not None:
+            self.record_booked(nbytes, booking[0] - env._now)
+            yield env.sleep_until(booking[0] + duration)
+            return
         metrics = self.metrics
         if metrics.enabled:
             metrics.counter("dma.streams").inc()
             metrics.counter("dma.bytes").inc(nbytes)
-        duration = self.params.setup_us + nbytes * self.params.us_per_byte
-        # Engine idle or contiguously booked: one booking + one
-        # completion event instead of request/grant/release churn.
-        booking = self._engine.try_occupy(duration)
-        if booking is not None:
-            if metrics.enabled:
-                self._record_wait(booking[0] - env._now)
-            work = env.work
-            if work is not None:
-                work.resource_occupancies += 1
-            yield env.sleep_until(booking[0] + duration)
-            self.bytes_streamed += nbytes
-            return
         requested = env._now
-        request = self._engine.request()
+        request = self.engine.request()
         yield request
         if metrics.enabled:
             self._record_wait(env._now - requested)
         yield env.sleep(duration)
         self.bytes_streamed += nbytes
-        self._engine.release(request)
+        self.engine.release(request)
+
+    def duration_us(self, nbytes: int) -> float:
+        """Engine busy time for one ``nbytes`` stream."""
+        return self.params.setup_us + nbytes * self.params.us_per_byte
+
+    def record_booked(self, nbytes: int, wait: float) -> None:
+        """Account one stream that timestamp-booked the engine after
+        waiting ``wait`` for it (committed when the booking is made)."""
+        self.bytes_streamed += nbytes
+        work = self.env.work
+        if work is not None:
+            work.resource_occupancies += 1
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.counter("dma.streams").inc()
+            metrics.counter("dma.bytes").inc(nbytes)
+            self._record_wait(wait)
 
     def _record_wait(self, wait: float) -> None:
         """How long a stream sat behind the engine (booking start, or

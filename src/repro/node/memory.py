@@ -47,23 +47,18 @@ class MemorySystem:
         if nbytes < 0:
             raise ValueError(f"negative copy size {nbytes}")
         env = self.env
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.counter("mem.copies").inc()
-            metrics.counter("mem.bytes_copied").inc(nbytes)
         duration = nbytes * self.copy_us_per_byte
         # Bus idle or contiguously booked: book the interval and sleep
         # to its end instead of request/grant/release.
         booking = self.bus.try_occupy(duration)
         if booking is not None:
-            if metrics.enabled:
-                self._record_wait(booking[0] - env._now)
-            work = env.work
-            if work is not None:
-                work.resource_occupancies += 1
+            self.record_booked(nbytes, booking[0] - env._now)
             yield env.sleep_until(booking[0] + duration)
-            self.bytes_copied += nbytes
             return
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.counter("mem.copies").inc()
+            metrics.counter("mem.bytes_copied").inc(nbytes)
         requested = env._now
         request = self.bus.request()
         yield request
@@ -72,6 +67,19 @@ class MemorySystem:
         yield env.sleep(duration)
         self.bytes_copied += nbytes
         self.bus.release(request)
+
+    def record_booked(self, nbytes: int, wait: float) -> None:
+        """Account one copy that timestamp-booked the bus after waiting
+        ``wait`` for it (committed when the booking is made)."""
+        self.bytes_copied += nbytes
+        work = self.env.work
+        if work is not None:
+            work.resource_occupancies += 1
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.counter("mem.copies").inc()
+            metrics.counter("mem.bytes_copied").inc(nbytes)
+            self._record_wait(wait)
 
     def _record_wait(self, wait: float) -> None:
         """How long a copy sat behind the bus (booking start, or grant,

@@ -57,8 +57,11 @@ class Nic:
         #: :class:`~repro.faults.FaultInjector` that can stall it.
         self.node_index = node_index
         self.injector = injector
-        self._tx = Resource(env, capacity=1)
-        self._rx = self._tx if half_duplex else Resource(env, capacity=1)
+        #: The transmit and receive engines (one shared engine on a
+        #: half-duplex adapter).
+        self.tx_engine = Resource(env, capacity=1)
+        self.rx_engine = self.tx_engine if half_duplex \
+            else Resource(env, capacity=1)
         self.messages_sent = 0
         self.messages_received = 0
 
@@ -86,7 +89,7 @@ class Nic:
         would have been granted, so the end time is unchanged from full
         simulation.  Commit with :meth:`commit_transmit`.
         """
-        return self._try_book(self._tx, nbytes, fast)
+        return self._try_book(self.tx_engine, nbytes, fast)
 
     def try_book_receive(self, nbytes: int, fast: bool = False
                          ) -> Optional[Booking]:
@@ -96,7 +99,7 @@ class Nic:
         so a transmit booked first pushes the receive booking after it
         — the FIFO order the concurrent wire legs would have produced.
         """
-        return self._try_book(self._rx, nbytes, fast)
+        return self._try_book(self.rx_engine, nbytes, fast)
 
     def _try_book(self, engine: Resource, nbytes: int, fast: bool
                   ) -> Optional[Booking]:
@@ -111,32 +114,39 @@ class Nic:
         start, previous = booking
         return start + duration, engine, previous, start
 
-    def commit_transmit(self, nbytes: int, fast: bool,
-                        start: float) -> None:
-        """Account one fast-booked transmit starting at ``start``."""
+    def commit_transmit(self, nbytes: int, fast: bool, start: float,
+                        at: Optional[float] = None) -> None:
+        """Account one fast-booked transmit starting at ``start``,
+        booked at time ``at`` (default: now)."""
         self.messages_sent += 1
-        if self.metrics.enabled:
-            self._record("nic.tx", self.occupancy_us(nbytes, fast),
-                         start - self.env._now)
+        self._commit("nic.tx", nbytes, fast, start, at)
 
-    def commit_receive(self, nbytes: int, fast: bool,
-                       start: float) -> None:
-        """Account one fast-booked receive starting at ``start``."""
+    def commit_receive(self, nbytes: int, fast: bool, start: float,
+                       at: Optional[float] = None) -> None:
+        """Account one fast-booked receive (see :meth:`commit_transmit`)."""
         self.messages_received += 1
+        self._commit("nic.rx", nbytes, fast, start, at)
+
+    def _commit(self, label: str, nbytes: int, fast: bool, start: float,
+                at: Optional[float]) -> None:
+        work = self.env.work
+        if work is not None:
+            work.resource_occupancies += 1
         if self.metrics.enabled:
-            self._record("nic.rx", self.occupancy_us(nbytes, fast),
-                         start - self.env._now)
+            if at is None:
+                at = self.env._now
+            self._record(label, self.occupancy_us(nbytes, fast), start - at)
 
     def transmit(self, nbytes: int,
                  fast: bool = False) -> Generator[Event, None, None]:
         """Process generator: occupy the transmit engine for one message."""
-        yield from self._occupy(self._tx, nbytes, fast, "nic.tx")
+        yield from self._occupy(self.tx_engine, nbytes, fast, "nic.tx")
         self.messages_sent += 1
 
     def receive(self, nbytes: int,
                 fast: bool = False) -> Generator[Event, None, None]:
         """Process generator: occupy the receive engine for one message."""
-        yield from self._occupy(self._rx, nbytes, fast, "nic.rx")
+        yield from self._occupy(self.rx_engine, nbytes, fast, "nic.rx")
         self.messages_received += 1
 
     def _record(self, label: str, duration: float, wait: float) -> None:

@@ -63,6 +63,9 @@ WORK_COUNTERS: Tuple[str, ...] = (
     "messages_sent",         # Transport.send calls issued
     "messages_delivered",    # envelopes handed to the matching layer
     "retransmissions",       # wire attempts re-sent after a failure
+    # -- episodes (repro.mpi.episode) -----------------------------------
+    "episodes_evaluated",    # collective calls replayed off the engine
+    "episodes_aborted",      # replays refused, handed back to the engine
 )
 
 

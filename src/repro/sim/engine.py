@@ -154,6 +154,16 @@ class Event:
         self.env._schedule(self, self.env._now, priority)
         return self
 
+    def succeed_at(self, at: float, value: Any = None) -> "Event":
+        """Schedule this event to fire successfully at time ``at``,
+        which must not be in the past."""
+        if self._ok is not None:
+            raise SimulationError("event already triggered")
+        self.env._schedule(self, at, NORMAL)
+        self._ok = True
+        self._value = value
+        return self
+
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
         """Schedule this event to fire with an exception.
 

@@ -1,0 +1,433 @@
+"""The episode evaluator: fenced collective calls replayed off the engine.
+
+The equivalence harness (``tests/sim/test_shortcircuit_equivalence.py``)
+checks the registered algorithms' deliveries, spans and pops against
+the full simulation.  This module pins the rest: hardware counters
+committed by an evaluated episode equal the full simulation's, random
+recorded programs replay exactly, which calls are eligible, which
+algorithms record, and that an aborted or refused replay leaves the
+engine to produce the same results.
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bench.diagnostics import collect_diagnostics
+from repro.faults import fault_preset
+from repro.machines import get_machine_spec
+from repro.mpi import MpiError, MpiWorld, RankError
+from repro.mpi.collectives import base as registry
+from repro.mpi.collectives import get_algorithm
+from repro.mpi.episode import record
+from repro.obs import EngineProfiler
+from repro.obs.perf import WorkMeter
+from repro.obs.report import link_stats
+
+MACHINES = ("sp2", "t3d", "paragon")
+
+#: (op, bytes, p) of the hardware-counter parity cases.
+PARITY_CASES = (
+    ("broadcast", 4096, 16),
+    ("reduce", 64, 16),
+    ("scatter", 1024, 32),
+    ("gather", 4, 16),
+    ("scan", 64, 16),
+    ("barrier", 0, 16),
+)
+
+
+def _world(machine, p, **kwargs):
+    world = MpiWorld(machine, p, seed=3, **kwargs)
+    world.env.work = WorkMeter()
+    return world
+
+
+def _counters(machine, op, nbytes, p, iterations=5, **kwargs):
+    world = _world(machine, p, **kwargs)
+    elapsed = world.run_collective(op, nbytes, iterations=iterations)
+    return (elapsed, collect_diagnostics(world),
+            link_stats(world.machine.fabric), world.env.work)
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+@pytest.mark.parametrize("op,nbytes,p", PARITY_CASES)
+def test_hardware_counters_match_full_simulation(machine, op, nbytes, p):
+    """NIC, link, memory, DMA and transport counters committed by
+    evaluated episodes equal the ones the full simulation accumulates
+    message by message."""
+    fast = _counters(machine, op, nbytes, p)
+    full = _counters(machine, op, nbytes, p, fast_wire=False)
+    assert fast[0] == full[0]
+    assert fast[1] == full[1]
+    assert fast[2] == full[2]
+    assert full[3].episodes_evaluated == 0
+
+
+def test_parity_cases_take_the_evaluator():
+    evaluated = {(machine, op): _counters(machine, op, nbytes,
+                                          p)[3].episodes_evaluated
+                 for machine in MACHINES
+                 for op, nbytes, p in PARITY_CASES}
+    assert evaluated[("paragon", "scatter")] == 3
+    assert evaluated[("sp2", "barrier")] == 3
+    # The T3D's barrier is its barrier wire, which no schedule records.
+    assert evaluated[("t3d", "barrier")] == 0
+
+
+# -- repeat ---------------------------------------------------------------
+
+def _end_times(machine, p, program, **kwargs):
+    world = _world(machine, p, **kwargs)
+    return world.run(program), world.env.work
+
+
+def test_repeat_matches_plain_calls():
+    """``repeat`` is the paper's loop as one call: every rank ends at
+    exactly the time ``count`` plain calls end at, although only the
+    repeat's iterations are evaluated."""
+    def repeated(ctx):
+        yield from ctx.repeat("reduce", 4, 6, root=3)
+        return ctx.env.now
+
+    def plain(ctx):
+        for _ in range(6):
+            yield from ctx.collective("reduce", 4, root=3)
+        return ctx.env.now
+
+    ends, work = _end_times("sp2", 12, repeated)
+    plain_ends, plain_work = _end_times("sp2", 12, plain)
+    assert ends == plain_ends
+    assert work.episodes_evaluated == 4
+    assert plain_work.episodes_evaluated == 0
+    assert work.events_fired < plain_work.events_fired
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cpu_slowdown": {1: 2.5, 4: 1.5}},
+    {"contention": False},
+])
+def test_machine_variants_replay_exactly(kwargs):
+    """Interference slowdowns scale the peeked jitter like the drawn
+    one, and an uncontended fabric books no links."""
+    fast = _counters("paragon", "broadcast", 1024, 12, **kwargs)
+    full = _counters("paragon", "broadcast", 1024, 12, fast_wire=False,
+                     **kwargs)
+    assert fast[:3] == full[:3]
+    assert fast[3].episodes_evaluated == 3
+
+
+@pytest.mark.parametrize("args,error", [
+    (("broadcast", 4, 0), ValueError),
+    (("bogus", 4, 2), MpiError),
+    (("broadcast", -1, 2), ValueError),
+])
+def test_repeat_validates_its_arguments(args, error):
+    def program(ctx):
+        yield from ctx.repeat(*args)
+
+    with pytest.raises(MpiError) as excinfo:
+        MpiWorld("t3d", 4).run(program)
+    cause = excinfo.value.__cause__ or excinfo.value
+    assert isinstance(cause, error)
+
+
+def test_repeat_rejects_a_root_outside_the_communicator():
+    def program(ctx):
+        yield from ctx.repeat("broadcast", 4, 3, root=ctx.size)
+
+    with pytest.raises(MpiError) as excinfo:
+        MpiWorld("t3d", 4).run(program)
+    assert isinstance(excinfo.value.__cause__, RankError)
+
+
+# -- eligibility -----------------------------------------------------------
+
+def test_first_and_last_calls_stay_on_the_engine():
+    """No fence precedes the first call, and a rank's program may do
+    anything after the last: five iterations evaluate three."""
+    *_, work = _counters("paragon", "scatter", 1024, 32, iterations=5)
+    assert work.episodes_evaluated == 3
+    *_, work = _counters("paragon", "scatter", 1024, 32, iterations=2)
+    assert work.episodes_evaluated == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"fast_wire": False},
+    {"faults": fault_preset("lossy")},
+])
+def test_full_simulation_switches_evaluate_nothing(kwargs):
+    *_, work = _counters("paragon", "scatter", 1024, 32, **kwargs)
+    assert work.episodes_evaluated == work.episodes_aborted == 0
+
+
+def test_observers_do_not_decide_eligibility():
+    plain = _counters("sp2", "reduce", 4, 12)
+    world = _world("sp2", 12, trace=True, metrics=True)
+    world.env.profiler = EngineProfiler()
+    elapsed = world.run_collective("reduce", 4, iterations=5)
+    assert elapsed == plain[0]
+    assert world.env.work == plain[3]
+    assert "mpi.episode" in world.env.profiler.sites
+
+
+def test_pending_engine_work_blocks_evaluation():
+    """An unrelated event still pending means the call could interact
+    with something: the engine runs it."""
+    def program(ctx):
+        if ctx.rank == 0:
+            ctx.env.timeout(1e9)
+        yield from ctx.repeat("reduce", 4, 5)
+        return ctx.env.now
+
+    ends, work = _end_times("sp2", 12, program)
+    full_ends, _ = _end_times("sp2", 12, program, fast_wire=False)
+    assert ends == full_ends
+    assert work.episodes_evaluated == 0
+
+
+def test_a_late_rank_keeps_its_call_on_the_engine():
+    """A rank that reaches the fence after it fired resumes on its own:
+    that call is not an episode, the next ones are."""
+    def program(ctx):
+        yield from ctx.repeat("broadcast", 1024, 2)
+        if ctx.rank == 0:
+            yield from ctx.delay(1e4)
+        yield from ctx.repeat("broadcast", 1024, 4)
+        return ctx.env.now
+
+    ends, work = _end_times("paragon", 12, program)
+    full_ends, _ = _end_times("paragon", 12, program, fast_wire=False)
+    assert ends == full_ends
+    assert work.episodes_evaluated == 2
+
+
+def test_ranks_mixing_repeat_and_plain_calls():
+    """One rank calling ``collective`` where the others repeat makes
+    every call final for the group: nothing is evaluated, nothing
+    deadlocks, and the times are the engine's."""
+    def program(ctx):
+        if ctx.rank == 0:
+            for _ in range(4):
+                yield from ctx.collective("reduce", 4)
+        else:
+            yield from ctx.repeat("reduce", 4, 4)
+        return ctx.env.now
+
+    ends, work = _end_times("sp2", 8, program)
+    full_ends, _ = _end_times("sp2", 8, program, fast_wire=False)
+    assert ends == full_ends
+    assert work.episodes_evaluated == 0
+
+
+# -- aborts ------------------------------------------------------------------
+
+def test_contended_route_aborts_once_per_shape():
+    """A replay that meets a busy link aborts with no side effect; the
+    shape is then left to the engine on that communicator."""
+    fast = _counters("sp2", "broadcast", 4096, 16, iterations=6)
+    full = _counters("sp2", "broadcast", 4096, 16, iterations=6,
+                     fast_wire=False)
+    assert fast[3].episodes_aborted == 1
+    assert fast[3].episodes_evaluated == 0
+    assert fast[:3] == full[:3]
+
+
+def _with_algorithm(monkeypatch, name, algorithm, machine="sp2"):
+    monkeypatch.setitem(registry._ALGORITHMS, name, algorithm)
+    spec = get_machine_spec(machine)
+    return replace(spec, algorithms={**spec.algorithms, "broadcast": name})
+
+
+def test_unfinished_replays_abort(monkeypatch):
+    """A message nobody receives, and a receive nobody matches, leave
+    state behind the fence: the replay aborts and the engine runs the
+    calls, leaving the same leftovers."""
+    def orphans(ctx, seq, nbytes, root=0):
+        if ctx.rank == 0:
+            yield from ctx.coll_send(seq, 0, 1, nbytes, op="broadcast")
+        elif ctx.rank == 1:
+            # Outlast the orphan's delivery, so the fence finds the
+            # engine idle.
+            yield from ctx.combine(1 << 20)
+        elif ctx.rank == 2:
+            ctx.coll_post(seq, 0, 3)
+
+    spec = _with_algorithm(monkeypatch, "test_orphans", orphans)
+    fast = _world(spec, 4)
+    full = _world(spec, 4, fast_wire=False)
+    assert fast.run_collective("broadcast", 8, iterations=4) == \
+        full.run_collective("broadcast", 8, iterations=4)
+    assert fast.env.work.episodes_aborted == 1
+    for world in (fast, full):
+        transport = world.comm.transport
+        assert transport.pending_unexpected(1) == 4
+        assert transport.pending_posted(2) == 4
+
+
+def test_deadlocked_replay_aborts_and_the_engine_reports_it(monkeypatch):
+    def stuck(ctx, seq, nbytes, root=0):
+        if ctx.rank == 1 and seq > 0:
+            yield from ctx.coll_recv(seq, 0, 0, op="broadcast")
+
+    spec = _with_algorithm(monkeypatch, "test_stuck", stuck)
+    world = _world(spec, 4)
+    with pytest.raises(MpiError, match="did not finish"):
+        world.run_collective("broadcast", 8, iterations=3)
+    assert world.env.work.episodes_aborted == 1
+
+
+def test_a_receive_matched_before_its_wait(monkeypatch):
+    """Posting early and waiting late: the receive event fires with no
+    waiter, and the wait later resumes through the urgent passthrough,
+    as in the engine."""
+    def early_post(ctx, seq, nbytes, root=0):
+        if ctx.rank == 0:
+            yield from ctx.coll_send(seq, 0, 1, nbytes, op="broadcast")
+        elif ctx.rank == 1:
+            receive = ctx.coll_post(seq, 0, 0)
+            yield from ctx.combine(4096)
+            yield from ctx.coll_wait(receive, op="broadcast")
+
+    spec = _with_algorithm(monkeypatch, "test_early_post", early_post)
+    fast = _world(spec, 2)
+    full = _world(spec, 2, fast_wire=False)
+    assert fast.run_collective("broadcast", 8, iterations=4) == \
+        full.run_collective("broadcast", 8, iterations=4)
+    assert fast.env.work.episodes_evaluated == 2
+
+
+# -- random programs -----------------------------------------------------------
+
+@st.composite
+def random_algorithms(draw):
+    """A deadlock-free random collective: messages in a global order,
+    each posted at or before its send's position and waited on after
+    it, with combines in between.  A wait only blocks on an earlier
+    position of another rank, so every rank finishes."""
+    size = draw(st.integers(2, 6))
+    programs = [[] for _ in range(size)]
+    posts = {}
+    for index in range(draw(st.integers(1, 10))):
+        src = draw(st.integers(0, size - 1))
+        dst = draw(st.integers(0, size - 2))
+        dst += dst >= src
+        # Small phases collide, so equal tags match in FIFO order.
+        phase = draw(st.integers(0, 3))
+        nbytes = draw(st.sampled_from([0, 4, 1024, 8192]))
+        posted = index - draw(st.sampled_from([0.0, 0.25, 1.5, 4.0]))
+        waited = index + draw(st.sampled_from([0.5, 0.75, 2.5]))
+        programs[src].append((index, "send", dst, phase, nbytes))
+        posts.setdefault((dst, src, phase), []).append((index, posted))
+        programs[dst].append((waited, "wait", index))
+    for (dst, src, phase), entries in posts.items():
+        # Equal tags are posted in send order, else a receive could
+        # take a later message its own wait is needed to send.
+        for (index, _), posted in zip(entries,
+                                      sorted(p for _, p in entries)):
+            programs[dst].append((posted, "post", src, phase, index))
+    for _ in range(draw(st.integers(0, 3))):
+        rank = draw(st.integers(0, size - 1))
+        programs[rank].append((draw(st.floats(0, 10)), "combine",
+                               draw(st.sampled_from([4, 4096]))))
+    return size, [sorted(ops, key=lambda op: op[0]) for ops in programs]
+
+
+def _program_algorithm(programs):
+    def algorithm(ctx, seq, nbytes, root=0):
+        posted = {}
+        for op in programs[ctx.rank]:
+            if op[1] == "send":
+                yield from ctx.coll_send(seq, op[3], op[2], op[4],
+                                         op="broadcast")
+            elif op[1] == "post":
+                posted[op[4]] = ctx.coll_post(seq, op[3], op[2])
+            elif op[1] == "wait":
+                yield from ctx.coll_wait(posted.pop(op[2]),
+                                         op="broadcast")
+            else:
+                yield from ctx.combine(op[2])
+
+    return algorithm
+
+
+@given(random_algorithms(), st.sampled_from(MACHINES),
+       st.sampled_from([0.03, 0.0]))
+@settings(max_examples=40, deadline=None)
+def test_random_programs_replay_exactly(program, machine, sigma):
+    """Arbitrary post/send/wait/combine orders -- early and late posts,
+    unexpected arrivals, equal tags, zero-byte and DMA-sized payloads,
+    jitter on and off -- end every rank at exactly the full
+    simulation's times with the same hardware counters."""
+    size, programs = program
+    spec = get_machine_spec(machine)
+    spec = replace(spec, software=replace(spec.software,
+                                          jitter_sigma=sigma),
+                   algorithms={**spec.algorithms,
+                               "broadcast": "test_random_program"})
+    registry._ALGORITHMS["test_random_program"] = \
+        _program_algorithm(programs)
+    try:
+        fast = _counters(spec, "broadcast", 0, size, iterations=4)
+        full = _counters(spec, "broadcast", 0, size, iterations=4,
+                         fast_wire=False)
+    finally:
+        del registry._ALGORITHMS["test_random_program"]
+    assert fast[:3] == full[:3]
+    work = fast[3]
+    assert work.episodes_evaluated + work.episodes_aborted > 0
+
+
+# -- recording ---------------------------------------------------------------
+
+def test_binomial_broadcast_records_its_tree():
+    schedule = record(get_algorithm("binomial_broadcast"), 4, 7, 64, 0)
+    assert [[entry[0] for entry in ops] for ops in schedule] == \
+        [[0, 0], [1, 2], [1, 2, 0], [1, 2]]
+    assert schedule[0] == [(0, 2, 64, "broadcast", 2),
+                           (0, 1, 64, "broadcast", 1)]
+
+
+@pytest.mark.parametrize("name", [
+    "hardware_barrier",           # the barrier wire: ctx.machine
+    "offloaded_scan",             # coprocessor costs: ctx.comm
+    "posted_alltoall",            # buffered= sends
+    "reduce_broadcast_allreduce",  # sub-algorithm lookup: ctx.comm
+])
+def test_registered_algorithms_the_engine_must_run(name):
+    assert record(get_algorithm(name), 8, 1, 64, 0) is None
+
+
+def _unrecordable(body):
+    def algorithm(ctx, seq, nbytes, root=0):
+        yield from body(ctx, seq, nbytes)
+
+    return record(algorithm, 4, 1, 16, 0)
+
+
+@pytest.mark.parametrize("body", [
+    # waits on an engine event of its own
+    lambda ctx, seq, nbytes: iter([None]),
+    # peer outside the communicator, or another call's tag space
+    lambda ctx, seq, nbytes: ctx.coll_send(seq, 0, ctx.size, nbytes,
+                                           op="x"),
+    lambda ctx, seq, nbytes: ctx.coll_recv(seq + 1, 0, 0, op="x"),
+    # receive options
+    lambda ctx, seq, nbytes: ctx.coll_recv(seq, 0, 0, op="x",
+                                           expected_nbytes=4),
+    # a handle that is not a posted receive of this rank
+    lambda ctx, seq, nbytes: ctx.coll_wait(object(), op="x"),
+])
+def test_unrecordable_bodies(body):
+    assert _unrecordable(body) is None
+
+
+def test_a_receive_waited_twice_is_unrecordable():
+    def twice(ctx, seq, nbytes, root=0):
+        receive = ctx.coll_post(seq, 0, 0)
+        yield from ctx.coll_wait(receive, op="x")
+        yield from ctx.coll_wait(receive, op="x")
+
+    assert record(twice, 2, 1, 16, 0) is None

@@ -153,6 +153,25 @@ def test_event_cannot_trigger_twice():
     gate.succeed(1)
     with pytest.raises(SimulationError):
         gate.succeed(2)
+    with pytest.raises(SimulationError):
+        gate.succeed_at(5.0, 3)
+
+
+def test_event_succeeds_at_a_later_time():
+    env = Environment()
+    gate = env.event()
+    reached = []
+
+    def waiter():
+        reached.append((yield gate))
+        reached.append(env.now)
+
+    env.process(waiter())
+    gate.succeed_at(4.5, "open")
+    with pytest.raises(SimulationError):
+        env.event().succeed_at(-1.0)
+    env.run()
+    assert reached == ["open", 4.5]
 
 
 def test_failed_event_raises_in_waiter():

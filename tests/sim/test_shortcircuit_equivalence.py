@@ -1,9 +1,11 @@
-"""Equivalence of the analytic short-circuit and the full simulation.
+"""Equivalence of the analytic short-circuits and the full simulation.
 
 The engine keeps every pending event in one binary heap ordered by
-``(time, priority, eid)``, and the transport completes contention- and
+``(time, priority, eid)``; the transport completes contention- and
 fault-free transfers analytically instead of simulating their NIC and
-fabric legs.  Neither may ever be *observable*.  This harness runs
+fabric legs; and the episode evaluator (:mod:`repro.mpi.episode`)
+replays whole fenced collective calls off the engine.  None of them may
+ever be *observable*.  This harness runs
 randomized process/resource/store graphs (hypothesis) and real MPI
 workloads and asserts
 
@@ -12,8 +14,9 @@ workloads and asserts
   ``env._pop`` — with identical :class:`~repro.obs.perf.WorkMeter`
   snapshots, and the same work dump from fresh interpreters with random
   hash seeds;
-* short-circuited (``fast_wire=True``) runs deliver **every message at
-  exactly the time** the full simulation (``fast_wire=False``) does:
+* short-circuited (``fast_wire=True``) runs, whose fenced iterations
+  the evaluator may take, deliver **every message at exactly the time**
+  the full simulation (``fast_wire=False``) does:
   the sorted per-message ``(src, dst, nbytes, sent_at, delivered_at)``
   logs compare equal with ``==``, and end times agree to 1e-12 s;
 * observation is not an input: a run with tracing and metrics on pops
@@ -31,11 +34,14 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import fault_preset
+from repro.machines import get_machine_spec
 from repro.mpi import MpiWorld
 from repro.obs.perf import WorkMeter
 from repro.sim import Environment, Resource, Store
@@ -180,6 +186,19 @@ def test_random_timeout_batches_pop_in_time_order(delays):
 
 # -- analytic short-circuit vs full simulation -----------------------------
 
+#: Back-to-back calls per MPI run.  Every call but the first (which no
+#: fence precedes) and the last is a fenced episode the evaluator may
+#: take off the engine.
+ITERATIONS = 4
+
+
+def _still(machine):
+    """``machine``'s spec without software jitter: at sigma 0 equal
+    times are everywhere, so only a mirrored event order survives."""
+    spec = get_machine_spec(machine)
+    return replace(spec, software=replace(spec.software, jitter_sigma=0.0))
+
+
 MPI_CASES = [
     ("sp2", "broadcast", 4096, 16),
     ("t3d", "allreduce", 2048, 32),
@@ -189,7 +208,17 @@ MPI_CASES = [
     ("paragon", "gather", 4096, 32),
     ("t3d", "reduce", 64, 5),
     ("sp2", "scan", 4096, 32),
+    # Contention-free: the evaluator takes these cases' episodes.
+    ("sp2", "reduce", 4, 12),
+    ("paragon", "broadcast", 1024, 12),
+    ("sp2", "barrier", 0, 12),
+    ("paragon", "scatter", 1024, 32),
+    (_still("t3d"), "scatter", 64, 16),
+    (_still("sp2"), "reduce", 4, 16),
 ]
+
+#: The cases whose fenced iterations are evaluated off the engine.
+EVALUATED_CASES = MPI_CASES[8:]
 
 
 @st.composite
@@ -263,15 +292,17 @@ def assert_metrics_match(left, right):
 
 
 def run_collective(machine, op, nbytes, p, fast_wire=True, observed=False,
-                   faults=None):
-    """One collective, with its event queue's pops logged.
+                   faults=None, iterations=ITERATIONS):
+    """``iterations`` back-to-back calls of one collective, with the
+    event queue's pops logged.
 
-    The delivery log is every message the transport hands to matching,
-    as sorted ``(src, dst, nbytes, sent_at, delivered_at)`` tuples.
-    Tags are left out: they embed a process-wide communicator counter,
-    so two worlds built one after the other never share them.
-    ``observed`` switches tracing and metrics on and also returns the
-    spans (see :func:`span_multiset`) and the metrics snapshot.
+    The delivery log is every message the transport accounts as
+    delivered, on the engine or inside an evaluated episode, as sorted
+    ``(src, dst, nbytes, sent_at, delivered_at)`` tuples.  Tags are
+    left out: they embed a process-wide communicator counter, so two
+    worlds built one after the other never share them.  ``observed``
+    switches tracing and metrics on and also returns the spans (see
+    :func:`span_multiset`) and the metrics snapshot.
     """
     world = MpiWorld(machine, p, seed=0, fast_wire=fast_wire,
                      trace=observed, metrics=observed,
@@ -280,16 +311,16 @@ def run_collective(machine, op, nbytes, p, fast_wire=True, observed=False,
     world.env.work = meter
     pops = record_pops(world.env)
     transport = world.comm.transport
-    deliver = transport._deliver
+    record_delivery = transport.record_delivery
     deliveries = []
 
-    def spy(envelope):
+    def spy(envelope, unexpected):
         deliveries.append((envelope.src, envelope.dst, envelope.nbytes,
                            envelope.sent_at, envelope.delivered_at))
-        deliver(envelope)
+        record_delivery(envelope, unexpected)
 
-    transport._deliver = spy
-    elapsed = world.run_collective(op, nbytes)
+    transport.record_delivery = spy
+    elapsed = world.run_collective(op, nbytes, iterations=iterations)
     spans = metrics = None
     if observed:
         spans = span_multiset(world.tracer, world.comm.comm_id)
@@ -337,10 +368,18 @@ def test_short_circuit_delivers_exactly_like_full_simulation(workload):
 
 
 def test_short_circuit_exact_on_fixed_cases():
+    aborted = 0
     for workload in MPI_CASES:
         fast_work = assert_short_circuit_exact(workload)
         assert fast_work["transfers_shortcircuited"] > 0, \
             f"{workload} never took the analytic path"
+        if workload in EVALUATED_CASES:
+            assert fast_work["episodes_evaluated"] > 0, \
+                f"{workload} never took the episode evaluator"
+        aborted += fast_work["episodes_aborted"]
+    # Contended routes abort replays: the engine must then run those
+    # episodes exactly as if no replay had been tried.
+    assert aborted > 0
 
 
 def test_observation_is_not_an_input_on_fixed_cases():
@@ -348,6 +387,9 @@ def test_observation_is_not_an_input_on_fixed_cases():
         traced = assert_observation_is_not_an_input(workload)
         assert traced.work["transfers_shortcircuited"] > 0, \
             f"{workload} never took the analytic path when traced"
+        if workload in EVALUATED_CASES:
+            assert traced.work["episodes_evaluated"] > 0, \
+                f"{workload} never took the episode evaluator when traced"
         assert any(key[0] == "link" for key in traced.spans), workload
 
 
