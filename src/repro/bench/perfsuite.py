@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 from ..core.canonical import dumps, round9
 from ..obs.perf import WorkMeter
-from ..obs.profiler import EngineProfiler
 from ..sim import SIM_VERSION
 
 __all__ = [
@@ -114,49 +113,24 @@ def _kernel_resource_handoff(env) -> float:
     return env.now
 
 
-def _kernel_store_pipeline(env) -> float:
-    from ..sim import Store
-
-    store = Store(env)
-
-    def producer():
-        for item in range(20000):
-            store.put(item)
-            yield env.timeout(0.5)
-
-    def consumer():
-        for _ in range(20000):
-            yield store.get()
-
-    env.process(producer(), name="producer")
-    env.process(consumer(), name="consumer")
-    env.run()
-    return env.now
-
-
-def _micro(kernel) -> Callable[[WorkMeter, Optional[EngineProfiler]],
-                               float]:
-    def run(meter: WorkMeter,
-            profiler: Optional[EngineProfiler]) -> float:
+def _micro(kernel) -> Callable[[WorkMeter], float]:
+    def run(meter: WorkMeter) -> float:
         from ..sim import Environment
 
         env = Environment()
         env.work = meter
-        env.profiler = profiler
         return kernel(env)
 
     return run
 
 
 def _ptp(machine: str, messages: int, nbytes: int
-         ) -> Callable[[WorkMeter, Optional[EngineProfiler]], float]:
-    def run(meter: WorkMeter,
-            profiler: Optional[EngineProfiler]) -> float:
+         ) -> Callable[[WorkMeter], float]:
+    def run(meter: WorkMeter) -> float:
         from ..mpi import MpiWorld
 
         world = MpiWorld(machine, 2, seed=0)
         world.env.work = meter
-        world.env.profiler = profiler
 
         def program(ctx):
             if ctx.rank == 0:
@@ -174,16 +148,12 @@ def _ptp(machine: str, messages: int, nbytes: int
 
 
 def _collective(machine: str, op: str, nbytes: int, p: int,
-                iterations: int = 1
-                ) -> Callable[[WorkMeter, Optional[EngineProfiler]],
-                              float]:
-    def run(meter: WorkMeter,
-            profiler: Optional[EngineProfiler]) -> float:
+                iterations: int = 1) -> Callable[[WorkMeter], float]:
+    def run(meter: WorkMeter) -> float:
         from ..mpi import MpiWorld
 
         world = MpiWorld(machine, p, seed=0)
         world.env.work = meter
-        world.env.profiler = profiler
         return world.run_collective(op, nbytes, iterations=iterations)
 
     return run
@@ -200,7 +170,6 @@ def _workloads() -> "Dict[str, Tuple[Tuple[str, ...], Callable]]":
         (both, _micro(_kernel_engine_sleep_pool))
     table["micro/resource-handoff"] = \
         (both, _micro(_kernel_resource_handoff))
-    table["micro/store-pipeline"] = (both, _micro(_kernel_store_pipeline))
     table["micro/ptp-t3d-p2"] = (both, _ptp("t3d", 100, 64))
     full = ("default",)
     for machine in ("sp2", "t3d", "paragon"):
@@ -231,8 +200,7 @@ def perf_workload_names(suite: str = "default") -> List[str]:
     return names
 
 
-def run_workload(name: str,
-                 profiler: Optional[EngineProfiler] = None) -> PerfRun:
+def run_workload(name: str) -> PerfRun:
     """Run one named workload under a fresh :class:`WorkMeter`."""
     try:
         _suites, runner = _workloads()[name]
@@ -240,19 +208,16 @@ def run_workload(name: str,
         raise ValueError(f"unknown perf workload {name!r}") from None
     meter = WorkMeter()
     started = perf_counter()
-    sim_time_us = runner(meter, profiler)
+    sim_time_us = runner(meter)
     wall_s = perf_counter() - started
     return PerfRun(workload=name, work=meter.snapshot(),
                    sim_time_us=float(sim_time_us), wall_s=wall_s)
 
 
-def run_perf_suite(suite: str = "default",
-                   profiler: Optional[EngineProfiler] = None
-                   ) -> List[PerfRun]:
-    """Run the whole suite; pass a profiler to collect a flame profile
-    across all workloads (work counters are unaffected by profiling)."""
-    return [run_workload(name, profiler=profiler)
-            for name in perf_workload_names(suite)]
+def run_perf_suite(suite: str = "default") -> List[PerfRun]:
+    """Run the whole suite (profile it by wrapping the call in a
+    :class:`~repro.obs.HostProfile`)."""
+    return [run_workload(name) for name in perf_workload_names(suite)]
 
 
 # -- artifact -------------------------------------------------------------

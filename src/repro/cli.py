@@ -11,7 +11,7 @@ Examples::
         --out trace.json
     repro-bench profile t3d alltoall --bytes 4096 --nodes 32
     repro-bench perf --out BENCH_engine.json
-    repro-bench perf --check BENCH_engine.json --flame engine.folded
+    repro-bench perf --check BENCH_engine.json --flame host.folded
     repro-bench sweep --grid fig3 --workers 8 --out BENCH_sweep.json
     repro-bench sweep --grid smoke --faults lossy --cell-timeout 120
     repro-bench chaos t3d broadcast --nodes 64
@@ -44,7 +44,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .bench import (
@@ -394,12 +394,13 @@ def _trace(args) -> None:
 
 
 @_command("profile",
-          "utilization + engine hot-path report for one collective",
+          "utilization + host profile report for one collective",
           _point(nbytes=4096, nodes=16), _SINGLE_CALL,
           _arg("--top", type=_positive_int, default=8,
-               help="links/process types to list"),
+               help="links/modules to list"),
           _arg("--csv", metavar="PATH",
-               help="also write the site rankings as CSV"),
+               help="also write the module ranking as CSV "
+                    "(module,calls,self_s)"),
           _arg("--folded", metavar="PATH",
                help="also write collapsed stacks (feed to flamegraph.pl "
                     "or speedscope)"),
@@ -455,7 +456,7 @@ def _profile(args) -> None:
                help="profile the suite and write collapsed stacks "
                     "(flamegraph.pl / speedscope input)"),
           _arg("--top", type=_positive_int, default=10,
-               help="hot sites to list with --flame"))
+               help="hot modules to list with --flame"))
 def _perf(args) -> int:
     from .bench.perfsuite import (
         DEFAULT_MIN_RATIO,
@@ -465,9 +466,10 @@ def _perf(args) -> int:
         run_perf_suite,
     )
     from .core.canonical import load, write
-    from .obs import EngineProfiler, write_folded_stacks
-    profiler = EngineProfiler() if args.flame else None
-    runs = run_perf_suite(args.suite, profiler=profiler)
+    from .obs import HostProfile, write_folded_stacks
+    profiler = HostProfile() if args.flame else None
+    with profiler or nullcontext():
+        runs = run_perf_suite(args.suite)
     artifact = build_perf_artifact(runs, suite=args.suite)
     total = artifact["throughput"]["total"]
     print(f"engine perf suite '{args.suite}': {len(runs)} workloads, "

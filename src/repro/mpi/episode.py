@@ -259,7 +259,7 @@ class EpisodeEvaluator:
         waits on instead: fired with ``False`` at the end of its entry
         cost when the engine is to run the call, or with ``True`` at
         its finish time when the call was evaluated.  Eligibility reads
-        state only, never the tracer, metrics, work meter or profiler.
+        state only, never the tracer, metrics or work meter.
         """
         comm = self.comm
         machine = comm.machine
@@ -283,15 +283,7 @@ class EpisodeEvaluator:
         outcome = None
         if env.peek() == float("inf") and \
                 all(entry[3] == shape and not entry[4] for entry in pending):
-            profiler = env.profiler
-            if profiler is None:
-                outcome = self._evaluate(shape, pending, seq)
-            else:
-                profiler.enter("mpi.episode")
-                try:
-                    outcome = self._evaluate(shape, pending, seq)
-                finally:
-                    profiler.leave()
+            outcome = self._evaluate(shape, pending, seq)
         if outcome is None:
             now = env.now
             for _, cost, gate, _, _ in pending:

@@ -382,17 +382,6 @@ class Transport:
             aborted.append(failure)
 
     def _deliver(self, envelope: Envelope) -> None:
-        profiler = self.env.profiler
-        if profiler is None:
-            self._deliver_now(envelope)
-            return
-        profiler.enter("transport.deliver")
-        try:
-            self._deliver_now(envelope)
-        finally:
-            profiler.leave()
-
-    def _deliver_now(self, envelope: Envelope) -> None:
         posted = self._posted[envelope.dst]
         for index, receive in enumerate(posted):
             if receive.src == envelope.src and receive.tag == envelope.tag:

@@ -257,15 +257,7 @@ class NetworkFabric:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         injector = self.injector
-        profiler = self.env.profiler
-        if profiler is None:
-            route, detoured = self._select_route(src, dst)
-        else:
-            profiler.enter("fabric.route")
-            try:
-                route, detoured = self._select_route(src, dst)
-            finally:
-                profiler.leave()
+        route, detoured = self._select_route(src, dst)
         work = self.env.work
         if work is not None:
             work.transfers_booked += 1

@@ -5,8 +5,9 @@ methodology calls for at simulator scale: span-based tracing nests
 collective -> phase -> message -> link occupancy
 (:mod:`repro.sim.trace` holds the span primitives; this package the
 aggregation and export), a :class:`MetricsRegistry` collects counters
-and histograms from the network, node, and MPI layers, and an
-:class:`EngineProfiler` ranks the simulator's own hot paths.
+and histograms from the network, node, and MPI layers, and a
+:class:`HostProfile` attributes the simulator's own host time to its
+source files from outside the program.
 
 Import note: the runtime layers (``network``, ``node``, ``mpi``)
 import the leaf modules here, so this ``__init__`` must only pull in
@@ -30,7 +31,6 @@ from .critpath import (
 from .export import (
     chrome_trace_document,
     chrome_trace_events,
-    profile_to_rows,
     spans_to_rows,
     write_chrome_trace,
     write_folded_stacks,
@@ -39,12 +39,8 @@ from .export import (
 )
 from .metrics import Counter, Histogram, MetricsRegistry
 from .perf import WORK_COUNTERS, WorkMeter
-from .profiler import EngineProfiler
-from .report import (
-    format_engine_report,
-    format_utilization_report,
-    link_stats,
-)
+from .profiler import HostProfile
+from .report import format_utilization_report, link_stats
 from .spans import CollectiveObserver
 
 __all__ = [
@@ -52,8 +48,8 @@ __all__ = [
     "CollectiveObserver",
     "Counter",
     "CriticalPath",
-    "EngineProfiler",
     "Histogram",
+    "HostProfile",
     "MetricsRegistry",
     "PathStep",
     "WORK_COUNTERS",
@@ -62,10 +58,8 @@ __all__ = [
     "chrome_trace_events",
     "critical_path",
     "critpath_rows",
-    "format_engine_report",
     "format_utilization_report",
     "link_stats",
-    "profile_to_rows",
     "spans_to_rows",
     "write_chrome_trace",
     "write_critpath_csv",

@@ -1,9 +1,10 @@
 """One-call capture of a fully observed collective run.
 
-``capture_collective`` builds a world with tracing/metrics/profiling
-switched on, runs one collective, and hands back everything the
-exporters and reports consume.  This is what the ``repro-bench trace``
-and ``repro-bench profile`` subcommands (and the examples) drive.
+``capture_collective`` builds a world with tracing/metrics switched on,
+runs one collective (inside a :class:`HostProfile` when asked), and
+hands back everything the exporters and reports consume.  This is
+what the ``repro-bench trace`` and ``repro-bench profile`` subcommands
+(and the examples) drive.
 
 Imports of the runtime layers happen lazily so ``repro.obs`` stays
 importable from the lower layers it instruments.
@@ -12,6 +13,7 @@ importable from the lower layers it instruments.
 from __future__ import annotations
 
 import ast
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -19,7 +21,7 @@ from ..core.canonical import round9
 from ..sim import Tracer
 from .metrics import MetricsRegistry
 from .perf import WorkMeter
-from .profiler import EngineProfiler
+from .profiler import HostProfile
 
 __all__ = ["REPLAY_SCHEMA", "CollectiveCapture", "capture_collective"]
 
@@ -80,7 +82,7 @@ class CollectiveCapture:
     world: object
     tracer: Tracer
     metrics: MetricsRegistry
-    profiler: Optional[EngineProfiler]
+    profiler: Optional[HostProfile]
     work: Optional[WorkMeter] = None
     seed: int = 0
     #: Name of the fault-plan preset the capture ran under, if any.
@@ -205,7 +207,8 @@ def capture_collective(machine: str, op: str, nbytes: int = 1024,
     under fault injection, so the trace carries the
     ``retransmit``/``backoff``/``reroute`` recovery spans.  ``work``
     attaches a :class:`WorkMeter`, so the capture also carries the
-    deterministic work counters of :mod:`repro.obs.perf`.
+    deterministic work counters of :mod:`repro.obs.perf`.  ``profile``
+    runs the collective inside a :class:`HostProfile`.
     """
     from ..mpi import MpiWorld
 
@@ -214,16 +217,14 @@ def capture_collective(machine: str, op: str, nbytes: int = 1024,
                      metrics=metrics, faults=faults)
     if max_spans is not None:
         world.tracer.configure_limits(max_spans)
-    profiler = None
-    if profile:
-        profiler = EngineProfiler()
-        world.env.profiler = profiler
     meter = None
     if work:
         meter = WorkMeter()
         world.env.work = meter
-    elapsed = world.run_collective(op, nbytes, root=root,
-                                   iterations=iterations)
+    profiler = HostProfile() if profile else None
+    with profiler or nullcontext():
+        elapsed = world.run_collective(op, nbytes, root=root,
+                                       iterations=iterations)
     return CollectiveCapture(
         machine=world.spec.name, op=op, nbytes=nbytes,
         num_nodes=num_nodes, iterations=iterations, elapsed_us=elapsed,

@@ -40,7 +40,6 @@ __all__ = [
     "write_chrome_trace",
     "spans_to_rows",
     "write_spans_csv",
-    "profile_to_rows",
     "write_profile_csv",
     "write_folded_stacks",
 ]
@@ -137,32 +136,20 @@ def write_spans_csv(tracer: Tracer, path: str) -> str:
     return path
 
 
-def profile_to_rows(profiler) -> List[Dict[str, Any]]:
-    """Site rankings of an :class:`~repro.obs.EngineProfiler` as rows
-    (deterministically ordered; see ``EngineProfiler.rankings``)."""
-    return [{
-        "site": site,
-        "calls": calls,
-        "cumulative_s": cum_s,
-        "self_s": self_s,
-    } for site, calls, cum_s, self_s in profiler.rankings()]
-
-
-def write_profile_csv(profiler, path: str) -> str:
-    """Write the profiler's site rankings to ``path`` as CSV."""
+def write_profile_csv(profile, path: str) -> str:
+    """Write a :class:`~repro.obs.HostProfile`'s module ranking to
+    ``path`` as ``module,calls,self_s`` CSV rows."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(
-            handle, fieldnames=["site", "calls", "cumulative_s",
-                                "self_s"])
-        writer.writeheader()
-        writer.writerows(profile_to_rows(profiler))
+        writer = csv.writer(handle)
+        writer.writerow(["module", "calls", "self_s"])
+        writer.writerows(profile.modules())
     return path
 
 
-def write_folded_stacks(profiler, path: str) -> str:
-    """Write the profiler's collapsed stacks to ``path`` — the input
-    format of ``flamegraph.pl`` and speedscope."""
-    lines = profiler.folded_lines()
+def write_folded_stacks(profile, path: str) -> str:
+    """Write a :class:`~repro.obs.HostProfile`'s collapsed stacks to
+    ``path`` — the input format of ``flamegraph.pl`` and speedscope."""
+    lines = profile.folded_lines()
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines))
         if lines:

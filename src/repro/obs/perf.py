@@ -1,6 +1,6 @@
 """Deterministic work metering for the simulator's own hot paths.
 
-Wall-clock profiles (:class:`~repro.obs.EngineProfiler`) answer *where
+Wall-clock profiles (:class:`~repro.obs.HostProfile`) answer *where
 the host's time goes*, but their numbers change every run.  The
 :class:`WorkMeter` counts the *work itself* — events scheduled and
 fired, heap traffic, resource grants, transfers booked,
@@ -11,7 +11,7 @@ identical counters on any machine, which is what lets the
 way the sweep baseline byte-compares cell times (see
 :mod:`repro.bench.perfsuite`).
 
-Attachment follows the engine-profiler convention: ``env.work`` is
+A meter is attached to the environment it counts: ``env.work`` is
 ``None`` by default and every instrumented site guards its update with
 that single check, so an unmetered run pays one branch per site::
 
@@ -49,8 +49,6 @@ WORK_COUNTERS: Tuple[str, ...] = (
     "resource_releases",       # grants returned
     "resource_cancellations",  # requests released before being granted
     "resource_occupancies",    # synchronous try_occupy bookings taken
-    "store_puts",              # Store/FilterStore items deposited
-    "store_gets",              # Store/FilterStore get events created
     # -- fabric (repro.network.fabric) ----------------------------------
     "transfers_booked",      # transfers entering the fabric
     "transfers_completed",   # transfers whose tail left the network

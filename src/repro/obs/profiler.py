@@ -1,199 +1,137 @@
-"""Engine profiler: where does the *simulator's own* wall-clock go?
+"""Host profile: where does the *simulator's own* wall-clock go?
 
-Attached to an :class:`~repro.sim.Environment` via ``env.profiler``,
-the profiler counts events scheduled and fired per event class and
-attributes real (host) wall-clock time to *sites*.  A site is either a
-process type whose callback consumed the time — ``rank`` for the SPMD
-program bodies, ``wire`` for the transport's asynchronous wire legs,
-with trailing instance numbers stripped so the report ranks hot paths,
-not individual processes — or a named synchronous region the runtime
-layers open inside a callback (``resource.request``,
-``transport.deliver``, ``fabric.route``).
+:class:`HostProfile` wraps :class:`cProfile.Profile` as a context
+manager.  It is attached from outside, around a call, so the program
+it observes carries no hook for it and runs exactly as it would
+unprofiled::
 
-Because those regions nest inside callback frames, the profiler keeps
-a frame stack and splits every site's time into **cumulative** (time
-with the site anywhere on the stack) and **self** (cumulative minus
-time spent in nested regions).  Self times sum to the true wall-clock
-spent in callbacks; cumulative answers "how expensive is everything
-under this entry point".  The per-stack aggregation is also exported
-in the collapsed-stack ("folded") format that ``flamegraph.pl`` and
-speedscope consume — one line per unique stack, semicolon-joined,
-weighted by self-time in integer microseconds.
+    with HostProfile() as profile:
+        world.run_collective("broadcast", 4096)
+    print(profile.format_report())
 
-All rankings and exports are tie-broken by site/stack name so repeated
-runs of a deterministic workload produce reports that differ only in
-the (inherently noisy) wall-clock figures, never in ordering.
+Host time is grouped by source file, named relative to the ``repro``
+package (``sim/engine.py``, ``mpi/episode.py``).  A builtin or stdlib
+function's self time is charged to its immediate ``repro`` callers
+using the ``callers`` data cProfile records, so ``heapq`` time called
+from the engine lands in ``sim/engine.py``; the rest goes to
+``external``.  All rankings and exports are tie-broken by name, so two
+profiles of the same workload differ only in the (inherently noisy)
+wall-clock figures, never in ordering.
 """
 
 from __future__ import annotations
 
-import re
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Tuple
+import cProfile
+import functools
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["EngineProfiler"]
+__all__ = ["EXTERNAL", "HostProfile"]
 
-#: Strips instance suffixes: ``rank-3`` -> ``rank``, ``wire-0-1`` ->
-#: ``wire``.
-_INSTANCE_SUFFIX = re.compile(r"[-_.]?\d+")
+#: Module name for time no ``repro`` function can be charged with.
+EXTERNAL = "external"
 
-
-def _process_type(name: str) -> str:
-    stripped = _INSTANCE_SUFFIX.sub("", name)
-    return stripped or name
+_PACKAGE = Path(__file__).resolve().parents[1]
 
 
-class EngineProfiler:
-    """Counts and times the engine's work, grouped by site.
+@functools.lru_cache(maxsize=None)
+def _module_of(filename: str) -> Optional[str]:
+    """``filename`` relative to the ``repro`` package, or ``None`` for
+    builtins and files outside it."""
+    if filename.startswith("<") or filename == "~":
+        return None
+    try:
+        return Path(filename).resolve().relative_to(_PACKAGE).as_posix()
+    except ValueError:
+        return None
 
-    The engine drives the profiler through three hooks:
-    :meth:`event_scheduled`, :meth:`event_fired`, and the frame pair
-    :meth:`enter_callback` / :meth:`leave`.  Instrumented runtime
-    layers (resources, transport, fabric) open nested frames with
-    :meth:`enter` / :meth:`leave` around their synchronous hot paths.
-    Frames must strictly nest; the engine and all in-tree layers
-    guarantee this with ``try/finally``.
+
+class HostProfile:
+    """cProfile over the enclosed block, grouped by ``repro`` module.
+
+    ``stats`` holds the raw cProfile statistics (the ``pstats`` format:
+    ``(file, line, function) -> (primitive calls, calls, self s,
+    cumulative s, callers)``) once the block has exited.
     """
 
     def __init__(self) -> None:
-        self.events_scheduled: Dict[str, int] = {}
-        self.events_fired: Dict[str, int] = {}
-        #: site -> [calls, cumulative seconds, self seconds]
-        self.sites: Dict[str, List[float]] = {}
-        #: live frames: [site, started, child seconds]
-        self._stack: List[List[Any]] = []
-        #: stack tuple -> [calls, self seconds]
-        self._folded: Dict[Tuple[str, ...], List[float]] = {}
+        self._profile = cProfile.Profile()
+        self.stats: Dict[Tuple[str, int, str], tuple] = {}
 
-    def reset(self) -> None:
-        """Drop all recorded data (live frames survive a mid-run reset
-        so the enclosing ``leave`` calls stay balanced)."""
-        self.events_scheduled.clear()
-        self.events_fired.clear()
-        self.sites.clear()
-        self._folded.clear()
+    def __enter__(self) -> "HostProfile":
+        self._profile.enable()
+        return self
 
-    # -- hooks called by Environment ---------------------------------------
-    def event_scheduled(self, event: Any) -> None:
-        key = type(event).__name__
-        self.events_scheduled[key] = self.events_scheduled.get(key, 0) + 1
+    def __exit__(self, *exc_info) -> None:
+        self._profile.create_stats()
+        self.stats = self._profile.stats
 
-    def event_fired(self, event: Any) -> None:
-        key = type(event).__name__
-        self.events_fired[key] = self.events_fired.get(key, 0) + 1
+    def _charges(self) -> Dict[Tuple[str, str], List[float]]:
+        """``(module, function) -> [calls, self seconds]``.
 
-    @staticmethod
-    def _site_of(callback: Callable) -> str:
-        owner = getattr(callback, "__self__", None)
-        if owner is not None:
-            name = getattr(owner, "name", None)
-            return _process_type(name) if isinstance(name, str) \
-                else type(owner).__name__
-        return getattr(callback, "__qualname__", repr(callback))
-
-    def enter_callback(self, callback: Callable) -> None:
-        """Open a frame for an engine callback (site derived from the
-        owning process's name, instance suffix stripped)."""
-        self._stack.append([self._site_of(callback), perf_counter(), 0.0])
-
-    def enter(self, site: str) -> None:
-        """Open a named frame (instrumented synchronous region)."""
-        self._stack.append([site, perf_counter(), 0.0])
-
-    def leave(self) -> None:
-        """Close the innermost frame, crediting its elapsed time."""
-        site, started, child_s = self._stack.pop()
-        elapsed = perf_counter() - started
-        self_s = elapsed - child_s
-        if self_s < 0.0:  # clock granularity underflow
-            self_s = 0.0
-        stats = self.sites.get(site)
-        if stats is None:
-            self.sites[site] = [1, elapsed, self_s]
-        else:
-            stats[0] += 1
-            stats[1] += elapsed
-            stats[2] += self_s
-        if self._stack:
-            self._stack[-1][2] += elapsed
-            stack_key = tuple(frame[0] for frame in self._stack) + (site,)
-        else:
-            stack_key = (site,)
-        folded = self._folded.get(stack_key)
-        if folded is None:
-            self._folded[stack_key] = [1, self_s]
-        else:
-            folded[0] += 1
-            folded[1] += self_s
-
-    def callback_timed(self, callback: Callable, seconds: float) -> None:
-        """Record an externally timed callback (legacy hook; frames
-        recorded this way have no children, so self == cumulative)."""
-        site = self._site_of(callback)
-        stats = self.sites.get(site)
-        if stats is None:
-            self.sites[site] = [1, seconds, seconds]
-        else:
-            stats[0] += 1
-            stats[1] += seconds
-            stats[2] += seconds
-        folded = self._folded.get((site,))
-        if folded is None:
-            self._folded[(site,)] = [1, seconds]
-        else:
-            folded[0] += 1
-            folded[1] += seconds
-
-    # -- reporting ----------------------------------------------------------
-    @property
-    def callback_stats(self) -> Dict[str, List[float]]:
-        """Site -> ``[invocations, cumulative seconds]`` (legacy view)."""
-        return {site: [int(calls), cum_s]
-                for site, (calls, cum_s, _self_s) in self.sites.items()}
-
-    @property
-    def total_scheduled(self) -> int:
-        return sum(self.events_scheduled.values())
-
-    @property
-    def total_fired(self) -> int:
-        return sum(self.events_fired.values())
-
-    @property
-    def total_callback_seconds(self) -> float:
-        """True wall-clock spent in callbacks: the sum of self times
-        (cumulative times would double-count nested regions)."""
-        return sum(self_s for _, _, self_s in self.sites.values())
-
-    def rankings(self) -> List[Tuple[str, int, float, float]]:
-        """``(site, calls, cumulative_s, self_s)`` hot-path ranking.
-
-        Sorted by cumulative seconds descending, then self seconds
-        descending, then site name — so equal-cost sites always appear
-        in the same (alphabetical) order.
+        A ``repro`` function is charged its own calls and self time.  A
+        builtin or stdlib function's self time is split over its
+        callers: the part spent on behalf of a ``repro`` caller goes to
+        that caller, the rest to ``(EXTERNAL, function)``.
         """
-        return sorted(
-            ((site, int(calls), cum_s, self_s)
-             for site, (calls, cum_s, self_s) in self.sites.items()),
-            key=lambda item: (-item[2], -item[3], item[0]))
+        charges: Dict[Tuple[str, str], List[float]] = {}
 
-    def hottest(self, top: int = 10) -> List[Tuple[str, int, float]]:
-        """``(site, invocations, cumulative seconds)`` ranked by
-        wall-clock, deterministically tie-broken by site name."""
-        return [(site, calls, cum_s)
-                for site, calls, cum_s, _self_s in self.rankings()[:top]]
+        def charge(key: Tuple[str, str], calls: int, self_s: float) -> None:
+            entry = charges.setdefault(key, [0, 0.0])
+            entry[0] += calls
+            entry[1] += self_s
+
+        for (filename, _, function), (_, calls, self_s, _, callers) \
+                in self.stats.items():
+            module = _module_of(filename)
+            if module is not None:
+                charge((module, function), calls, self_s)
+                continue
+            charged = 0.0
+            for (caller_file, _, caller), (_, _, caller_self_s, _) \
+                    in callers.items():
+                caller_module = _module_of(caller_file)
+                if caller_module is not None:
+                    charge((caller_module, caller), 0, caller_self_s)
+                    charged += caller_self_s
+            if self_s > charged:
+                charge((EXTERNAL, function), 0, self_s - charged)
+        return charges
+
+    def modules(self) -> List[Tuple[str, int, float]]:
+        """``(module, calls, self_s)`` rows, by self time descending,
+        then by name.  ``calls`` counts calls of the module's own
+        functions; ``external`` has none."""
+        totals: Dict[str, List[float]] = {}
+        for (module, _function), (calls, self_s) in self._charges().items():
+            entry = totals.setdefault(module, [0, 0.0])
+            entry[0] += calls
+            entry[1] += self_s
+        return sorted(((module, int(calls), self_s)
+                       for module, (calls, self_s) in totals.items()),
+                      key=lambda row: (-row[2], row[0]))
 
     def folded_lines(self) -> List[str]:
-        """Collapsed-stack export: ``root;child;leaf <usec>`` lines.
+        """Collapsed-stack export: ``module;function <usec>`` lines.
 
-        The weight is the stack's total self-time in integer
-        microseconds.  Lines are sorted lexicographically, so two
-        profiles of the same workload fold to the same stack order.
-        Feed to ``flamegraph.pl`` or import into speedscope as-is.
+        The weight is the function's self time in integer microseconds.
+        Lines are sorted lexicographically, so two profiles of the same
+        workload fold to the same order.  Feed to ``flamegraph.pl`` or
+        import into speedscope as-is.
         """
-        return [f"{';'.join(stack)} {int(round(self_s * 1e6))}"
-                for stack, (_calls, self_s) in sorted(self._folded.items())]
+        return sorted(f"{module};{function} {int(round(self_s * 1e6))}"
+                      for (module, function), (_calls, self_s)
+                      in self._charges().items())
 
     def format_report(self, top: int = 10) -> str:
-        from .report import format_engine_report
-        return format_engine_report(self, top=top)
+        """The ``top`` modules by self time, with their share of the
+        profile's total."""
+        rows = self.modules()
+        total_s = sum(self_s for _, _, self_s in rows)
+        lines = [f"host profile: {total_s * 1e3:.2f} ms self time "
+                 f"across {len(rows)} modules"]
+        for module, calls, self_s in rows[:top]:
+            share = self_s / total_s if total_s else 0.0
+            lines.append(f"    {module:<28s} calls={calls:<9d} "
+                         f"self={self_s * 1e3:9.2f} ms  {share:6.1%}")
+        return "\n".join(lines)

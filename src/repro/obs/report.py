@@ -1,24 +1,17 @@
-"""Text reports: link utilization and engine hot paths.
+"""Text report: link utilization.
 
 The utilization report is the simulator-side view of the paper's
 aggregated-bandwidth story: ``Rinf(p)`` saturates when the busiest
 links approach busy fraction 1.0, and the top-contended list names the
 links whose serialization produced the network-contention component of
 ``D(m, p)``.
-
-The engine report renders an :class:`~repro.obs.EngineProfiler` into
-the hot-path table the speed overhaul works from.  Every section is
-deterministically ordered (counts descending, names breaking ties) so
-two profiles of the same workload differ only in the wall-clock
-figures, never in row order.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List
 
-__all__ = ["link_stats", "format_utilization_report",
-           "format_engine_report"]
+__all__ = ["link_stats", "format_utilization_report"]
 
 
 def link_stats(fabric) -> List[Dict[str, Any]]:
@@ -79,30 +72,3 @@ def format_utilization_report(machine, elapsed_us: float,
         lines.append("  no link contention observed")
     return "\n".join(lines)
 
-
-def format_engine_report(profiler, top: int = 10) -> str:
-    """Hot-path report for an :class:`~repro.obs.EngineProfiler`.
-
-    Event classes are listed by scheduled count descending (name
-    breaks ties); sites come from ``profiler.rankings()``, which is
-    already deterministically tie-broken.  Shares are of total *self*
-    time, so the column sums to 100% even with nested regions.
-    """
-    lines = ["engine profile:",
-             f"  events scheduled: {profiler.total_scheduled}   "
-             f"fired: {profiler.total_fired}"]
-    by_class = sorted(profiler.events_scheduled.items(),
-                      key=lambda item: (-item[1], item[0]))
-    for name, count in by_class:
-        fired = profiler.events_fired.get(name, 0)
-        lines.append(f"    {name:<14s} scheduled={count:<8d} "
-                     f"fired={fired}")
-    total_s = profiler.total_callback_seconds
-    lines.append(f"  callback wall-clock: {total_s * 1e3:.2f} ms "
-                 f"across {len(profiler.sites)} sites")
-    for site, calls, cum_s, self_s in profiler.rankings()[:top]:
-        share = self_s / total_s if total_s else 0.0
-        lines.append(f"    {site:<18s} calls={calls:<8d} "
-                     f"cum={cum_s * 1e3:9.2f} ms  "
-                     f"self={self_s * 1e3:9.2f} ms  {share:6.1%}")
-    return "\n".join(lines)

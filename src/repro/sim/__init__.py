@@ -1,8 +1,8 @@
 """Discrete-event simulation substrate.
 
 Exports the engine (:class:`Environment`, :class:`Process`, events),
-shared resources (:class:`Resource`, :class:`Store`), deterministic
-random streams, and tracing.
+the shared :class:`Resource`, deterministic random streams, and
+tracing.
 """
 
 from .engine import (
@@ -18,7 +18,7 @@ from .engine import (
     StopProcess,
     Timeout,
 )
-from .resources import FilterStore, Request, Resource, Store
+from .resources import Request, Resource
 from .rng import RandomStreams
 from .trace import NULL_SPAN, Span, Tracer
 
@@ -28,7 +28,6 @@ __all__ = [
     "Condition",
     "Environment",
     "Event",
-    "FilterStore",
     "Interrupt",
     "NULL_SPAN",
     "Process",
@@ -38,7 +37,6 @@ __all__ = [
     "SIM_VERSION",
     "SimulationError",
     "Span",
-    "Store",
     "StopProcess",
     "Timeout",
     "Tracer",

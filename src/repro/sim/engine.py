@@ -436,7 +436,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_eid", "_heap", "_push", "_pop",
-                 "_active_process", "_sleep_pool", "profiler", "work")
+                 "_active_process", "_sleep_pool", "work")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -446,13 +446,9 @@ class Environment:
         self._pop = partial(heappop, self._heap)
         self._active_process: Optional[Process] = None
         self._sleep_pool: List[_SleepTimeout] = []
-        #: Optional observer (see :class:`repro.obs.EngineProfiler`)
-        #: notified of scheduling, firing, and callback wall-clock.
-        #: ``None`` (the default) keeps the hot path to one check.
-        self.profiler: Optional[Any] = None
         #: Optional deterministic work counters (see
-        #: :class:`repro.obs.perf.WorkMeter`).  Same convention as the
-        #: profiler: ``None`` by default, one check per site.
+        #: :class:`repro.obs.perf.WorkMeter`): ``None`` by default, one
+        #: check per counting site.
         self.work: Optional[Any] = None
 
     @property
@@ -555,8 +551,6 @@ class Environment:
             depth = work.heap_pushes - work.heap_pops
             if depth > work.heap_peak:
                 work.heap_peak = depth
-        if self.profiler is not None:
-            self.profiler.event_scheduled(event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -572,20 +566,8 @@ class Environment:
             work.events_fired += 1
             work.heap_pops += 1
             work.callbacks_dispatched += len(callbacks)
-        profiler = self.profiler
-        if profiler is None:
-            for callback in callbacks:
-                callback(event)
-        else:
-            profiler.event_fired(event)
-            # Hold the local reference so enter/leave stay balanced
-            # even if a callback detaches the profiler mid-step.
-            for callback in callbacks:
-                profiler.enter_callback(callback)
-                try:
-                    callback(event)
-                finally:
-                    profiler.leave()
+        for callback in callbacks:
+            callback(event)
         if event.__class__ is _SleepTimeout:
             pool = self._sleep_pool
             if len(pool) < _SLEEP_POOL_LIMIT:

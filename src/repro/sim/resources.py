@@ -1,13 +1,10 @@
 """Shared resources for simulated processes.
 
-Two primitives cover everything the network and node models need:
-
-* :class:`Resource` — a counted resource with FIFO request queueing.
-  Network links, NIC injection ports, and DMA engines are capacity-1
-  resources; a holder models occupancy by holding the grant for the
-  transfer duration.
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``.
-  Message queues between NICs and the MPI matching layer are stores.
+One primitive covers everything the network and node models need:
+:class:`Resource`, a counted resource with FIFO request queueing.
+Network links, NIC injection ports, and DMA engines are capacity-1
+resources; a holder models occupancy by holding the grant for the
+transfer duration.
 
 Occupancy fast path
 -------------------
@@ -30,11 +27,11 @@ identical times to the pure request/release protocol.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 from .engine import NORMAL, Environment, Event, SimulationError
 
-__all__ = ["Resource", "Request", "Store", "FilterStore"]
+__all__ = ["Resource", "Request"]
 
 _NEVER = float("-inf")
 
@@ -147,16 +144,6 @@ class Resource:
     # -- request/grant/release protocol -----------------------------------
     def request(self) -> Request:
         """Claim one unit; the returned event fires when granted."""
-        profiler = self.env.profiler
-        if profiler is None:
-            return self._request()
-        profiler.enter("resource.request")
-        try:
-            return self._request()
-        finally:
-            profiler.leave()
-
-    def _request(self) -> Request:
         req = Request(self)
         work = self.env.work
         if work is not None:
@@ -180,17 +167,6 @@ class Resource:
 
     def release(self, req: Request) -> None:
         """Return a previously granted unit and wake the next waiter."""
-        profiler = self.env.profiler
-        if profiler is None:
-            self._release(req)
-            return
-        profiler.enter("resource.release")
-        try:
-            self._release(req)
-        finally:
-            profiler.leave()
-
-    def _release(self, req: Request) -> None:
         work = self.env.work
         if req in self._users:
             self._users.remove(req)
@@ -211,91 +187,3 @@ class Resource:
                 work.resource_grants += 1
             nxt.succeed(nxt)
 
-
-class Store:
-    """Unbounded FIFO of items with blocking retrieval.
-
-    ``put`` never blocks (the simulated hardware queues we model are
-    large relative to the workloads); ``get`` returns an event that
-    fires with the oldest item once one is available.
-    """
-
-    __slots__ = ("env", "_items", "_getters")
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Optional[Deque[Event]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple:
-        """Snapshot of queued items, oldest first."""
-        return tuple(self._items)
-
-    def put(self, item: Any) -> None:
-        """Append ``item``, waking the oldest blocked getter if any."""
-        work = self.env.work
-        if work is not None:
-            work.store_puts += 1
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that fires with the next item (FIFO)."""
-        work = self.env.work
-        if work is not None:
-            work.store_gets += 1
-        event = Event(self.env)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose getters can select items by predicate.
-
-    Used by the MPI matching layer: a receive posted for a particular
-    (source, tag) envelope must take the oldest *matching* message, not
-    the oldest message outright.
-    """
-
-    __slots__ = ("_filter_getters",)
-
-    def __init__(self, env: Environment):
-        super().__init__(env)
-        self._filter_getters: Deque[tuple] = deque()
-        self._getters = None  # unused here
-
-    def put(self, item: Any) -> None:
-        work = self.env.work
-        if work is not None:
-            work.store_puts += 1
-        for idx, (event, predicate) in enumerate(self._filter_getters):
-            if predicate(item):
-                del self._filter_getters[idx]
-                event.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:
-        if predicate is None:
-            predicate = lambda item: True  # noqa: E731 - trivial default
-        work = self.env.work
-        if work is not None:
-            work.store_gets += 1
-        event = Event(self.env)
-        for idx, item in enumerate(self._items):
-            if predicate(item):
-                del self._items[idx]
-                event.succeed(item)
-                return event
-        self._filter_getters.append((event, predicate))
-        return event

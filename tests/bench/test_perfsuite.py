@@ -34,6 +34,15 @@ def test_workload_names_per_suite():
         assert f"collective/{machine}-broadcast-p256" in default
 
 
+def test_suite_carries_no_store_workload_or_counters():
+    from repro.obs import WORK_COUNTERS
+
+    assert "micro/store-pipeline" not in perf_workload_names("default")
+    assert not {"store_puts", "store_gets"} & set(WORK_COUNTERS)
+    run = run_workload("micro/engine-timeouts")
+    assert set(run.work) == set(WORK_COUNTERS)
+
+
 def test_unknown_suite_and_workload_rejected():
     with pytest.raises(ValueError):
         perf_workload_names("nope")
@@ -129,14 +138,14 @@ def test_check_rejects_bad_min_ratio():
 
 
 def test_profiled_suite_has_identical_work():
-    from repro.obs import EngineProfiler
+    from repro.obs import HostProfile
 
     plain = _smoke_artifact()
-    profiler = EngineProfiler()
-    profiled = build_perf_artifact(
-        run_perf_suite("smoke", profiler=profiler), suite="smoke")
+    with HostProfile() as profile:
+        profiled = build_perf_artifact(run_perf_suite("smoke"),
+                                       suite="smoke")
     assert work_section_text(plain) == work_section_text(profiled)
-    assert profiler.folded_lines()
+    assert "sim/resources.py" in [row[0] for row in profile.modules()]
 
 
 def test_checked_in_baseline_matches_fresh_run():

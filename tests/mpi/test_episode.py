@@ -22,7 +22,7 @@ from repro.mpi import MpiError, MpiWorld, RankError
 from repro.mpi.collectives import base as registry
 from repro.mpi.collectives import get_algorithm
 from repro.mpi.episode import record
-from repro.obs import EngineProfiler
+from repro.obs import HostProfile
 from repro.obs.perf import WorkMeter
 from repro.obs.report import link_stats
 
@@ -166,11 +166,11 @@ def test_full_simulation_switches_evaluate_nothing(kwargs):
 def test_observers_do_not_decide_eligibility():
     plain = _counters("sp2", "reduce", 4, 12)
     world = _world("sp2", 12, trace=True, metrics=True)
-    world.env.profiler = EngineProfiler()
-    elapsed = world.run_collective("reduce", 4, iterations=5)
+    with HostProfile() as profile:
+        elapsed = world.run_collective("reduce", 4, iterations=5)
     assert elapsed == plain[0]
     assert world.env.work == plain[3]
-    assert "mpi.episode" in world.env.profiler.sites
+    assert "mpi/episode.py" in [row[0] for row in profile.modules()]
 
 
 def test_pending_engine_work_blocks_evaluation():

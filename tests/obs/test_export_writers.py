@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from repro.obs import (
-    EngineProfiler,
+    HostProfile,
     chrome_trace_document,
     chrome_trace_events,
     write_chrome_trace,
@@ -16,7 +16,7 @@ from repro.obs import (
     write_profile_csv,
     write_spans_csv,
 )
-from repro.sim import Tracer
+from repro.sim import Environment, Tracer
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -60,41 +60,49 @@ def test_spans_csv_escapes_commas_and_quotes(tmp_path):
 
 # -- profile CSV / folded stacks ------------------------------------------
 
+def _profiled_run():
+    env = Environment()
+
+    def worker():
+        for _ in range(20):
+            yield env.timeout(1.0)
+
+    env.process(worker())
+    with HostProfile() as profile:
+        env.run()
+    return profile
+
+
 def test_profile_csv_empty_profiler(tmp_path):
     path = tmp_path / "profile.csv"
-    write_profile_csv(EngineProfiler(), str(path))
-    assert path.read_text().splitlines() == [
-        "site,calls,cumulative_s,self_s"]
+    write_profile_csv(HostProfile(), str(path))
+    assert path.read_text().splitlines() == ["module,calls,self_s"]
 
 
 def test_profile_csv_rows(tmp_path):
-    profiler = EngineProfiler()
-    profiler.enter("outer")
-    profiler.enter("inner")
-    profiler.leave()
-    profiler.leave()
+    profile = _profiled_run()
     path = tmp_path / "profile.csv"
-    write_profile_csv(profiler, str(path))
+    write_profile_csv(profile, str(path))
     with open(path, newline="") as handle:
         rows = list(csv.DictReader(handle))
-    assert {row["site"] for row in rows} >= {"outer"}
+    assert [row["module"] for row in rows] == \
+        [module for module, _, _ in profile.modules()]
+    assert "sim/engine.py" in {row["module"] for row in rows}
 
 
 def test_folded_stacks_empty_profiler(tmp_path):
     path = tmp_path / "stacks.folded"
-    write_folded_stacks(EngineProfiler(), str(path))
+    write_folded_stacks(HostProfile(), str(path))
     assert path.read_text() == ""
 
 
 def test_folded_stacks_end_with_newline(tmp_path):
-    profiler = EngineProfiler()
-    profiler.enter("site")
-    profiler.leave()
+    profile = _profiled_run()
     path = tmp_path / "stacks.folded"
-    write_folded_stacks(profiler, str(path))
+    write_folded_stacks(profile, str(path))
     text = path.read_text()
     assert text.endswith("\n")
-    assert len(text.splitlines()) == len(profiler.folded_lines())
+    assert text.splitlines() == profile.folded_lines()
 
 
 # -- chrome trace determinism (satellite: explicit track ordering) --------

@@ -59,6 +59,27 @@ def test_meter_counts_engine_and_resource_work():
     assert meter.messages_sent == 0
 
 
+def test_meter_counts_cancellations_and_booking_wakeups():
+    env = Environment()
+    meter = WorkMeter()
+    env.work = meter
+    resource = Resource(env, capacity=1)
+    held = resource.request()
+    queued = resource.request()
+    resource.release(queued)  # cancelled before its grant
+    resource.release(held)
+    start, _previous = resource.try_occupy(2.0)
+    assert start == 0.0
+    behind_booking = resource.request()  # granted when the booking ends
+    env.run()
+    assert behind_booking.triggered
+    assert env.now == 2.0
+    assert meter.resource_requests == 3
+    assert meter.resource_cancellations == 1
+    assert meter.resource_releases == 1
+    assert meter.resource_grants == 2
+
+
 def test_meter_reset_and_equality():
     first, second = WorkMeter(), WorkMeter()
     _run_micro(first)
@@ -87,30 +108,6 @@ def test_meter_counts_transport_and_fabric_work():
     assert meter.transfers_aborted == 0
 
 
-def test_meter_counts_store_traffic():
-    from repro.sim import Store
-
-    env = Environment()
-    meter = WorkMeter()
-    env.work = meter
-    store = Store(env)
-
-    def producer():
-        for item in range(5):
-            store.put(item)
-            yield env.timeout(1.0)
-
-    def consumer():
-        for _ in range(5):
-            yield store.get()
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert meter.store_puts == 5
-    assert meter.store_gets == 5
-
-
 def test_meter_format_report_lists_nonzero_counters():
     meter = WorkMeter()
     report = meter.format_report()
@@ -134,15 +131,17 @@ def test_work_counters_identical_across_runs():
 
 
 def test_work_counters_unaffected_by_profiler():
-    from repro.obs import EngineProfiler
+    from repro.obs import HostProfile
 
     def counters(profile):
         meter = WorkMeter()
         world = MpiWorld("paragon", 4, seed=0)
         world.env.work = meter
         if profile:
-            world.env.profiler = EngineProfiler()
-        world.run_collective("allreduce", 512)
+            with HostProfile():
+                world.run_collective("allreduce", 512)
+        else:
+            world.run_collective("allreduce", 512)
         return meter.snapshot()
 
     assert counters(False) == counters(True)

@@ -471,7 +471,7 @@ def test_bounded_run_advances_clock_past_last_event():
 
 
 def test_profiled_run_matches_unprofiled_results():
-    from repro.obs import EngineProfiler
+    from repro.obs import HostProfile
 
     def workload(env):
         def proc():
@@ -485,9 +485,13 @@ def test_profiled_run_matches_unprofiled_results():
     plain_env.run()
 
     profiled_env = Environment()
-    profiled_env.profiler = EngineProfiler()
     profiled = workload(profiled_env)
-    profiled_env.run()
+    with HostProfile() as profile:
+        profiled_env.run()
 
     assert plain.value == profiled.value == 5.0
-    assert profiled_env.profiler.total_fired > 0
+    assert "sim/engine.py" in [row[0] for row in profile.modules()]
+
+
+def test_environment_has_no_profiler_slot():
+    assert not hasattr(Environment(), "profiler")

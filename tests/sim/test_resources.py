@@ -1,9 +1,9 @@
-"""Unit tests for Resource, Store, and FilterStore."""
+"""Unit tests for Resource."""
 
 import pytest
 
 from repro.obs.perf import WorkMeter
-from repro.sim import Environment, FilterStore, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError
 
 
 def test_resource_grants_up_to_capacity():
@@ -94,6 +94,13 @@ def test_release_of_queued_request_cancels_it():
     assert res.count == 0
 
 
+def test_sim_exports_no_store():
+    import repro.sim
+
+    assert not {"Store", "FilterStore"} & set(repro.sim.__all__)
+    assert not hasattr(repro.sim, "Store")
+
+
 def test_resource_counters():
     env = Environment()
     res = Resource(env, capacity=1)
@@ -104,138 +111,6 @@ def test_resource_counters():
     res.release(first)
     assert res.count == 1  # queued request got the grant
     assert res.queue_length == 0
-
-
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-
-    def getter():
-        first = yield store.get()
-        second = yield store.get()
-        return (first, second)
-
-    p = env.process(getter())
-    env.run()
-    assert p.value == ("a", "b")
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-
-    def getter():
-        item = yield store.get()
-        return (env.now, item)
-
-    def putter():
-        yield env.timeout(6.0)
-        store.put("late")
-
-    p = env.process(getter())
-    env.process(putter())
-    env.run()
-    assert p.value == (6.0, "late")
-
-
-def test_store_getters_fifo():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def getter(i):
-        item = yield store.get()
-        got.append((i, item))
-
-    for i in range(3):
-        env.process(getter(i))
-
-    def putter():
-        yield env.timeout(1.0)
-        for item in ("x", "y", "z"):
-            store.put(item)
-
-    env.process(putter())
-    env.run()
-    assert got == [(0, "x"), (1, "y"), (2, "z")]
-
-
-def test_store_len_and_items():
-    env = Environment()
-    store = Store(env)
-    assert len(store) == 0
-    store.put(1)
-    store.put(2)
-    assert len(store) == 2
-    assert store.items == (1, 2)
-
-
-def test_filter_store_matches_predicate():
-    env = Environment()
-    store = FilterStore(env)
-    store.put({"tag": 1, "data": "one"})
-    store.put({"tag": 2, "data": "two"})
-
-    def getter():
-        item = yield store.get(lambda msg: msg["tag"] == 2)
-        return item["data"]
-
-    p = env.process(getter())
-    env.run()
-    assert p.value == "two"
-    assert len(store) == 1  # the tag-1 item is still there
-
-
-def test_filter_store_blocks_until_matching_put():
-    env = Environment()
-    store = FilterStore(env)
-
-    def getter():
-        item = yield store.get(lambda msg: msg == "wanted")
-        return (env.now, item)
-
-    def putter():
-        yield env.timeout(1.0)
-        store.put("unwanted")
-        yield env.timeout(1.0)
-        store.put("wanted")
-
-    p = env.process(getter())
-    env.process(putter())
-    env.run()
-    assert p.value == (2.0, "wanted")
-    assert store.items == ("unwanted",)
-
-
-def test_filter_store_oldest_match_wins():
-    env = Environment()
-    store = FilterStore(env)
-    store.put(("a", 1))
-    store.put(("a", 2))
-
-    def getter():
-        item = yield store.get(lambda msg: msg[0] == "a")
-        return item
-
-    p = env.process(getter())
-    env.run()
-    assert p.value == ("a", 1)
-
-
-def test_filter_store_default_predicate_takes_any():
-    env = Environment()
-    store = FilterStore(env)
-    store.put("only")
-
-    def getter():
-        item = yield store.get()
-        return item
-
-    p = env.process(getter())
-    env.run()
-    assert p.value == "only"
 
 
 # -- timestamp bookings (the engine speed overhaul's fast path) -----------

@@ -6,7 +6,7 @@ fault-free transfers analytically instead of simulating their NIC and
 fabric legs; and the episode evaluator (:mod:`repro.mpi.episode`)
 replays whole fenced collective calls off the engine.  None of them may
 ever be *observable*.  This harness runs
-randomized process/resource/store graphs (hypothesis) and real MPI
+randomized process/resource/handoff graphs (hypothesis) and real MPI
 workloads and asserts
 
 * the event queue pops a **run-to-run identical log** — the exact
@@ -44,7 +44,7 @@ from repro.faults import fault_preset
 from repro.machines import get_machine_spec
 from repro.mpi import MpiWorld
 from repro.obs.perf import WorkMeter
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -90,14 +90,14 @@ def assert_deterministic(program_factory):
     assert first[0], "workload fired no events at all"
 
 
-# -- randomized process/resource/store graphs -----------------------------
+# -- randomized process/resource/handoff graphs ---------------------------
 
 @st.composite
 def process_graphs(draw):
     """A random little simulation: N processes over shared resources
-    and stores, with timeouts, conditions, and handoffs."""
+    and handoff channels, with timeouts and conditions."""
     n_resources = draw(st.integers(1, 3))
-    n_stores = draw(st.integers(1, 2))
+    n_channels = draw(st.integers(1, 2))
     n_procs = draw(st.integers(2, 6))
     durations = st.sampled_from(
         [0.0, 0.25, 0.5, 1.0, 1.0, 2.5, 7.0, 1e3, 1e-3])
@@ -113,26 +113,37 @@ def process_graphs(draw):
                 actions.append(("hold", draw(st.integers(0, n_resources - 1)),
                                 draw(durations)))
             elif kind in ("put", "get"):
-                actions.append((kind, draw(st.integers(0, n_stores - 1))))
+                actions.append((kind, draw(st.integers(0, n_channels - 1))))
             else:
                 actions.append((kind, draw(durations), draw(durations)))
         programs.append(actions)
     # Every get must have a matching put somewhere or the run deadlocks
-    # silently (run() just returns); balance per store.
-    for store in range(n_stores):
-        puts = sum(a[0] == "put" and a[1] == store
+    # silently (run() just returns); balance per channel.
+    for channel in range(n_channels):
+        puts = sum(a[0] == "put" and a[1] == channel
                    for p in programs for a in p)
-        gets = sum(a[0] == "get" and a[1] == store
+        gets = sum(a[0] == "get" and a[1] == channel
                    for p in programs for a in p)
         if gets > puts:
-            programs[0] = ([("put", store)] * (gets - puts)) + programs[0]
-    return n_resources, n_stores, programs
+            programs[0] = ([("put", channel)] * (gets - puts)) + programs[0]
+    return n_resources, n_channels, programs
 
 
 def build_graph(env, spec):
-    n_resources, n_stores, programs = spec
+    n_resources, n_channels, programs = spec
     resources = [Resource(env, capacity=1) for _ in range(n_resources)]
-    stores = [Store(env) for _ in range(n_stores)]
+    # A channel is a FIFO handoff on plain events: the k-th put fires
+    # the k-th slot, which the k-th get waits on, so a put wakes the
+    # process blocked in the matching get.
+    slots = [[] for _ in range(n_channels)]
+    puts = [0] * n_channels
+    gets = [0] * n_channels
+
+    def slot(channel, index):
+        events = slots[channel]
+        while len(events) <= index:
+            events.append(env.event())
+        return events[index]
 
     def run_actions(actions):
         for action in actions:
@@ -145,9 +156,13 @@ def build_graph(env, spec):
                 yield env.timeout(action[2])
                 resource.release(request)
             elif action[0] == "put":
-                stores[action[1]].put(action[0])
+                channel = action[1]
+                slot(channel, puts[channel]).succeed(action[0])
+                puts[channel] += 1
             elif action[0] == "get":
-                yield stores[action[1]].get()
+                channel = action[1]
+                gets[channel] += 1
+                yield slot(channel, gets[channel] - 1)
             elif action[0] == "anyof":
                 yield env.any_of([env.timeout(action[1]),
                                   env.timeout(action[2])])
@@ -163,6 +178,18 @@ def build_graph(env, spec):
 @settings(max_examples=60, deadline=None)
 def test_random_graphs_pop_identical_event_logs(spec):
     assert_deterministic(lambda env: build_graph(env, spec))
+
+
+def test_graph_handoff_wakes_the_blocked_getter():
+    """A get posted before its put blocks until another process's put
+    fires the slot, in FIFO order per channel."""
+    spec = (1, 1, [[("get", 0), ("timeout", 1.0)],
+                   [("get", 0), ("timeout", 2.0)],
+                   [("timeout", 5.0), ("put", 0), ("timeout", 3.0),
+                    ("put", 0)]])
+    log, work, end = run_logged(lambda env: build_graph(env, spec))
+    assert end == 10.0  # second getter woken at 8.0, then sleeps 2.0
+    assert work["events_fired"] == len(log)
 
 
 @given(st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1,

@@ -162,7 +162,8 @@ def test_profile_command_reports_utilization_and_engine(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "link utilization" in out
-    assert "engine profile:" in out
+    assert "host profile:" in out
+    assert "sim/engine.py" in out
     assert "metrics:" in out
     assert "mpi.messages_sent" in out
 
@@ -429,8 +430,8 @@ def test_sweep_breakdown_requires_sim_mode(capsys):
 
 
 def test_profile_command_csv_folded_and_work(capsys, tmp_path):
-    csv_path = tmp_path / "sites.csv"
-    folded_path = tmp_path / "engine.folded"
+    csv_path = tmp_path / "modules.csv"
+    folded_path = tmp_path / "host.folded"
     code = main(["profile", "t3d", "broadcast", "--bytes", "1024",
                  "--nodes", "8", "--work",
                  "--csv", str(csv_path), "--folded", str(folded_path)])
@@ -438,9 +439,9 @@ def test_profile_command_csv_folded_and_work(capsys, tmp_path):
     assert code == 0
     assert "work counters:" in out
     assert "messages_sent" in out
-    assert csv_path.read_text().startswith("site,calls,")
+    assert csv_path.read_text().startswith("module,calls,self_s\n")
     folded = folded_path.read_text().strip().splitlines()
-    assert folded
+    assert folded and folded == sorted(folded)
     assert all(line.rpartition(" ")[2].isdigit() for line in folded)
 
 
@@ -493,15 +494,15 @@ def test_perf_command_check_rejects_foreign_artifact(capsys, tmp_path):
 
 
 def test_perf_command_flame_writes_folded_stacks(capsys, tmp_path):
-    folded = tmp_path / "engine.folded"
+    folded = tmp_path / "host.folded"
     code = main(["perf", "--suite", "smoke", "--flame", str(folded),
                  "--top", "5"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "engine profile:" in out
+    assert "host profile:" in out
     lines = folded.read_text().strip().splitlines()
     assert lines
-    assert any(";" in line for line in lines)  # nested stacks present
+    assert any(line.startswith("sim/engine.py;") for line in lines)
 
 
 def test_tune_command_writes_byte_stable_artifact(capsys, tmp_path):
