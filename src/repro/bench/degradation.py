@@ -128,10 +128,9 @@ def run_chaos(machine: str, op: str, plan: FaultPlan,
               metrics: bool = False) -> ChaosRun:
     """Run ``op`` once clean and once under ``plan``.
 
-    ``metrics=True`` switches the faulty run's metrics registry on and
+    ``metrics=True`` attaches a metrics registry to the faulty run and
     keeps its full snapshot in the result (the clean run stays
-    unmetered: the snapshot answers "what did the faults do?", and the
-    registry is off by default on the hot path).
+    unmetered: the snapshot answers "what did the faults do?").
     """
     clean_world = MpiWorld(machine, num_nodes, seed=seed)
     clean_us = clean_world.run_collective(op, nbytes,
@@ -140,7 +139,7 @@ def run_chaos(machine: str, op: str, plan: FaultPlan,
                            metrics=metrics)
     faulty_us = fault_world.run_collective(op, nbytes,
                                            iterations=iterations)
-    snapshot = fault_world.machine.metrics.snapshot() if metrics else {}
+    snapshot = fault_world.env.metrics.snapshot() if metrics else {}
     return ChaosRun(
         machine=machine, op=op, plan=plan, nbytes=nbytes,
         num_nodes=num_nodes, iterations=iterations, seed=seed,

@@ -639,7 +639,10 @@ def _tune(args) -> int:
                     "bench node counts"),
           _arg("--out", metavar="PATH",
                help="also dump the injector counters and the faulty "
-                    "run's full metrics snapshot as JSON"))
+                    "run's metrics snapshot as JSON (each fault counted "
+                    "once: the snapshot's faults.* keys are only the "
+                    "NIC stalls and link outages the injector does not "
+                    "count)"))
 def _chaos(args) -> None:
     from .bench import degradation_curves, run_chaos
     from .core.canonical import write

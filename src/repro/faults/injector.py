@@ -15,23 +15,25 @@ The :class:`FaultInjector` turns a declarative
   outage's start time, aborts every in-flight transfer crossing the
   dying link via :meth:`~repro.sim.Process.interrupt`.
 
-Every counter the injector maintains is mirrored into the machine's
-metrics registry under ``faults.*`` when metrics are enabled.
+The injector's own attributes (``messages_lost``, ``reroutes``,
+``retransmits``, ...) are the one count of each fault it resolves.  The
+attached metrics registry gets only what has no attribute twin:
+``faults.nic_stalls``, the ``faults.nic_stall_us`` histogram and
+``faults.link_outages``.  An attached tracer gets a mark per loss,
+corruption and outage.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Generator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Generator, List, Tuple
 
 from ..network.topology import LinkId, Topology
-from ..obs.metrics import MetricsRegistry
 from ..sim import (
     Environment,
     Event,
     Process,
     RandomStreams,
     SimulationError,
-    Tracer,
 )
 from .plan import FaultPlan
 
@@ -51,16 +53,11 @@ class FaultInjector:
     """Runtime oracle and scheduler for one machine's fault plan."""
 
     def __init__(self, env: Environment, plan: FaultPlan,
-                 streams: RandomStreams, topology: Topology,
-                 metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None):
+                 streams: RandomStreams, topology: Topology):
         self.env = env
         self.plan = plan
         self.streams = streams
         self.topology = topology
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry(enabled=False)
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         # Resolve (src, dst) selectors to concrete first-hop link ids.
         self._outages: List[Tuple[LinkId, object]] = [
             (self._first_hop(o.src, o.dst), o)
@@ -128,10 +125,10 @@ class FaultInjector:
                 delay = max(delay, stall.delay_at(now))
         if delay > 0:
             self.nic_stall_total_us += delay
-            if self.metrics.enabled:
-                self.metrics.counter("faults.nic_stalls").inc()
-                self.metrics.histogram("faults.nic_stall_us").observe(
-                    delay)
+            metrics = self.env.metrics
+            if metrics is not None:
+                metrics.counter("faults.nic_stalls").inc()
+                metrics.histogram("faults.nic_stall_us").observe(delay)
         return delay
 
     def cpu_factor(self, node: int, now: float) -> float:
@@ -158,38 +155,33 @@ class FaultInjector:
             return FATE_LOST
         if draw < loss + corrupt:
             self.messages_corrupted += 1
-            if self.metrics.enabled:
-                self.metrics.counter("faults.messages_corrupted").inc()
-            self.tracer.mark(self.env.now, "fault-corrupt", src, dst=dst)
+            self._mark("fault-corrupt", src, dst)
             return FATE_CORRUPT
         return FATE_OK
 
     # -- bookkeeping hooks (called by fabric / transport) -------------------
     def record_loss(self, src: int, dst: int) -> None:
         self.messages_lost += 1
-        if self.metrics.enabled:
-            self.metrics.counter("faults.messages_lost").inc()
-        self.tracer.mark(self.env.now, "fault-loss", src, dst=dst)
+        self._mark("fault-loss", src, dst)
+
+    def _mark(self, category: str, src: int, dst: int) -> None:
+        """Trace one fault as a zero-length span, if a tracer is
+        attached."""
+        tracer = self.env.tracer
+        if tracer is not None:
+            tracer.mark(self.env.now, category, src, dst=dst)
 
     def record_reroute(self) -> None:
         self.reroutes += 1
-        if self.metrics.enabled:
-            self.metrics.counter("faults.reroutes").inc()
 
     def record_unroutable(self) -> None:
         self.unroutable += 1
-        if self.metrics.enabled:
-            self.metrics.counter("faults.unroutable").inc()
 
     def record_retransmit(self) -> None:
         self.retransmits += 1
-        if self.metrics.enabled:
-            self.metrics.counter("faults.retransmits").inc()
 
     def record_spurious_retransmit(self) -> None:
         self.spurious_retransmits += 1
-        if self.metrics.enabled:
-            self.metrics.counter("faults.spurious_retransmits").inc()
 
     def begin_transfer(self, process: Process, route) -> None:
         """Register an in-flight transfer so outages can abort it."""
@@ -200,8 +192,6 @@ class FaultInjector:
 
     def record_abort(self) -> None:
         self.transfers_aborted += 1
-        if self.metrics.enabled:
-            self.metrics.counter("faults.transfers_aborted").inc()
 
     # -- scheduled processes ------------------------------------------------
     def _outage_watchdog(self, outage) -> Generator[Event, None, None]:
@@ -209,10 +199,9 @@ class FaultInjector:
         if outage.start_us > self.env.now:
             yield self.env.timeout(outage.start_us - self.env.now)
         link = self._first_hop(outage.src, outage.dst)
-        if self.metrics.enabled:
-            self.metrics.counter("faults.link_outages").inc()
-        self.tracer.mark(self.env.now, "fault-link-outage", outage.src,
-                         dst=outage.dst)
+        if self.env.metrics is not None:
+            self.env.metrics.counter("faults.link_outages").inc()
+        self._mark("fault-link-outage", outage.src, outage.dst)
         # Snapshot: interrupts mutate the registry via end_transfer.
         for process, links in list(self._active.items()):
             if link in links and process.is_alive:

@@ -36,8 +36,7 @@ from ..node import (
     Node,
     NodeClock,
 )
-from ..obs.metrics import MetricsRegistry
-from ..sim import Environment, RandomStreams, Tracer
+from ..sim import Environment, RandomStreams
 
 __all__ = [
     "SoftwareCosts",
@@ -250,9 +249,8 @@ class Machine:
 
     def __init__(self, env: Environment, spec: MachineSpec, num_nodes: int,
                  streams: Optional[RandomStreams] = None,
-                 tracer: Optional[Tracer] = None, contention: bool = True,
+                 contention: bool = True,
                  cpu_slowdown: Optional[Mapping[int, float]] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  faults: Optional[FaultPlan] = None,
                  fast_wire: bool = True):
         if not 2 <= num_nodes <= spec.max_nodes:
@@ -263,9 +261,6 @@ class Machine:
         self.spec = spec
         self.num_nodes = num_nodes
         self.streams = streams if streams is not None else RandomStreams(0)
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry(enabled=False)
         # Interference model (the paper's accuracy factor: "the
         # interference from other users in the multicomputer
         # environment"): per-node software-cost multipliers.  The paper
@@ -293,14 +288,10 @@ class Machine:
         self.injector: Optional[FaultInjector] = None
         if faults is not None and not faults.is_fault_free():
             self.injector = FaultInjector(env, faults, self.streams,
-                                          self.topology,
-                                          metrics=self.metrics,
-                                          tracer=self.tracer)
+                                          self.topology)
         self.fabric = NetworkFabric(env, self.topology,
                                     spec.network.link_parameters,
                                     contention=contention,
-                                    tracer=self.tracer,
-                                    metrics=self.metrics,
                                     injector=self.injector)
         self.nodes = [self._build_node(i) for i in range(num_nodes)]
         # Per-node pools of pre-drawn ``sw.<i>`` normals, stored
@@ -325,17 +316,15 @@ class Machine:
             0.0, spec.clock_drift_sigma)
         clock = NodeClock(self.env, offset_us=offset, drift=float(drift),
                           resolution_us=spec.timer_resolution_us)
-        memory = MemorySystem(self.env, spec.memory.copy_us_per_byte,
-                              warmup_us=spec.memory.warmup_us,
-                              warmup_us_per_byte=spec.memory.warmup_us_per_byte,
-                              metrics=self.metrics)
+        costs = spec.memory
+        memory = MemorySystem(self.env, costs.copy_us_per_byte,
+                              warmup_us=costs.warmup_us,
+                              warmup_us_per_byte=costs.warmup_us_per_byte)
         nic = Nic(self.env, spec.nic.per_message_us, spec.nic.bandwidth_mbs,
                   half_duplex=spec.nic.half_duplex,
                   fast_bandwidth_mbs=spec.nic.fast_bandwidth_mbs,
-                  metrics=self.metrics, node_index=index,
-                  injector=self.injector)
-        dma = DmaEngine(self.env, spec.dma, metrics=self.metrics) \
-            if spec.dma is not None else None
+                  node_index=index, injector=self.injector)
+        dma = DmaEngine(self.env, spec.dma) if spec.dma is not None else None
         return Node(self.env, index, clock, memory, nic, dma)
 
     def jitter(self, node_index: int) -> float:

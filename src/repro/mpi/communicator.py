@@ -63,8 +63,7 @@ class Communicator:
             raise MpiError("duplicate node in communicator group")
         self.transport = transport if transport is not None \
             else Transport(machine)
-        self.obs = CollectiveObserver(machine.tracer, machine.metrics,
-                                      self.comm_id)
+        self.obs = CollectiveObserver(machine.env, self.comm_id)
         self._algorithms: Dict[Tuple[str, int], Callable] = {}
         self.episodes = EpisodeEvaluator(self)
         self.contexts: List[RankContext] = [
@@ -106,7 +105,7 @@ class Communicator:
         event = self.completion_event(seq)
         self._completion_counts[seq] += 1
         if self._completion_counts[seq] == self.size:
-            self.obs.complete(seq, self.machine.env.now)
+            self.obs.complete(seq, self.machine.env.now, self.size)
             event.succeed()
             # The fence is only ever awaited for seq-1, and every rank
             # has passed it by now; seq-2 went when seq-1 completed.

@@ -617,8 +617,9 @@ class EpisodeEvaluator:
         for resource, busy in outcome.horizons.items():
             resource._busy_until = busy
         obs = comm.obs
+        env = machine.env
         phase_spans: Dict[int, object] = {}
-        if obs.active:
+        if env.tracer is not None or env.metrics is not None:
             for _, entered_at in outcome.entered:
                 obs.enter(seq, op, nbytes, entered_at)
             for called_at, phase in outcome.phases:

@@ -149,12 +149,12 @@ class Transport:
         work = self.env.work
         if work is not None:
             work.messages_sent += 1
-        metrics = self.machine.metrics
-        if metrics.enabled:
+        metrics = self.env.metrics
+        if metrics is not None:
             metrics.counter("mpi.messages_sent").inc()
             metrics.histogram("mpi.message_bytes").observe(nbytes)
-        tracer = self.machine.tracer
-        if not tracer.enabled:
+        tracer = self.env.tracer
+        if tracer is None:
             return None
         return tracer.begin(now, f"msg {src}->{dst}", "message", node=src,
                             parent=parent_span, dst=dst, nbytes=nbytes,
@@ -306,7 +306,6 @@ class Transport:
         # this collective's payloads (e.g. the Paragon coprocessor).
         fast_rx = dst_node.payload_mode(self.spec.uses_dma_for(op),
                                         nbytes) is not TransferMode.HOST
-        tracer = machine.tracer
         attempts = 1 if injector is None else \
             injector.plan.retry.max_retries + 1
         for attempt in range(attempts):
@@ -340,7 +339,8 @@ class Transport:
             # Failed attempt: the fate is only known now, so the
             # recovery span is opened retroactively over the wasted
             # wire time (the tracer accepts past start times).
-            if tracer.enabled:
+            tracer = env.tracer
+            if tracer is not None:
                 reason = "aborted" if aborted else fate
                 doomed = tracer.begin(started, f"retransmit {src}->{dst}",
                                       "retransmit", node=src, parent=span,
@@ -351,7 +351,7 @@ class Transport:
             # RTO before trying again.
             if rto > wire_us:
                 sitout = None
-                if tracer.enabled:
+                if tracer is not None:
                     sitout = tracer.begin(env.now, f"backoff {src}->{dst}",
                                           "backoff", node=src, parent=span,
                                           dst=dst, attempt=attempt,
@@ -403,26 +403,29 @@ class Transport:
         whichever path carried it.
         """
         now = envelope.delivered_at
-        tracer = self.machine.tracer
-        if envelope.span is not None:
-            tracer.end(envelope.span, now)
-        if envelope.phase_span is not None:
-            # The phase lasts until its last member message lands.
-            tracer.extend(envelope.phase_span, now)
-        work = self.env.work
+        env = self.env
+        tracer = env.tracer
+        if tracer is not None:
+            if envelope.span is not None:
+                tracer.end(envelope.span, now)
+            if envelope.phase_span is not None:
+                # The phase lasts until its last member message lands.
+                tracer.extend(envelope.phase_span, now)
+        work = env.work
         if work is not None:
             work.messages_delivered += 1
-        metrics = self.machine.metrics
-        if metrics.enabled:
+        metrics = env.metrics
+        if metrics is not None:
             metrics.counter("mpi.messages_delivered").inc()
             metrics.histogram("mpi.delivery_latency_us").observe(
                 now - envelope.sent_at)
         if unexpected:
             self.unexpected_arrivals += 1
-            if metrics.enabled:
+            if metrics is not None:
                 metrics.counter("mpi.unexpected_arrivals").inc()
-            tracer.mark(now, "unexpected-message", envelope.dst,
-                        src=envelope.src, tag=envelope.tag)
+            if tracer is not None:
+                tracer.mark(now, "unexpected-message", envelope.dst,
+                            src=envelope.src, tag=envelope.tag)
 
     # -- receive side ---------------------------------------------------------
     def post_receive(self, rank: int, src: int,

@@ -33,7 +33,13 @@ Program = Callable[[RankContext], Generator]
 
 
 class MpiWorld:
-    """A simulated machine plus a world communicator, ready to run."""
+    """A simulated machine plus a world communicator, ready to run.
+
+    ``trace``/``metrics`` attach a fresh :class:`~repro.sim.Tracer` /
+    :class:`~repro.obs.MetricsRegistry` to :attr:`env`; observers can
+    also be attached or detached later by assigning ``env.tracer``,
+    ``env.metrics`` or ``env.work`` (``None`` detaches).
+    """
 
     def __init__(self, machine: Union[str, MachineSpec], num_nodes: int,
                  seed: int = 0, contention: bool = True,
@@ -47,14 +53,14 @@ class MpiWorld:
         if decision_table is not None:
             spec = spec.with_decision_table(decision_table)
         self.env = Environment()
+        if trace:
+            self.env.tracer = Tracer()
+        if metrics:
+            self.env.metrics = MetricsRegistry()
         self.streams = RandomStreams(seed)
-        self.tracer = Tracer(enabled=trace)
-        self.metrics = MetricsRegistry(enabled=metrics)
         self.machine = Machine(self.env, spec, num_nodes,
-                               streams=self.streams, tracer=self.tracer,
-                               contention=contention,
-                               cpu_slowdown=cpu_slowdown,
-                               metrics=self.metrics, faults=faults,
+                               streams=self.streams, contention=contention,
+                               cpu_slowdown=cpu_slowdown, faults=faults,
                                fast_wire=fast_wire)
         self.comm = Communicator(self.machine)
 

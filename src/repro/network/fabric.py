@@ -16,19 +16,18 @@ arise regardless of topology or traffic pattern.
 
 Observability: every link accumulates busy/wait time (see
 :class:`~repro.network.link.Link`), transfers emit ``link``-category
-occupancy spans nested under the message span when tracing is on, and
-the fabric feeds transfer/stall counters and wait/size histograms to
-the machine's metrics registry.  A booked route and a route acquired
-hop by hop record the same spans and metrics, so observing a run never
-changes which of the two it takes.
+occupancy spans nested under the message span when a tracer is
+attached to the environment, and the fabric feeds transfer/stall
+counters and wait/size histograms to the attached metrics registry.  A
+booked route and a route acquired hop by hop record the same spans and
+metrics, so observing a run never changes which of the two it takes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..obs.metrics import MetricsRegistry
-from ..sim import Environment, Event, Interrupt, Span, Tracer
+from ..sim import Environment, Event, Interrupt, Span
 from .link import Link, LinkParameters
 from .topology import LinkId, Topology
 
@@ -57,16 +56,11 @@ class NetworkFabric:
 
     def __init__(self, env: Environment, topology: Topology,
                  params: LinkParameters, contention: bool = True,
-                 tracer: Optional[Tracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  injector: Optional[object] = None):
         self.env = env
         self.topology = topology
         self.params = params
         self.contention = contention
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry(enabled=False)
         #: Optional :class:`~repro.faults.FaultInjector`.  ``None`` (the
         #: default, and always the case for fault-free plans) keeps the
         #: transfer hot path identical to the no-faults build.
@@ -210,14 +204,15 @@ class NetworkFabric:
         per-hop protocol records for a transfer that never queued."""
         if not bookings:
             return
-        work = self.env.work
+        env = self.env
+        work = env.work
         if work is not None:
             work.link_acquisitions += len(bookings)
             work.resource_occupancies += len(bookings)
-        if self.metrics.enabled:
+        if env.metrics is not None:
             self._record_transfer(nbytes, 0.0, src, dst)
-        tracer = self.tracer
-        if tracer.enabled:
+        tracer = env.tracer
+        if tracer is not None:
             for link, _ in bookings:
                 tracer.begin(now, f"link {link.link_id}", "link",
                              node=src, parent=parent_span, dst=dst,
@@ -227,16 +222,18 @@ class NetworkFabric:
                          dst: int) -> None:
         """Transfer metrics and the contention mark, shared by every
         path that acquires a route."""
-        metrics = self.metrics
-        if metrics.enabled:
+        env = self.env
+        metrics = env.metrics
+        if metrics is not None:
             metrics.counter("fabric.transfers").inc()
             metrics.histogram("fabric.transfer_bytes").observe(nbytes)
             if wait > 0:
                 metrics.counter("fabric.contention_stalls").inc()
                 metrics.histogram("fabric.wait_us").observe(wait)
-        if wait > 0:
-            self.tracer.mark(self.env._now, "link-contention", src,
-                             dst=dst, waited_us=wait, nbytes=nbytes)
+        tracer = env.tracer
+        if wait > 0 and tracer is not None:
+            tracer.mark(env._now, "link-contention", src,
+                        dst=dst, waited_us=wait, nbytes=nbytes)
 
     def transfer(self, src: int, dst: int, nbytes: int,
                  parent_span: Optional[Span] = None
@@ -269,9 +266,10 @@ class NetworkFabric:
             return
         # A detour is fault-recovery work: wrap its link occupancy in a
         # dedicated span so the extra hops are attributable.
+        tracer = self.env.tracer
         detour_span: Optional[Span] = None
-        if detoured and self.tracer.enabled:
-            detour_span = self.tracer.begin(
+        if detoured and tracer is not None:
+            detour_span = tracer.begin(
                 self.env.now, f"reroute {src}->{dst}", "reroute",
                 node=src, parent=parent_span, dst=dst, nbytes=nbytes,
                 hops=len(route))
@@ -298,7 +296,7 @@ class NetworkFabric:
         finally:
             injector.end_transfer(process)
             if detour_span is not None:
-                self.tracer.end(detour_span, self.env.now)
+                tracer.end(detour_span, self.env.now)
 
     def _occupy(self, route: List[LinkId], nbytes: int, hold: float,
                 src: int, dst: int, parent_span: Optional[Span]
@@ -351,24 +349,25 @@ class NetworkFabric:
                 if wait > 0:
                     work.transfers_stalled += 1
             self._record_transfer(nbytes, wait, src, dst)
-            if self.tracer.enabled:
+            tracer = self.env.tracer
+            if tracer is not None:
                 occupancy = [
-                    self.tracer.begin(self.env.now, f"link {link_id}",
-                                      "link", node=src, parent=parent_span,
-                                      dst=dst, nbytes=nbytes)
+                    tracer.begin(self.env.now, f"link {link_id}", "link",
+                                 node=src, parent=parent_span, dst=dst,
+                                 nbytes=nbytes)
                     for link_id, _ in requests]
             yield self.env.sleep(hold)
         except Interrupt:
             for link_id, request in requests:
                 self._links[link_id].resource.release(request)
             for span in occupancy:
-                self.tracer.end(span, self.env.now)
+                tracer.end(span, self.env.now)
             raise
         for link_id, request in requests:
             self._links[link_id].record(nbytes, busy_us=hold)
             self._links[link_id].resource.release(request)
         for span in occupancy:
-            self.tracer.end(span, self.env.now)
+            tracer.end(span, self.env.now)
         if work is not None:
             work.transfers_completed += 1
 

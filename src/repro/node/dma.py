@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
-from ..obs.metrics import MetricsRegistry
 from ..sim import Environment, Event, Resource
 
 __all__ = ["TransferMode", "DmaParameters", "DmaEngine"]
@@ -61,12 +60,9 @@ class DmaParameters:
 class DmaEngine:
     """A payload-streaming engine attached to one node."""
 
-    def __init__(self, env: Environment, params: DmaParameters,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, env: Environment, params: DmaParameters):
         self.env = env
         self.params = params
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry(enabled=False)
         self.engine = Resource(env, capacity=1)
         self.bytes_streamed = 0
 
@@ -87,15 +83,15 @@ class DmaEngine:
             self.record_booked(nbytes, booking[0] - env._now)
             yield env.sleep_until(booking[0] + duration)
             return
-        metrics = self.metrics
-        if metrics.enabled:
+        metrics = env.metrics
+        if metrics is not None:
             metrics.counter("dma.streams").inc()
             metrics.counter("dma.bytes").inc(nbytes)
         requested = env._now
         request = self.engine.request()
         yield request
-        if metrics.enabled:
-            self._record_wait(env._now - requested)
+        if metrics is not None and env._now > requested:
+            metrics.histogram("dma.wait_us").observe(env._now - requested)
         yield env.sleep(duration)
         self.bytes_streamed += nbytes
         self.engine.release(request)
@@ -111,20 +107,9 @@ class DmaEngine:
         work = self.env.work
         if work is not None:
             work.resource_occupancies += 1
-        metrics = self.metrics
-        if metrics.enabled:
+        metrics = self.env.metrics
+        if metrics is not None:
             metrics.counter("dma.streams").inc()
             metrics.counter("dma.bytes").inc(nbytes)
-            self._record_wait(wait)
-
-    def _record_wait(self, wait: float) -> None:
-        """How long a stream sat behind the engine (booking start, or
-        grant, minus now); observed only when it waited at all."""
-        if wait > 0:
-            self.metrics.histogram("dma.wait_us").observe(wait)
-
-
-def engine_for(env: Environment,
-               params: Optional[DmaParameters]) -> Optional[DmaEngine]:
-    """Build an engine if the machine has one."""
-    return None if params is None else DmaEngine(env, params)
+            if wait > 0:
+                metrics.histogram("dma.wait_us").observe(wait)

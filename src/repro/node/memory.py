@@ -16,9 +16,8 @@ Two effects matter for the paper's methodology:
 
 from __future__ import annotations
 
-from typing import Generator, Hashable, Optional, Set
+from typing import Generator, Hashable, Set
 
-from ..obs.metrics import MetricsRegistry
 from ..sim import Environment, Event, Resource
 
 __all__ = ["MemorySystem"]
@@ -28,16 +27,13 @@ class MemorySystem:
     """Memory bus (a capacity-1 resource) plus first-touch accounting."""
 
     def __init__(self, env: Environment, copy_us_per_byte: float,
-                 warmup_us: float = 0.0, warmup_us_per_byte: float = 0.0,
-                 metrics: Optional[MetricsRegistry] = None):
+                 warmup_us: float = 0.0, warmup_us_per_byte: float = 0.0):
         if copy_us_per_byte < 0:
             raise ValueError(f"negative copy cost {copy_us_per_byte}")
         self.env = env
         self.copy_us_per_byte = copy_us_per_byte
         self.warmup_us = warmup_us
         self.warmup_us_per_byte = warmup_us_per_byte
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry(enabled=False)
         self.bus = Resource(env, capacity=1)
         self._touched: Set[Hashable] = set()
         self.bytes_copied = 0
@@ -55,15 +51,16 @@ class MemorySystem:
             self.record_booked(nbytes, booking[0] - env._now)
             yield env.sleep_until(booking[0] + duration)
             return
-        metrics = self.metrics
-        if metrics.enabled:
+        metrics = env.metrics
+        if metrics is not None:
             metrics.counter("mem.copies").inc()
             metrics.counter("mem.bytes_copied").inc(nbytes)
         requested = env._now
         request = self.bus.request()
         yield request
-        if metrics.enabled:
-            self._record_wait(env._now - requested)
+        if metrics is not None and env._now > requested:
+            metrics.histogram("mem.bus.wait_us").observe(
+                env._now - requested)
         yield env.sleep(duration)
         self.bytes_copied += nbytes
         self.bus.release(request)
@@ -75,17 +72,12 @@ class MemorySystem:
         work = self.env.work
         if work is not None:
             work.resource_occupancies += 1
-        metrics = self.metrics
-        if metrics.enabled:
+        metrics = self.env.metrics
+        if metrics is not None:
             metrics.counter("mem.copies").inc()
             metrics.counter("mem.bytes_copied").inc(nbytes)
-            self._record_wait(wait)
-
-    def _record_wait(self, wait: float) -> None:
-        """How long a copy sat behind the bus (booking start, or grant,
-        minus now); observed only when it waited at all."""
-        if wait > 0:
-            self.metrics.histogram("mem.bus.wait_us").observe(wait)
+            if wait > 0:
+                metrics.histogram("mem.bus.wait_us").observe(wait)
 
     def first_touch_penalty(self, key: Hashable, nbytes: int) -> float:
         """Cold-start cost for working set ``key``; zero once warm."""

@@ -32,7 +32,6 @@ class Nic:
     def __init__(self, env: Environment, per_message_us: float,
                  bandwidth_mbs: float, half_duplex: bool = False,
                  fast_bandwidth_mbs: Optional[float] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  node_index: int = -1,
                  injector: Optional[object] = None):
         if bandwidth_mbs <= 0:
@@ -51,8 +50,6 @@ class Nic:
         else:
             self.fast_us_per_byte = 1.0 / (fast_bandwidth_mbs * 1.048576)
         self.half_duplex = half_duplex
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry(enabled=False)
         #: Which node this adapter belongs to, and the optional
         #: :class:`~repro.faults.FaultInjector` that can stall it.
         self.node_index = node_index
@@ -129,13 +126,16 @@ class Nic:
 
     def _commit(self, label: str, nbytes: int, fast: bool, start: float,
                 at: Optional[float]) -> None:
-        work = self.env.work
+        env = self.env
+        work = env.work
         if work is not None:
             work.resource_occupancies += 1
-        if self.metrics.enabled:
+        metrics = env.metrics
+        if metrics is not None:
             if at is None:
-                at = self.env._now
-            self._record(label, self.occupancy_us(nbytes, fast), start - at)
+                at = env._now
+            self._record(metrics, label, self.occupancy_us(nbytes, fast),
+                         start - at)
 
     def transmit(self, nbytes: int,
                  fast: bool = False) -> Generator[Event, None, None]:
@@ -149,11 +149,12 @@ class Nic:
         yield from self._occupy(self.rx_engine, nbytes, fast, "nic.rx")
         self.messages_received += 1
 
-    def _record(self, label: str, duration: float, wait: float) -> None:
+    @staticmethod
+    def _record(metrics: MetricsRegistry, label: str, duration: float,
+                wait: float) -> None:
         """Metrics of one engine occupancy, shared by the booking and
         the protocol path: ``wait`` is how long the message sat behind
         the engine (booking start, or grant, minus now)."""
-        metrics = self.metrics
         metrics.counter(f"{label}.messages").inc()
         metrics.histogram(f"{label}.busy_us").observe(duration)
         if wait > 0:
@@ -170,8 +171,10 @@ class Nic:
             # completion event instead of request/grant/release churn.
             booking = engine.try_occupy(duration)
             if booking is not None:
-                if self.metrics.enabled:
-                    self._record(label, duration, booking[0] - env._now)
+                metrics = env.metrics
+                if metrics is not None:
+                    self._record(metrics, label, duration,
+                                 booking[0] - env._now)
                 work = env.work
                 if work is not None:
                     work.resource_occupancies += 1
@@ -180,8 +183,9 @@ class Nic:
         requested = env._now
         request = engine.request()
         yield request
-        if self.metrics.enabled:
-            self._record(label, duration, env._now - requested)
+        metrics = env.metrics
+        if metrics is not None:
+            self._record(metrics, label, duration, env._now - requested)
         if self.injector is not None:
             # The injector records faults.nic_stall* metrics itself.
             stall = self.injector.nic_delay(self.node_index, self.env.now)

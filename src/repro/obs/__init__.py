@@ -5,7 +5,8 @@ methodology calls for at simulator scale: span-based tracing nests
 collective -> phase -> message -> link occupancy
 (:mod:`repro.sim.trace` holds the span primitives; this package the
 aggregation and export), a :class:`MetricsRegistry` collects counters
-and histograms from the network, node, and MPI layers, and a
+and histograms from the network, node, and MPI layers (both attached
+to the simulation environment as ``env.tracer``/``env.metrics``), and a
 :class:`HostProfile` attributes the simulator's own host time to its
 source files from outside the program.
 

@@ -1,10 +1,10 @@
 """One-call capture of a fully observed collective run.
 
-``capture_collective`` builds a world with tracing/metrics switched on,
-runs one collective (inside a :class:`HostProfile` when asked), and
-hands back everything the exporters and reports consume.  This is
-what the ``repro-bench trace`` and ``repro-bench profile`` subcommands
-(and the examples) drive.
+``capture_collective`` builds a world, attaches a tracer and a metrics
+registry to its environment, runs one collective (inside a
+:class:`HostProfile` when asked), and hands back everything the
+exporters and reports consume.  This is what the ``repro-bench trace``
+and ``repro-bench profile`` subcommands (and the examples) drive.
 
 Imports of the runtime layers happen lazily so ``repro.obs`` stays
 importable from the lower layers it instruments.
@@ -80,8 +80,8 @@ class CollectiveCapture:
     iterations: int
     elapsed_us: float
     world: object
-    tracer: Tracer
-    metrics: MetricsRegistry
+    tracer: Optional[Tracer]
+    metrics: Optional[MetricsRegistry]
     profiler: Optional[HostProfile]
     work: Optional[WorkMeter] = None
     seed: int = 0
@@ -97,7 +97,7 @@ class CollectiveCapture:
 
     def summary(self) -> str:
         """One-paragraph text summary of what was captured."""
-        spans = self.tracer.spans()
+        spans = self.tracer.spans() if self.tracer is not None else []
         by_category: dict = {}
         for span in spans:
             by_category[span.category] = \
@@ -203,6 +203,11 @@ def capture_collective(machine: str, op: str, nbytes: int = 1024,
                        faults=None) -> CollectiveCapture:
     """Run ``iterations`` of one collective with full observability.
 
+    ``trace`` attaches a :class:`Tracer` (a drop-oldest ring of
+    ``max_spans`` spans when given) and ``metrics`` a
+    :class:`MetricsRegistry`; the capture's ``tracer``/``metrics`` are
+    ``None`` for an observer that was not attached.
+
     ``faults`` (a :class:`~repro.faults.FaultPlan`) runs the capture
     under fault injection, so the trace carries the
     ``retransmit``/``backoff``/``reroute`` recovery spans.  ``work``
@@ -213,14 +218,12 @@ def capture_collective(machine: str, op: str, nbytes: int = 1024,
     from ..mpi import MpiWorld
 
     world = MpiWorld(machine, num_nodes, seed=seed,
-                     contention=contention, trace=trace,
-                     metrics=metrics, faults=faults)
-    if max_spans is not None:
-        world.tracer.configure_limits(max_spans)
-    meter = None
+                     contention=contention, metrics=metrics, faults=faults)
+    env = world.env
+    if trace:
+        env.tracer = Tracer(max_spans=max_spans)
     if work:
-        meter = WorkMeter()
-        world.env.work = meter
+        env.work = WorkMeter()
     profiler = HostProfile() if profile else None
     with profiler or nullcontext():
         elapsed = world.run_collective(op, nbytes, root=root,
@@ -228,6 +231,6 @@ def capture_collective(machine: str, op: str, nbytes: int = 1024,
     return CollectiveCapture(
         machine=world.spec.name, op=op, nbytes=nbytes,
         num_nodes=num_nodes, iterations=iterations, elapsed_us=elapsed,
-        world=world, tracer=world.tracer, metrics=world.machine.metrics,
-        profiler=profiler, work=meter, seed=seed,
+        world=world, tracer=env.tracer, metrics=env.metrics,
+        profiler=profiler, work=env.work, seed=seed,
         faults_name=getattr(faults, "name", None))

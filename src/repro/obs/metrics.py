@@ -1,10 +1,9 @@
 """Metrics registry: counters and log2-bucket histograms.
 
-The registry follows the :class:`~repro.sim.Tracer` convention: it
-always exists (every :class:`~repro.machines.Machine` owns one) but is
-disabled by default, and instrumented code guards each update with the
-single ``registry.enabled`` check so the hot paths stay flat when
-nobody is measuring.
+A registry is attached to the environment it observes: ``env.metrics``
+is ``None`` by default, and every instrumented site guards its updates
+with ``metrics is not None``, so an unmeasured run pays one branch per
+site.
 
 Instruments are identified by dotted names (``fabric.transfers``,
 ``nic.tx.wait_us``) and created on first use, so layers never need
@@ -88,8 +87,7 @@ class Histogram:
 class MetricsRegistry:
     """Named instruments, created on first use, snapshot on demand."""
 
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: Dict[str, Any] = {}
 
     def _get(self, name: str, kind: type) -> Any:

@@ -11,9 +11,11 @@ identical counters on any machine, which is what lets the
 way the sweep baseline byte-compares cell times (see
 :mod:`repro.bench.perfsuite`).
 
-A meter is attached to the environment it counts: ``env.work`` is
-``None`` by default and every instrumented site guards its update with
-that single check, so an unmetered run pays one branch per site::
+A meter is attached to the environment it counts, by the rule the
+tracer (``env.tracer``) and the metrics registry (``env.metrics``)
+follow too: ``env.work`` is ``None`` by default and every instrumented
+site guards its update with ``is not None``, so an unmetered run pays
+one branch per site::
 
     from repro.obs.perf import WorkMeter
 

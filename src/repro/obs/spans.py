@@ -3,7 +3,7 @@
 Individual ranks enter and leave a collective at different simulated
 times; the *operation's* extent is the envelope.  The
 :class:`CollectiveObserver` (one per communicator) maintains that
-envelope as spans on the machine's tracer:
+envelope as spans on the environment's attached tracer:
 
 * one ``collective`` span per sequence number, opened when the first
   rank enters and closed when the last rank reports completion;
@@ -11,17 +11,22 @@ envelope as spans on the machine's tracer:
   the algorithms already agree on), parented to the collective span
   and stretched to cover every member message's delivery.
 
-It also feeds the metrics registry the per-operation call and
-phase/round counts the algorithm-tuning workflow needs, independent of
-whether full span tracing is on.
+It also feeds the attached metrics registry the per-operation call
+and phase/round counts the algorithm-tuning workflow needs, independent
+of whether a tracer is attached.  Both observers are read from the
+environment at each call, so either may be attached or detached
+between (or during) collectives; a detached tracer records nothing
+more, not even the end of a span it opened.  A collective observed
+only from partway through (some rank entered it while nothing was
+attached) still gets spans, but feeds no ``coll.<op>.*`` metric: its
+call and phase counts would be partial.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from ..sim import Span, Tracer
-from .metrics import MetricsRegistry
+from ..sim import Environment, Span
 
 __all__ = ["CollectiveObserver"]
 
@@ -33,6 +38,7 @@ class _CollectiveState:
                  "entered")
 
     def __init__(self, op: str, nbytes: int, span: Optional[Span]):
+        #: ``"?"`` when the first sighting was a phase, not an entry.
         self.op = op
         self.nbytes = nbytes
         self.span = span
@@ -45,27 +51,22 @@ class CollectiveObserver:
     """Tracks collective/phase spans and per-op metrics for one
     communicator."""
 
-    def __init__(self, tracer: Tracer, metrics: MetricsRegistry,
-                 comm_id: int):
-        self.tracer = tracer
-        self.metrics = metrics
+    def __init__(self, env: Environment, comm_id: int):
+        self.env = env
         self.comm_id = comm_id
         self._states: Dict[int, _CollectiveState] = {}
-
-    @property
-    def active(self) -> bool:
-        return self.tracer.enabled or self.metrics.enabled
 
     def enter(self, seq: int, op: str, nbytes: int, time: float) -> None:
         """One rank entered collective ``seq`` (post-serialization
         fence)."""
-        if not self.active:
+        tracer = self.env.tracer
+        if tracer is None and self.env.metrics is None:
             return
         state = self._states.get(seq)
         if state is None:
             span = None
-            if self.tracer.enabled:
-                span = self.tracer.begin(
+            if tracer is not None:
+                span = tracer.begin(
                     time, f"{op}", "collective", parent=None,
                     op=op, nbytes=nbytes, seq=seq, comm=self.comm_id)
             state = _CollectiveState(op, nbytes, span)
@@ -76,23 +77,24 @@ class CollectiveObserver:
         """Register (and return the span of) one algorithm phase.
 
         Called from both the send and receive sides of collective
-        messages; the returned span (or ``None`` when tracing is off)
-        becomes the parent of the per-message spans.
+        messages; the returned span (or ``None`` when no tracer is
+        attached) becomes the parent of the per-message spans.
         """
-        if not self.active:
+        tracer = self.env.tracer
+        if tracer is None and self.env.metrics is None:
             return None
         state = self._states.get(seq)
         if state is None:
             # A phase observed without enter() means observation was
-            # switched on mid-collective; track it standalone.
+            # attached mid-collective; track it standalone.
             state = _CollectiveState("?", 0, None)
             self._states[seq] = state
         state.phases_seen.add(phase)
-        if not self.tracer.enabled:
+        if tracer is None:
             return None
         span = state.phase_spans.get(phase)
         if span is None:
-            span = self.tracer.begin(
+            span = tracer.begin(
                 time, f"{state.op} phase {phase}", "phase",
                 parent=state.span, op=state.op, phase=phase, seq=seq,
                 comm=self.comm_id)
@@ -101,15 +103,17 @@ class CollectiveObserver:
             state.phase_spans[phase] = span
         return span
 
-    def complete(self, seq: int, time: float) -> None:
-        """Every rank finished ``seq``: close spans, record metrics."""
+    def complete(self, seq: int, time: float, ranks: int) -> None:
+        """All ``ranks`` ranks finished ``seq``: close spans, record
+        metrics if every one of their entries was observed."""
         state = self._states.pop(seq, None)
         if state is None:
             return
-        if state.span is not None:
-            self.tracer.end(state.span, time,
-                            phases=len(state.phases_seen))
-        if self.metrics.enabled:
-            self.metrics.counter(f"coll.{state.op}.calls").inc()
-            self.metrics.histogram(f"coll.{state.op}.phases").observe(
+        tracer = self.env.tracer
+        if state.span is not None and tracer is not None:
+            tracer.end(state.span, time, phases=len(state.phases_seen))
+        metrics = self.env.metrics
+        if metrics is not None and state.entered == ranks:
+            metrics.counter(f"coll.{state.op}.calls").inc()
+            metrics.histogram(f"coll.{state.op}.phases").observe(
                 len(state.phases_seen))

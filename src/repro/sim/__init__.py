@@ -20,7 +20,7 @@ from .engine import (
 )
 from .resources import Request, Resource
 from .rng import RandomStreams
-from .trace import NULL_SPAN, Span, Tracer
+from .trace import Span, Tracer
 
 __all__ = [
     "AllOf",
@@ -29,7 +29,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "NULL_SPAN",
     "Process",
     "RandomStreams",
     "Request",

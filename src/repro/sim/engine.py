@@ -436,7 +436,8 @@ class Environment:
     """
 
     __slots__ = ("_now", "_eid", "_heap", "_push", "_pop",
-                 "_active_process", "_sleep_pool", "work")
+                 "_active_process", "_sleep_pool", "work", "tracer",
+                 "metrics")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -446,10 +447,15 @@ class Environment:
         self._pop = partial(heappop, self._heap)
         self._active_process: Optional[Process] = None
         self._sleep_pool: List[_SleepTimeout] = []
-        #: Optional deterministic work counters (see
-        #: :class:`repro.obs.perf.WorkMeter`): ``None`` by default, one
-        #: check per counting site.
+        #: The attached observers, each ``None`` when off: the
+        #: deterministic work counters (:class:`repro.obs.perf.WorkMeter`),
+        #: the span tracer (:class:`repro.sim.trace.Tracer`) and the
+        #: metrics registry (:class:`repro.obs.metrics.MetricsRegistry`).
+        #: Attaching is an assignment, detaching is ``= None``, and every
+        #: instrumented site guards its observer with ``is not None``.
         self.work: Optional[Any] = None
+        self.tracer: Optional[Any] = None
+        self.metrics: Optional[Any] = None
 
     @property
     def now(self) -> float:

@@ -8,15 +8,15 @@ with :meth:`Tracer.end`; point-in-time occurrences (a contention stall,
 a lost message, a link going down) are zero-length spans made by
 :meth:`Tracer.mark`.
 
-Tracing is off by default and costs one predicate check per span when
-disabled.  A disabled tracer's :meth:`Tracer.begin` returns the shared
-:data:`NULL_SPAN` sentinel so instrumented code never branches on the
-enabled flag itself.  Recording a span never schedules an event, so a
-traced run executes exactly the events of an untraced one.
+A tracer is attached to the environment it observes: ``env.tracer``
+is ``None`` by default, and every instrumented site guards its spans
+with ``tracer is not None``, so an untraced run pays one branch per
+site.  Recording a span never schedules an event, so a traced run
+executes exactly the events of an untraced one.
 
 Memory is bounded when ``max_spans`` is given: the tracer keeps the
 newest spans (drop-oldest ring) and counts what it discarded in
-``dropped_spans``.
+``dropped``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Collection, Deque, Dict, List, Optional, Union
 
-__all__ = ["Span", "Tracer", "NULL_SPAN"]
+__all__ = ["Span", "Tracer"]
 
 #: Category filters accept one category or a collection of them.
 CategoryFilter = Optional[Union[str, Collection[str]]]
@@ -59,11 +59,6 @@ class Span:
         return self.end is None
 
 
-#: Sentinel returned by a disabled tracer; ending/extending it is a
-#: no-op, so instrumentation never needs to branch on ``enabled``.
-NULL_SPAN = Span(id=0, name="", category="", start=0.0, end=0.0)
-
-
 def _matches(category: str, wanted: CategoryFilter) -> bool:
     if wanted is None:
         return True
@@ -73,20 +68,20 @@ def _matches(category: str, wanted: CategoryFilter) -> bool:
 
 
 class Tracer:
-    """Collects spans; disabled tracers are ~free."""
+    """Collects spans, optionally into a bounded drop-oldest ring."""
 
-    def __init__(self, enabled: bool = False,
-                 max_spans: Optional[int] = None):
-        self.enabled = enabled
+    def __init__(self, max_spans: Optional[int] = None):
+        if max_spans is not None and max_spans < 1:
+            raise ValueError(f"max_spans must be >= 1, got {max_spans}")
+        self._spans: Deque[Span] = deque(maxlen=max_spans)
         self._next_span_id = 1
-        self.configure_limits(max_spans)
+        #: Spans discarded by the bounded-memory ring.
+        self.dropped = 0
 
     def begin(self, time: float, name: str, category: str,
               node: Optional[int] = None, parent: Optional[Span] = None,
               **detail: Any) -> Span:
-        """Open a span; returns :data:`NULL_SPAN` when disabled."""
-        if not self.enabled:
-            return NULL_SPAN
+        """Open a span."""
         span = Span(id=self._next_span_id, name=name, category=category,
                     start=time, node=node,
                     parent=parent.id if parent is not None else 0,
@@ -94,7 +89,7 @@ class Tracer:
         self._next_span_id += 1
         spans = self._spans
         if spans.maxlen is not None and len(spans) == spans.maxlen:
-            self.dropped_spans += 1
+            self.dropped += 1
         spans.append(span)
         return span
 
@@ -102,13 +97,10 @@ class Tracer:
              **detail: Any) -> None:
         """Record a point-in-time occurrence: a zero-length root span
         named after its category."""
-        if self.enabled:
-            self.begin(time, category, category, node, **detail).end = time
+        self.begin(time, category, category, node, **detail).end = time
 
     def end(self, span: Span, time: float, **detail: Any) -> None:
-        """Close ``span`` at ``time`` (no-op for the null span)."""
-        if span.id == 0:
-            return
+        """Close ``span`` at ``time``."""
         span.end = time
         if detail:
             span.detail.update(detail)
@@ -119,8 +111,6 @@ class Tracer:
         Used for aggregate spans (collective phases) whose extent is
         the envelope of many member events.
         """
-        if span.id == 0:
-            return
         if span.end is None or span.end < time:
             span.end = time
 
@@ -130,27 +120,7 @@ class Tracer:
             return list(self._spans)
         return [s for s in self._spans if _matches(s.category, category)]
 
-    def spans_between(self, t0: float, t1: float,
-                      category: CategoryFilter = None) -> List[Span]:
-        """Spans overlapping the window ``[t0, t1)``."""
-        return [s for s in self._spans
-                if s.start < t1 and (s.end is None or s.end >= t0)
-                and _matches(s.category, category)]
-
-    @property
-    def dropped(self) -> int:
-        """Spans discarded by the bounded-memory ring."""
-        return self.dropped_spans
-
     def clear(self) -> None:
         """Drop all collected spans and reset the drop counter."""
         self._spans.clear()
-        self.dropped_spans = 0
-
-    def configure_limits(self, max_spans: Optional[int] = None) -> None:
-        """Re-bound the span ring; existing spans and drops reset."""
-        if max_spans is not None and max_spans < 1:
-            raise ValueError(f"max_spans must be >= 1, got {max_spans}")
-        self.max_spans = max_spans
-        self._spans: Deque[Span] = deque(maxlen=max_spans)
-        self.dropped_spans = 0
+        self.dropped = 0

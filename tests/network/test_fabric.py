@@ -102,8 +102,8 @@ def test_contention_disabled_ignores_sharing():
 
 def test_contention_trace_emitted():
     env = Environment()
-    tracer = Tracer(enabled=True)
-    fabric = NetworkFabric(env, Mesh2D(4, 1), PARAMS, tracer=tracer)
+    tracer = env.tracer = Tracer()
+    fabric = NetworkFabric(env, Mesh2D(4, 1), PARAMS)
     run_transfer(fabric, env, 0, 1, 1048)
     run_transfer(fabric, env, 0, 1, 1048)
     env.run()

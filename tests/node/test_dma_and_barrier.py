@@ -64,7 +64,8 @@ def test_streams_serialize_on_engine():
 
 def test_stream_wait_histogram_only_for_streams_that_waited():
     env = Environment()
-    engine = DmaEngine(env, BLT, metrics=MetricsRegistry(enabled=True))
+    env.metrics = MetricsRegistry()
+    engine = DmaEngine(env, BLT)
 
     def proc():
         yield from engine.stream(4096)
@@ -73,7 +74,7 @@ def test_stream_wait_histogram_only_for_streams_that_waited():
         env.process(proc())
     env.run()
     single = 25.0 + 4096 * 0.005
-    snapshot = engine.metrics.snapshot()
+    snapshot = env.metrics.snapshot()
     assert snapshot["dma.streams"]["value"] == 3
     wait = snapshot["dma.wait_us"]
     assert wait["count"] == 2  # the first stream found the engine idle

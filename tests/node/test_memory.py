@@ -41,8 +41,8 @@ def test_bus_wait_recorded_alike_on_both_paths(holder):
     ``mem.bus.wait_us`` whether the bus is timestamp-booked by an
     earlier copy or held through the request protocol."""
     env = Environment()
-    memory = MemorySystem(env, copy_us_per_byte=0.01,
-                          metrics=MetricsRegistry(enabled=True))
+    env.metrics = MetricsRegistry()
+    memory = MemorySystem(env, copy_us_per_byte=0.01)
     result = {}
     if holder == "booking":
         run_copy(env, memory, 1000, result, "a")
@@ -56,7 +56,7 @@ def test_bus_wait_recorded_alike_on_both_paths(holder):
     run_copy(env, memory, 1000, result, "b")
     env.run()
     assert result["b"] == pytest.approx(20.0)
-    snapshot = memory.metrics.snapshot()
+    snapshot = env.metrics.snapshot()
     assert snapshot["mem.bus.wait_us"]["count"] == 1
     assert snapshot["mem.bus.wait_us"]["max"] == pytest.approx(10.0)
     assert snapshot["mem.copies"]["value"] == (2 if holder == "booking"

@@ -77,8 +77,8 @@ def test_wait_recorded_alike_when_booked_processed_or_committed():
     ``nic.tx.wait_us`` whether the message went through ``transmit``
     or was booked and committed by the transport's short-circuit."""
     env = Environment()
-    nic = Nic(env, per_message_us=1.0, bandwidth_mbs=100.0,
-              metrics=MetricsRegistry(enabled=True))
+    env.metrics = MetricsRegistry()
+    nic = Nic(env, per_message_us=1.0, bandwidth_mbs=100.0)
     single = nic.occupancy_us(1000)
     booked = nic.try_book_transmit(1000)
     nic.commit_transmit(1000, False, booked[3])
@@ -87,7 +87,7 @@ def test_wait_recorded_alike_when_booked_processed_or_committed():
     booked = nic.try_book_transmit(1000)
     assert booked[0] == pytest.approx(env.now + single)
     nic.commit_transmit(1000, False, booked[3])
-    snapshot = nic.metrics.snapshot()
+    snapshot = env.metrics.snapshot()
     assert snapshot["nic.tx.messages"]["value"] == 3
     assert snapshot["nic.tx.busy_us"]["count"] == 3
     # The first booking and the one after the run found it idle.

@@ -158,4 +158,4 @@ def test_csv_writer_chain_plus_total_row(tmp_path):
 
 def test_no_collective_span_raises():
     with pytest.raises(ValueError, match="no closed collective span"):
-        critical_path(Tracer(enabled=True))
+        critical_path(Tracer())

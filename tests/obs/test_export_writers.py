@@ -25,7 +25,7 @@ SPAN_FIELDS = ["id", "parent", "category", "name", "node", "start_us",
 
 
 def _tracer_with_awkward_names():
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     root = tracer.begin(0.0, 'phase "one", early', "phase")
     span = tracer.begin(1.0, "msg 3->0, retry", "message", node=3,
                         parent=root, dst=0, nbytes=16)
@@ -40,7 +40,7 @@ def _tracer_with_awkward_names():
 
 def test_spans_csv_header_is_stable(tmp_path):
     path = tmp_path / "spans.csv"
-    write_spans_csv(Tracer(enabled=True), str(path))
+    write_spans_csv(Tracer(), str(path))
     assert path.read_text().splitlines() == [",".join(SPAN_FIELDS)]
 
 
@@ -108,7 +108,7 @@ def test_folded_stacks_end_with_newline(tmp_path):
 # -- chrome trace determinism (satellite: explicit track ordering) --------
 
 def test_thread_metadata_up_front_in_sorted_tid_order():
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     # Nodes first seen out of order: 5 before 2 before 0.
     for node in (5, 2, 0):
         span = tracer.begin(float(node), f"msg {node}", "message",
@@ -127,7 +127,7 @@ def test_thread_metadata_up_front_in_sorted_tid_order():
 
 
 def test_marks_export_as_zero_length_spans_on_named_tracks():
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     span = tracer.begin(0.0, "msg 0", "message", node=0)
     tracer.end(span, 1.0)
     tracer.mark(0.5, "link-contention", node=9, waited_us=1.0)

@@ -6,7 +6,7 @@ from repro.obs import Counter, Histogram, MetricsRegistry
 
 
 def test_counter_accumulates():
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     counter = registry.counter("x")
     counter.inc()
     counter.inc(41)
@@ -50,7 +50,7 @@ def test_registry_get_or_create_and_type_conflict():
 def test_registry_snapshot_is_json_friendly():
     import json
 
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     registry.counter("c").inc(5)
     registry.histogram("h").observe(10)
     snapshot = registry.snapshot()
@@ -60,7 +60,7 @@ def test_registry_snapshot_is_json_friendly():
 
 
 def test_registry_format_report_mentions_all_instruments():
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     registry.counter("alpha").inc()
     registry.histogram("gamma").observe(4)
     report = registry.format_report()
@@ -68,8 +68,9 @@ def test_registry_format_report_mentions_all_instruments():
         assert name in report
 
 
-def test_registry_disabled_by_default():
-    assert MetricsRegistry().enabled is False
+def test_registry_has_no_enabled_flag():
+    # A registry is on by being attached (env.metrics), not by a flag.
+    assert not hasattr(MetricsRegistry(), "enabled")
     assert len(MetricsRegistry()) == 0
 
 

@@ -6,13 +6,20 @@ phases, and per-link busy time is consistent with the transmission
 delay D(m, p) the simulator reports.
 """
 
+import inspect
 import json
 import math
 
 import pytest
 
 from repro.core import aggregated_message_length
+from repro.faults import FaultInjector
+from repro.machines import Machine
+from repro.mpi import MpiWorld
+from repro.network import NetworkFabric
+from repro.node import DmaEngine, MemorySystem, Nic
 from repro.obs import (
+    MetricsRegistry,
     chrome_trace_document,
     format_utilization_report,
     link_stats,
@@ -147,13 +154,42 @@ def test_capture_max_spans_ring_drops_oldest():
     capture = capture_collective("sp2", "broadcast", nbytes=1024,
                                  num_nodes=16, seed=0, max_spans=10)
     assert len(capture.tracer.spans()) == 10
-    assert capture.tracer.dropped_spans > 0
+    assert capture.tracer.dropped > 0
 
 
-def test_tracing_off_by_default_world():
-    from repro.mpi import MpiWorld
-
+def test_observers_detached_by_default_world():
     world = MpiWorld("t3d", 4, seed=0)
     world.run_collective("broadcast", 256)
-    assert world.tracer.spans() == []
-    assert len(world.machine.metrics) == 0
+    env = world.env
+    assert env.work is None and env.tracer is None and env.metrics is None
+    assert not hasattr(world, "tracer") and not hasattr(world, "metrics")
+    assert not hasattr(world.machine, "tracer")
+    assert not hasattr(world.machine, "metrics")
+
+
+def test_observers_reach_layers_only_through_the_environment():
+    for cls in (Machine, NetworkFabric, Nic, DmaEngine, MemorySystem,
+                FaultInjector):
+        parameters = inspect.signature(cls).parameters
+        assert "tracer" not in parameters, cls.__name__
+        assert "metrics" not in parameters, cls.__name__
+
+
+def test_collective_observed_from_partway_records_no_coll_metrics():
+    """Metrics attached while a broadcast is in flight (every rank has
+    entered it) see its remaining messages but count no call."""
+    world = MpiWorld("sp2", 8, seed=0)
+    env = world.env
+
+    def body(ctx):
+        yield from ctx.collective("broadcast", 1024)
+
+    processes = [env.process(body(ctx)) for ctx in world.comm.contexts]
+    env.run(until=350.0)
+    assert not all(process.triggered for process in processes)
+    env.metrics = MetricsRegistry()
+    env.run()
+    assert all(process.ok for process in processes)
+    names = env.metrics.names()
+    assert "mpi.messages_delivered" in names
+    assert [name for name in names if name.startswith("coll.")] == []

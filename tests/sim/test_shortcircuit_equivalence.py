@@ -43,8 +43,9 @@ from hypothesis import strategies as st
 from repro.faults import fault_preset
 from repro.machines import get_machine_spec
 from repro.mpi import MpiWorld
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf import WorkMeter
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Resource, Tracer
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -350,8 +351,8 @@ def run_collective(machine, op, nbytes, p, fast_wire=True, observed=False,
     elapsed = world.run_collective(op, nbytes, iterations=iterations)
     spans = metrics = None
     if observed:
-        spans = span_multiset(world.tracer, world.comm.comm_id)
-        metrics = world.machine.metrics.snapshot()
+        spans = span_multiset(world.env.tracer, world.comm.comm_id)
+        metrics = world.env.metrics.snapshot()
     return CollectiveRun(elapsed, meter.snapshot(), sorted(deliveries),
                          pops, spans, metrics)
 
@@ -430,6 +431,39 @@ def test_observation_is_not_an_input_under_faults(preset):
 @settings(max_examples=25, deadline=None)
 def test_observation_is_not_an_input(workload):
     assert_observation_is_not_an_input(workload)
+
+
+def run_two_calls(machine, op, nbytes, p, attach):
+    """Two back-to-back ``run_collective`` calls on one world, with the
+    pops and work metered throughout; ``attach`` attaches a tracer and
+    a metrics registry to the environment between the calls.  Returns
+    the world, the second call's start time, the work and the pops."""
+    world = MpiWorld(machine, p, seed=0)
+    meter = WorkMeter()
+    world.env.work = meter
+    pops = record_pops(world.env)
+    world.run_collective(op, nbytes, iterations=ITERATIONS)
+    second = world.env.now
+    if attach:
+        world.env.tracer = Tracer()
+        world.env.metrics = MetricsRegistry()
+    world.run_collective(op, nbytes, iterations=ITERATIONS)
+    return world, second, meter.snapshot(), pops
+
+
+@pytest.mark.parametrize("workload", [MPI_CASES[0], EVALUATED_CASES[1]])
+def test_observers_attached_between_calls_are_not_an_input(workload):
+    world, second, work, pops = run_two_calls(*workload, attach=True)
+    _, _, plain_work, plain_pops = run_two_calls(*workload, attach=False)
+    assert pops == plain_pops, workload
+    assert work == plain_work, workload
+    # Only the second call was observed, and all of it was.
+    spans = world.env.tracer.spans()
+    assert spans and all(span.start >= second for span in spans)
+    assert len(world.env.tracer.spans("collective")) == ITERATIONS
+    op = workload[1]
+    assert world.env.metrics.counter(f"coll.{op}.calls").value == \
+        ITERATIONS
 
 
 def test_collective_runs_are_deterministic():
