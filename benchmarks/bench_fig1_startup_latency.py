@@ -9,13 +9,12 @@ Paper claims reproduced here (Section 4):
   ~logarithmically for broadcast/scan/reduce.
 """
 
-from repro.bench import FIGURE_OPS, figure1, monotonically_increasing, \
-    winner
-from repro.core import classify_scaling
+from repro.bench import figure1, monotonically_increasing, winner
+from repro.core import FIGURE_OPS, classify_scaling
 
 
-def test_figure1_startup_latencies(benchmark, single_shot, capsys):
-    data = single_shot(benchmark, figure1)
+def test_figure1_startup_latencies(benchmark, single_shot, fast, capsys):
+    data = single_shot(benchmark, figure1, fast=fast)
     with capsys.disabled():
         print()
         print(data.format())

@@ -13,8 +13,8 @@ from repro.bench import figure2, winner
 from repro.bench.figures import FIGURE2_NODES
 
 
-def test_figure2_message_length(benchmark, single_shot, capsys):
-    data = single_shot(benchmark, figure2)
+def test_figure2_message_length(benchmark, single_shot, fast, capsys):
+    data = single_shot(benchmark, figure2, fast=fast)
     with capsys.disabled():
         print()
         print(data.format())

@@ -14,8 +14,8 @@ Paper claims reproduced here (Section 6):
 from repro.bench import figure3, monotonically_increasing, winner
 
 
-def test_figure3_machine_size(benchmark, single_shot, capsys):
-    data = single_shot(benchmark, figure3)
+def test_figure3_machine_size(benchmark, single_shot, fast, capsys):
+    data = single_shot(benchmark, figure3, fast=fast)
     with capsys.disabled():
         print()
         print(data.format())

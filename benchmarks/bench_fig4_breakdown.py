@@ -13,8 +13,8 @@ from repro.bench import figure4, winner
 from repro.bench.figures import FIGURE4_NODES
 
 
-def test_figure4_breakdown(benchmark, single_shot, capsys):
-    data = single_shot(benchmark, figure4)
+def test_figure4_breakdown(benchmark, single_shot, fast, capsys):
+    data = single_shot(benchmark, figure4, fast=fast)
     with capsys.disabled():
         print()
         print(data.format())

@@ -11,8 +11,8 @@ Paper claims reproduced here (Section 8):
 from repro.bench import figure5, monotonically_increasing, ranking
 
 
-def test_figure5_aggregated_bandwidth(benchmark, single_shot, capsys):
-    data = single_shot(benchmark, figure5)
+def test_figure5_aggregated_bandwidth(benchmark, single_shot, fast, capsys):
+    data = single_shot(benchmark, figure5, fast=fast)
     with capsys.disabled():
         print()
         print(data.format())

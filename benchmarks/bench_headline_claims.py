@@ -8,8 +8,8 @@ that the orderings the abstract emphasizes are preserved.
 from repro.bench import format_headline, headline_checks
 
 
-def test_headline_claims(benchmark, single_shot, capsys):
-    checks = single_shot(benchmark, headline_checks)
+def test_headline_claims(benchmark, single_shot, fast, capsys):
+    checks = single_shot(benchmark, headline_checks, fast=fast)
     with capsys.disabled():
         print()
         print(format_headline(checks))

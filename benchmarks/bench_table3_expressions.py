@@ -10,8 +10,8 @@ small factor of the published coefficients at a reference size.
 from repro.bench import format_table3, table3
 
 
-def test_table3_curve_fits(benchmark, single_shot, capsys):
-    rows = single_shot(benchmark, table3)
+def test_table3_curve_fits(benchmark, single_shot, fast, capsys):
+    rows = single_shot(benchmark, table3, fast=fast)
     with capsys.disabled():
         print()
         print(format_table3(rows))

@@ -4,7 +4,10 @@ Every bench regenerates one of the paper's artifacts (a figure, a
 table, or a headline claim set), prints the regenerated rows/series the
 way the paper reports them, and asserts the qualitative *shape* facts
 the paper states.  ``pytest benchmarks/ --benchmark-only`` runs them
-all; set ``REPRO_BENCH_FAST=1`` for a coarse, quicker grid.
+all; set ``REPRO_BENCH_FAST=1`` for a coarse, quicker grid.  This file
+is the one place that reads the variable: the ``fast`` fixture hands
+it to the figure, table and headline builders as their ``fast``
+argument, the same value ``repro-bench --fast`` passes.
 
 The sweep helpers here are deliberately deterministic: grid iteration
 is sorted and any subsampling draws from a fixed-seed RNG, so the
@@ -13,6 +16,7 @@ iteration order and an unseeded sampler would silently reorder cells
 and defeat the bit-identical regression gate).
 """
 
+import os
 import random
 
 import pytest
@@ -34,6 +38,12 @@ def _single_shot(benchmark, function, *args, **kwargs):
 @pytest.fixture
 def single_shot():
     return _single_shot
+
+
+@pytest.fixture
+def fast():
+    """``REPRO_BENCH_FAST=1``: run the builders' coarse campaign."""
+    return os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
 
 
 @pytest.fixture

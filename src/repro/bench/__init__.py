@@ -5,7 +5,6 @@ from .compare import (
     document_diff_paths,
     monotonically_increasing,
     ranking,
-    values_match,
     winner,
 )
 from .asciiplot import ascii_plot, plot_figure, sparkline
@@ -22,8 +21,8 @@ from .export import (
     write_table3_csv,
     write_table3_json,
 )
-from .figures import FigureData, figure1, figure2, figure3, figure4, \
-    figure5
+from .figures import CampaignError, FigureData, figure1, figure2, \
+    figure3, figure4, figure5
 from .headline import HeadlineCheck, format_headline, headline_checks
 from .perfsuite import (
     PERF_SCHEMA,
@@ -37,35 +36,21 @@ from .perfsuite import (
     work_section_text,
 )
 from .tables import Table3Row, format_table3, table3
-from .workload import (
-    FIGURE_OPS,
-    MACHINES,
-    T3D_MAX_NODES,
-    bench_config,
-    bench_machine_sizes,
-    bench_message_sizes,
-    machine_sizes_for,
-)
 
 __all__ = [
+    "CampaignError",
     "ChaosRun",
-    "FIGURE_OPS",
     "FigureData",
     "HeadlineCheck",
-    "MACHINES",
     "PERF_SCHEMA",
     "PerfCheckResult",
     "PerfRun",
     "RunDiagnostics",
-    "T3D_MAX_NODES",
     "Table3Row",
     "ascii_plot",
     "plot_figure",
     "sparkline",
     "collect_diagnostics",
-    "bench_config",
-    "bench_machine_sizes",
-    "bench_message_sizes",
     "build_perf_artifact",
     "chaos_report",
     "check_perf_artifact",
@@ -93,11 +78,9 @@ __all__ = [
     "format_headline",
     "format_table3",
     "headline_checks",
-    "machine_sizes_for",
     "monotonically_increasing",
     "ranking",
     "run_chaos",
     "table3",
-    "values_match",
     "winner",
 ]

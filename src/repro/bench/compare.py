@@ -12,19 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 __all__ = ["ranking", "winner", "crossover_message_size",
-           "monotonically_increasing", "values_match",
-           "document_diff_paths"]
-
-
-def values_match(a: float, b: float, rtol: float = 0.0,
-                 atol: float = 0.0) -> bool:
-    """Whether two measured values agree within ``atol + rtol * |a|``.
-
-    With both tolerances zero this is exact (bitwise) float equality —
-    the sweep regression gate's default, since reruns of the
-    deterministic simulator must reproduce results bit for bit.
-    """
-    return abs(b - a) <= atol + rtol * abs(a)
+           "monotonically_increasing", "document_diff_paths"]
 
 
 def ranking(values: Dict[str, float]) -> List[str]:

@@ -1,9 +1,10 @@
 """Graceful-degradation benches: latency under faults vs fault-free.
 
 ``degradation_curves`` reruns the paper's ``T0(p)`` startup-latency
-measurement under a :class:`~repro.faults.FaultPlan` and pairs every
-faulty curve with its clean baseline, so the latency penalty of
-rerouting and retransmission is visible point by point.
+measurement (Figure 1's cells for one machine and op) under a
+:class:`~repro.faults.FaultPlan` and pairs every faulty curve with its
+clean baseline, so the latency penalty of rerouting and retransmission
+is visible point by point.
 ``run_chaos`` runs one collective under a plan and reports what the
 injector actually did (reroutes, retransmits, lost messages, aborted
 transfers) next to the clean/faulty elapsed times, optionally keeping
@@ -17,13 +18,13 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from ..core import QUICK_CONFIG, MeasurementConfig, \
-    measure_startup_latency
+from ..core import QUICK_CONFIG, MeasurementConfig, machine_sizes_for
 from ..core.report import format_us
 from ..faults import FaultPlan
 from ..mpi import MpiWorld
-from .figures import FigureData
-from .workload import bench_machine_sizes
+from ..runner import GRID_PRESETS
+from .figures import FigureData, campaign_grid, campaign_times, \
+    startup_cell
 
 __all__ = ["ChaosRun", "degradation_curves", "chaos_report",
            "fault_counters", "run_chaos"]
@@ -43,27 +44,30 @@ COUNTER_NAMES = (
 
 def degradation_curves(machine: str, op: str, plan: FaultPlan,
                        node_counts: Optional[Sequence[int]] = None,
-                       config: MeasurementConfig = QUICK_CONFIG
-                       ) -> FigureData:
+                       config: MeasurementConfig = QUICK_CONFIG,
+                       fast: bool = False) -> FigureData:
     """``T0(p)`` with and without ``plan``, as paired figure series.
 
     Series keys are ``(op, machine, "clean")`` and
     ``(op, machine, plan.name)``; both are measured with the identical
     protocol ``config`` (its ``faults`` field is overridden), so any
-    difference between the curves is the plan's doing.
+    difference between the curves is the plan's doing.  ``node_counts``
+    defaults to Figure 1's machine sizes (coarse under ``fast``).  A
+    point the plan makes undeliverable raises
+    :class:`~repro.bench.figures.CampaignError` naming its cell.
     """
-    sizes = tuple(node_counts) if node_counts is not None \
-        else bench_machine_sizes(machine)
-    clean_config = dataclasses.replace(config, faults=None)
-    fault_config = dataclasses.replace(config, faults=plan)
+    if node_counts is None:
+        node_counts = machine_sizes_for(
+            machine, campaign_grid(GRID_PRESETS["fig1"], fast).machine_sizes)
+    cells = [startup_cell(machine, op, p) for p in node_counts]
+    clean = campaign_times(cells, dataclasses.replace(config, faults=None))
+    faulty = campaign_times(cells, dataclasses.replace(config, faults=plan))
     data = FigureData(
         "Degradation", f"startup latency T0(p) on {machine} {op}, "
                        f"clean vs fault plan {plan.name!r}", "us")
-    for p in sizes:
-        clean = measure_startup_latency(machine, op, p, clean_config)
-        data.add((op, machine, "clean"), p, clean.time_us)
-        faulty = measure_startup_latency(machine, op, p, fault_config)
-        data.add((op, machine, plan.name), p, faulty.time_us)
+    for cell in cells:
+        data.add((op, machine, "clean"), cell.p, clean[cell])
+        data.add((op, machine, plan.name), cell.p, faulty[cell])
     return data
 
 

@@ -6,14 +6,15 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..core import (
+    FIGURE_OPS,
     HEADLINE,
+    MACHINES,
     MeasurementConfig,
     estimate_rinf_two_point,
-    measure_collective,
-    measure_startup_latency,
 )
 from ..core.report import format_table
-from .workload import bench_config
+from ..runner import SweepCell
+from .figures import campaign_times, startup_cell
 
 __all__ = ["HeadlineCheck", "headline_checks", "format_headline"]
 
@@ -40,15 +41,30 @@ class HeadlineCheck:
         return 1.0 / factor <= self.ratio <= factor
 
 
-def headline_checks(config: Optional[MeasurementConfig] = None
-                    ) -> List[HeadlineCheck]:
-    """Run every headline measurement and pair it with the paper value."""
-    config = config or bench_config()
+def headline_checks(config: Optional[MeasurementConfig] = None,
+                    fast: bool = False) -> List[HeadlineCheck]:
+    """Pair every headline claim with the simulator's value.
+
+    The claims share cells (the 64-KB total exchange at p=64 alone
+    backs three of them); each distinct cell is simulated once.
+    """
+    barriers = [SweepCell(m, "barrier", 0, 64) for m in MACHINES]
+    two_node = startup_cell("t3d", "broadcast", 2)
+    startups = {op: startup_cell("t3d", op, 64)
+                for op in HEADLINE["t3d_startup_64_us"]}
+    exchanges = {m: {nbytes: SweepCell(m, "alltoall", nbytes, 64)
+                     for nbytes in (16384, 65536)}
+                 for m in HEADLINE["alltoall_rinf_64_gbs"]}
+    long_64 = [SweepCell(m, op, 65536, 64)
+               for m in MACHINES for op in FIGURE_OPS]
+    times = campaign_times(
+        [*barriers, two_node, *startups.values(),
+         *(cell for cells in exchanges.values() for cell in cells.values()),
+         *long_64], config, fast)
     checks: List[HeadlineCheck] = []
 
     # T3D hardwired barrier ~3 us, >= 30x faster than SP2/Paragon.
-    barrier = {m: measure_collective(m, "barrier", 0, 64, config).time_us
-               for m in ("t3d", "sp2", "paragon")}
+    barrier = {cell.machine: times[cell] for cell in barriers}
     checks.append(HeadlineCheck(
         "T3D 64-node barrier", HEADLINE["t3d_barrier_us"],
         barrier["t3d"], "us"))
@@ -58,40 +74,32 @@ def headline_checks(config: Optional[MeasurementConfig] = None
         min(barrier["sp2"], barrier["paragon"]) / barrier["t3d"], "x"))
 
     # T3D broadcast to two nodes ~35 us.
-    two_node = measure_startup_latency("t3d", "broadcast", 2, config)
     checks.append(HeadlineCheck(
         "T3D 2-node broadcast latency",
-        HEADLINE["t3d_broadcast_2node_us"], two_node.time_us, "us"))
+        HEADLINE["t3d_broadcast_2node_us"], times[two_node], "us"))
 
     # T3D 64-node startup latencies for six collectives.
     for op, value in HEADLINE["t3d_startup_64_us"].items():
-        sample = measure_startup_latency("t3d", op, 64, config)
         checks.append(HeadlineCheck(
-            f"T3D 64-node {op} startup", value, sample.time_us, "us"))
+            f"T3D 64-node {op} startup", value, times[startups[op]],
+            "us"))
 
     # 64-node total exchange aggregated bandwidths (GB/s).
     for machine, gbs in HEADLINE["alltoall_rinf_64_gbs"].items():
-        samples = {m: measure_collective(machine, "alltoall", m, 64,
-                                         config).time_us
-                   for m in (16384, 65536)}
+        samples = {nbytes: times[cell]
+                   for nbytes, cell in exchanges[machine].items()}
         rinf = estimate_rinf_two_point("alltoall", 64, samples) / 1024.0
         checks.append(HeadlineCheck(
             f"{machine} 64-node alltoall Rinf", gbs, rinf, "GB/s"))
 
     # SP2 64-node 64-KB total exchange ~317 ms.
-    sp2 = measure_collective("sp2", "alltoall", 65536, 64, config)
     checks.append(HeadlineCheck(
         "SP2 64-node 64KB alltoall", HEADLINE["sp2_alltoall_64x64k_ms"],
-        sp2.time_us / 1000.0, "ms"))
+        times[SweepCell("sp2", "alltoall", 65536, 64)] / 1000.0, "ms"))
 
     # All 64-KB 64-node collectives complete within (5.12 ms, 675 ms).
     lo, hi = HEADLINE["range_64x64k_ms"]
-    times_ms = [
-        measure_collective(m, op, 65536, 64, config).time_us / 1000.0
-        for m in ("sp2", "t3d", "paragon")
-        for op in ("broadcast", "alltoall", "scatter", "gather", "scan",
-                   "reduce")
-    ]
+    times_ms = [times[cell] / 1000.0 for cell in long_64]
     checks.append(HeadlineCheck("fastest 64-node 64KB collective", lo,
                                 min(times_ms), "ms"))
     checks.append(HeadlineCheck("slowest 64-node 64KB collective", hi,

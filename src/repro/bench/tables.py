@@ -6,15 +6,15 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..core import (
+    MACHINES,
     MeasurementConfig,
     TimingExpression,
     fit_timing_expression,
-    measure_collective,
     paper_expression,
 )
 from ..core.report import format_table
-from .workload import MACHINES, bench_config, bench_machine_sizes, \
-    bench_message_sizes
+from ..runner import GRID_PRESETS
+from .figures import campaign_grid, campaign_times, with_ops
 
 __all__ = ["Table3Row", "table3", "format_table3"]
 
@@ -64,27 +64,23 @@ class Table3Row:
 
 
 def table3(config: Optional[MeasurementConfig] = None,
-           ops: Tuple[str, ...] = TABLE3_OPS
-           ) -> Dict[Tuple[str, str], Table3Row]:
+           ops: Tuple[str, ...] = TABLE3_OPS,
+           fast: bool = False) -> Dict[Tuple[str, str], Table3Row]:
     """Measure the full (m, p) grid and curve-fit every expression."""
-    config = config or bench_config()
-    rows: Dict[Tuple[str, str], Table3Row] = {}
-    for machine in MACHINES:
-        sizes = bench_machine_sizes(machine)
-        for op in ops:
-            message_sizes = (0,) if op == "barrier" else \
-                bench_message_sizes()
-            samples = {
-                p: {m: measure_collective(machine, op, m, p,
-                                          config).time_us
-                    for m in message_sizes}
-                for p in sizes
-            }
-            fitted = fit_timing_expression(machine, op, samples)
-            rows[(machine, op)] = Table3Row(
-                machine=machine, op=op, fitted=fitted,
-                published=paper_expression(machine, op))
-    return rows
+    grid = campaign_grid(with_ops(GRID_PRESETS["full"], ops), fast)
+    samples: Dict[Tuple[str, str], Dict[int, Dict[int, float]]] = {}
+    for cell, time_us in campaign_times(grid.cells(), config,
+                                        fast).items():
+        samples.setdefault((cell.machine, cell.op), {}).setdefault(
+            cell.p, {})[cell.nbytes] = time_us
+    return {
+        (machine, op): Table3Row(
+            machine=machine, op=op,
+            fitted=fit_timing_expression(machine, op,
+                                         samples[(machine, op)]),
+            published=paper_expression(machine, op))
+        for machine in MACHINES for op in ops
+    }
 
 
 def format_table3(rows: Dict[Tuple[str, str], Table3Row],

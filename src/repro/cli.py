@@ -3,7 +3,7 @@
 Examples::
 
     repro-bench figure 1                # startup latencies
-    repro-bench figure 3 --fast         # coarse grid
+    repro-bench --fast figure 3         # coarse grid, one short run
     repro-bench table3
     repro-bench headline
     repro-bench measure sp2 alltoall --bytes 65536 --nodes 64
@@ -27,7 +27,8 @@ Examples::
         --faults single-link-outage --out site
 
 Exit status: 0 ok; 1 a gate failed (audit breach, ``diff`` mismatch,
-``perf --check`` regression, quarantined sweep/tune cells); 2 usage
+``perf --check`` regression, quarantined sweep/tune cells, a figure,
+table or check cell that failed to simulate); 2 usage
 error (bad flags, unknown names, unreadable input files); 130
 interrupted.
 
@@ -35,19 +36,22 @@ Every subcommand is one entry of a table: :func:`_command` registers
 its handler together with its arguments, and :func:`main` runs
 ``args.run(args)``.  Arguments that several subcommands share (the
 collective point, the measurement protocol, the result cache, the
-grid filter) are defined once below.
+grid filter) are defined once below.  The global ``--fast`` flag is
+handed to the builders of the paper's artifacts (``figure``,
+``table3``, ``headline``, ``chaos --curves``) as their ``fast``
+argument: coarse p and m axes and a two-iteration single-run protocol.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .bench import (
+    CampaignError,
     figure1,
     figure2,
     figure3,
@@ -179,8 +183,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Paragon Multicomputers' (HPCA 1997) on the "
                     "simulator.")
     parser.add_argument("--fast", action="store_true",
-                        help="coarse grids and single runs "
-                             "(sets REPRO_BENCH_FAST=1)")
+                        help="figure, table3, headline and chaos "
+                             "--curves: machine sizes 2,8,32, message "
+                             "sizes 4,1024,65536 and one run of 2 "
+                             "timed iterations")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, summary, adders, run in _COMMANDS:
         command = sub.add_parser(name, help=summary)
@@ -245,10 +251,9 @@ def _csv_names(text: Optional[str]) -> Optional[Tuple[str, ...]]:
 
 def _filter_grid(grid, ops: Optional[Tuple[str, ...]],
                  machines: Optional[Tuple[str, ...]] = None):
-    """Restrict a sweep or tuning grid to ``--ops``, and a sweep grid
-    to ``--machines`` (tuning grids carry no machines: ``tune`` hands
-    its list straight to the tuner).  A name the grid lacks is a usage
-    error."""
+    """Restrict a sweep or tuning grid to ``--ops`` and ``--machines``
+    (``tune`` passes no machines: it hands its list straight to the
+    tuner).  A name the grid lacks is a usage error."""
     if machines is not None:
         unknown = sorted(set(machines) - set(grid.machines))
         if unknown:
@@ -258,7 +263,7 @@ def _filter_grid(grid, ops: Optional[Tuple[str, ...]],
         grid = dataclasses.replace(grid, machines=tuple(
             m for m in grid.machines if m in machines))
     if ops is not None:
-        barrier = getattr(grid, "include_barrier", False)
+        barrier = grid.include_barrier
         known = grid.ops + (("barrier",) if barrier else ())
         unknown = sorted(set(ops) - set(known))
         if unknown:
@@ -305,7 +310,7 @@ def _apply_decision_table(cells, path):
           _arg("--plot", action="store_true",
                help="render the series as an ASCII log-log chart"))
 def _figure(args) -> None:
-    data = _FIGURES[args.number]()
+    data = _FIGURES[args.number](fast=args.fast)
     print(data.format())
     if args.plot:
         from .bench import plot_figure
@@ -321,12 +326,12 @@ def _figure(args) -> None:
 
 @_command("table3", "regenerate Table 3 (curve fits)")
 def _table3(args) -> None:
-    print(format_table3(table3()))
+    print(format_table3(table3(fast=args.fast)))
 
 
 @_command("headline", "check the headline claims")
 def _headline(args) -> None:
-    print(format_headline(headline_checks()))
+    print(format_headline(headline_checks(fast=args.fast)))
 
 
 @_command("measure", "measure one (machine, op, m, p) point",
@@ -635,8 +640,8 @@ def _tune(args) -> int:
           _arg("--faults", default="single-link-outage", metavar="PRESET",
                help="fault-plan preset (default single-link-outage)"),
           _arg("--curves", action="store_true",
-               help="also print clean vs faulty T0(p) curves over the "
-                    "bench node counts"),
+               help="also print clean vs faulty T0(p) curves over "
+                    "Figure 1's node counts"),
           _arg("--out", metavar="PATH",
                help="also dump the injector counters and the faulty "
                     "run's metrics snapshot as JSON (each fault counted "
@@ -672,7 +677,8 @@ def _chaos(args) -> None:
         print(f"wrote {args.out}")
     if args.curves:
         print()
-        print(degradation_curves(args.machine, args.op, plan).format())
+        print(degradation_curves(args.machine, args.op, plan,
+                                 fast=args.fast).format())
 
 
 @_command("critpath",
@@ -846,13 +852,14 @@ def _diff(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.fast:
-        os.environ["REPRO_BENCH_FAST"] = "1"
     try:
         return args.run(args) or 0
     except UsageError as error:
         print(error, file=sys.stderr)
         return 2
+    except CampaignError as error:
+        print(error, file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         # The sweep pool's context manager has already terminated its
         # workers by the time the interrupt propagates here.

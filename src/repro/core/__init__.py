@@ -30,13 +30,17 @@ from .measurement import (
     measure_startup_latency,
 )
 from .metrics import (
+    FIGURE_OPS,
+    MACHINES,
     PAPER_MACHINE_SIZES,
     PAPER_MESSAGE_SIZES,
     PAPER_OPS,
     STARTUP_PROBE_BYTES,
+    T3D_MAX_NODES,
     CollectiveSample,
     aggregated_length_factor,
     aggregated_message_length,
+    machine_sizes_for,
 )
 from .paper_model import HEADLINE, PAPER_TABLE3, RAW_HARDWARE, \
     paper_expression, table3_grid
@@ -46,10 +50,12 @@ __all__ = [
     "AnalyticModel",
     "CONST_FORM",
     "CollectiveSample",
+    "FIGURE_OPS",
     "HEADLINE",
     "HockneyFit",
     "LINEAR_FORM",
     "LOG_FORM",
+    "MACHINES",
     "MeasurementConfig",
     "PAPER_CONFIG",
     "PAPER_MACHINE_SIZES",
@@ -60,6 +66,7 @@ __all__ = [
     "QUICK_CONFIG",
     "RAW_HARDWARE",
     "STARTUP_PROBE_BYTES",
+    "T3D_MAX_NODES",
     "Term",
     "TimingExpression",
     "aggregated_bandwidth_mbs",
@@ -72,6 +79,7 @@ __all__ = [
     "fit_message_length_slices",
     "fit_term",
     "fit_timing_expression",
+    "machine_sizes_for",
     "measure_pingpong",
     "format_ratio",
     "format_sensitivities",

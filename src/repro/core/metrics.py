@@ -23,6 +23,10 @@ __all__ = [
     "PAPER_MESSAGE_SIZES",
     "PAPER_MACHINE_SIZES",
     "PAPER_OPS",
+    "MACHINES",
+    "FIGURE_OPS",
+    "T3D_MAX_NODES",
+    "machine_sizes_for",
     "aggregated_message_length",
     "aggregated_length_factor",
     "CollectiveSample",
@@ -43,6 +47,26 @@ PAPER_MACHINE_SIZES: Tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128)
 PAPER_OPS: Tuple[str, ...] = (
     "broadcast", "alltoall", "scatter", "gather", "scan", "reduce",
     "barrier")
+
+#: The three machines, in the paper's presentation order.
+MACHINES: Tuple[str, ...] = ("sp2", "t3d", "paragon")
+
+#: The six operations shown in Figures 1, 2, 4, and 5 (the barrier is
+#: added as a seventh panel in Figure 3).
+FIGURE_OPS: Tuple[str, ...] = PAPER_OPS[:6]
+
+#: "We were allocated with at most 64 T3D nodes" (Section 2).
+T3D_MAX_NODES = 64
+
+
+def machine_sizes_for(machine: str,
+                      sizes: Tuple[int, ...] = PAPER_MACHINE_SIZES
+                      ) -> Tuple[int, ...]:
+    """The machine-size sweep ``sizes``, honouring the T3D's 64-node
+    cap."""
+    if machine == "t3d":
+        return tuple(p for p in sizes if p <= T3D_MAX_NODES)
+    return tuple(sizes)
 
 
 def aggregated_length_factor(op: str, num_nodes: int) -> int:

@@ -34,7 +34,7 @@ T3D = MachineSpec(
     full_name="Cray T3D",
     site="Cray Research Eagan Center",
     # The largest T3D ever shipped; the paper's allocation capped at 64
-    # nodes (see bench.workload.T3D_MAX_NODES), but the engine perf
+    # nodes (see core.metrics.T3D_MAX_NODES), but the engine perf
     # suite simulates p=256 configurations.
     max_nodes=2048,
     software=SoftwareCosts(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..bench.compare import values_match
 from ..sim import SIM_VERSION
 from .fingerprint import to_jsonable
 from .pool import SweepConfig, SweepResult
@@ -176,7 +175,9 @@ def diff_artifacts(baseline: Dict[str, object],
         diff.compared += 1
         base = float(base_cells[key]["result"]["time_us"])
         new = float(new_cells[key]["result"]["time_us"])
-        if not values_match(base, new, rtol=rtol, atol=atol):
+        # Both tolerances zero (the default) means exact equality:
+        # reruns of the deterministic simulator match bit for bit.
+        if not abs(new - base) <= atol + rtol * abs(base):
             rel = (new - base) / base if base else float("inf")
             diff.changed.append((key, base, new, rel))
     return diff

@@ -131,46 +131,32 @@ def _cell_breakdown(cell: SweepCell,
 
 
 def evaluate_cell(cell: SweepCell, config: Optional[MeasurementConfig],
-                  mode: str = "sim",
                   breakdown: bool = False) -> Dict[str, float]:
-    """Evaluate one cell from scratch (no cache involved)."""
-    if mode == "sim":
-        machine: object = cell.machine
-        if cell.algorithm:
-            # Per-cell override: race this algorithm instead of the
-            # machine's fixed choice (the tuner's candidate sweeps).
-            spec = get_machine_spec(cell.machine)
-            machine = dataclasses.replace(
-                spec, algorithms={**dict(spec.algorithms),
-                                  cell.op: cell.algorithm})
-        sample = measure_collective(machine, cell.op, cell.nbytes,
-                                    cell.p, config or QUICK_CONFIG)
-        result = {
-            "time_us": sample.time_us,
-            "run_times_us": list(sample.run_times_us),
-            "process_min_us": sample.process_min_us,
-            "process_mean_us": sample.process_mean_us,
-            "process_max_us": sample.process_max_us,
-        }
-        if breakdown:
-            result["breakdown"] = _cell_breakdown(
-                cell, config or QUICK_CONFIG)
-        return result
+    """Simulate one cell from scratch (no cache involved).
+
+    The closed-form modes never come here: :func:`run_sweep` evaluates
+    them a whole message-size row at a time (:func:`_evaluate_batched`).
+    """
+    machine: object = cell.machine
     if cell.algorithm:
-        raise ValueError(
-            f"mode {mode!r} uses closed forms keyed to the machines' "
-            f"fixed algorithms and cannot honour the per-cell override "
-            f"{cell.algorithm!r}; use mode='sim'")
-    if mode == "analytic":
+        # Per-cell override: race this algorithm instead of the
+        # machine's fixed choice (the tuner's candidate sweeps).
         spec = get_machine_spec(cell.machine)
-        model = AnalyticModel(spec)
-        return {"time_us": float(
-            model.predict_batch(cell.op, (cell.nbytes,), cell.p)[0])}
-    if mode == "model":
-        expr = paper_expression(cell.machine, cell.op)
-        return {"time_us": float(
-            expr.evaluate_grid((cell.nbytes,), (cell.p,))[0, 0])}
-    raise ValueError(f"unknown sweep mode {mode!r}")
+        machine = dataclasses.replace(
+            spec, algorithms={**dict(spec.algorithms),
+                              cell.op: cell.algorithm})
+    sample = measure_collective(machine, cell.op, cell.nbytes, cell.p,
+                                config or QUICK_CONFIG)
+    result = {
+        "time_us": sample.time_us,
+        "run_times_us": list(sample.run_times_us),
+        "process_min_us": sample.process_min_us,
+        "process_mean_us": sample.process_mean_us,
+        "process_max_us": sample.process_max_us,
+    }
+    if breakdown:
+        result["breakdown"] = _cell_breakdown(cell, config or QUICK_CONFIG)
+    return result
 
 
 def _rebuild_config(config_kwargs: Dict[str, object]
@@ -191,29 +177,25 @@ def _rebuild_config(config_kwargs: Dict[str, object]
 
 
 def _evaluate_shard(task: Tuple[Tuple[Tuple[str, str, int, int], ...],
-                                Dict[str, object], str, bool]
+                                Dict[str, object], bool]
                     ) -> List[Tuple[Tuple[str, str, int, int],
                                     Dict[str, float]]]:
-    """Worker entry point: evaluate one shard of cells.
+    """Worker entry point: simulate one shard of cells.
 
     Takes/returns plain tuples and dicts so the payload pickles under
     any multiprocessing start method.
     """
-    cell_tuples, config_kwargs, mode, breakdown = task
+    cell_tuples, config_kwargs, breakdown = task
     config = _rebuild_config(config_kwargs)
-    out = []
-    for cell_tuple in cell_tuples:
-        cell = SweepCell(*cell_tuple)
-        out.append((cell_tuple,
-                    evaluate_cell(cell, config, mode, breakdown)))
-    return out
+    return [(cell_tuple,
+             evaluate_cell(SweepCell(*cell_tuple), config, breakdown))
+            for cell_tuple in cell_tuples]
 
 
 def _shard_task(shard: Sequence[SweepCell],
-                config_kwargs: Dict[str, object], mode: str,
-                breakdown: bool):
+                config_kwargs: Dict[str, object], breakdown: bool):
     return (tuple(dataclasses.astuple(cell) for cell in shard),
-            config_kwargs, mode, breakdown)
+            config_kwargs, breakdown)
 
 
 def _evaluate_parallel(cells: Sequence[SweepCell],
@@ -230,7 +212,6 @@ def _evaluate_parallel(cells: Sequence[SweepCell],
     rather than aborting the sweep.
     """
     config_kwargs = dataclasses.asdict(config.measurement)
-    mode = config.mode
     results: Dict[SweepCell, Dict[str, float]] = {}
     quarantined: Dict[SweepCell, str] = {}
     requeued = 0
@@ -243,7 +224,7 @@ def _evaluate_parallel(cells: Sequence[SweepCell],
         cell_config = _rebuild_config(config_kwargs)
         for cell in cells:
             try:
-                results[cell] = evaluate_cell(cell, cell_config, mode,
+                results[cell] = evaluate_cell(cell, cell_config,
                                               config.breakdown)
             except Exception as exc:
                 quarantined[cell] = repr(exc)
@@ -255,7 +236,7 @@ def _evaluate_parallel(cells: Sequence[SweepCell],
             handles = [
                 (shard, pool.apply_async(
                     _evaluate_shard,
-                    (_shard_task(shard, config_kwargs, mode,
+                    (_shard_task(shard, config_kwargs,
                                  config.breakdown),)))
                 for shard in batch
             ]

@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..bench.workload import FIGURE_OPS, MACHINES, machine_sizes_for
 from ..core import (
+    FIGURE_OPS,
+    MACHINES,
     PAPER_MACHINE_SIZES,
     PAPER_MESSAGE_SIZES,
     STARTUP_PROBE_BYTES,
+    machine_sizes_for,
 )
 
 __all__ = ["SweepCell", "SweepGrid", "GRID_PRESETS", "preset_grid",
@@ -80,8 +82,10 @@ class SweepGrid:
         return tuple(sorted(cells))
 
 
-#: Named grids the CLI exposes.  ``fig1`` and ``fig3`` mirror the
-#: paper's Figures 1 and 3; ``smoke`` is the tiny grid CI exercises.
+#: Named grids the CLI exposes.  ``fig1``-``fig3`` are the cells of
+#: the paper's Figures 1-3 and ``full`` those of its Table 3 (the
+#: figure and table builders of :mod:`repro.bench` evaluate exactly
+#: these); ``smoke`` is the tiny grid CI exercises.
 GRID_PRESETS: Dict[str, SweepGrid] = {
     "fig1": SweepGrid(name="fig1",
                       message_sizes=(STARTUP_PROBE_BYTES,)),

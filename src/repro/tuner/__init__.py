@@ -23,7 +23,6 @@ from .candidates import (
     CANDIDATES,
     TUNE_GRIDS,
     TUNE_OPS,
-    TuneGrid,
     candidate_algorithms,
     tune_grid,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "TUNE_GRIDS",
     "TUNE_OPS",
     "TUNING_SCHEMA",
-    "TuneGrid",
     "TuneResult",
     "build_tuning_artifact",
     "candidate_algorithms",

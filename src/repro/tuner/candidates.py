@@ -10,12 +10,12 @@ every raced cell actually runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..machines import MachineSpec
+from ..runner import SweepGrid
 
-__all__ = ["CANDIDATES", "TUNE_OPS", "TuneGrid", "TUNE_GRIDS",
+__all__ = ["CANDIDATES", "TUNE_OPS", "TUNE_GRIDS",
            "tune_grid", "candidate_algorithms"]
 
 #: op -> alternative algorithms implementing it (the machine's own
@@ -63,34 +63,23 @@ def candidate_algorithms(spec: MachineSpec, op: str) -> Tuple[str, ...]:
     return tuple(sorted(names))
 
 
-@dataclass(frozen=True)
-class TuneGrid:
-    """The (op, m, p) cross product one tuning run measures.
-
-    Machines come from the caller; per machine the ``machine_sizes``
-    are clipped to its allocation cap (the T3D's 64-node partition)
-    exactly as sweep grids do.
-    """
-
-    name: str
-    ops: Tuple[str, ...] = TUNE_OPS
-    message_sizes: Tuple[int, ...] = (16, 1024, 16384, 65536)
-    machine_sizes: Tuple[int, ...] = (4, 16, 64)
-
-
-#: Named tuning grids the CLI exposes.  ``paper`` spans the paper's
-#: operation set at short/medium/long messages; ``smoke`` is the tiny
-#: grid CI byte-diffs.
-TUNE_GRIDS: Dict[str, TuneGrid] = {
-    "paper": TuneGrid(name="paper"),
-    "smoke": TuneGrid(name="smoke",
-                      ops=("allreduce", "broadcast"),
-                      message_sizes=(64, 65536),
-                      machine_sizes=(4, 16)),
+#: Named tuning grids the CLI exposes: the (op, m, p) points a tune
+#: races candidates at.  The caller's machines replace the grid's, and
+#: each machine's sizes are clipped to its allocation cap (the T3D's
+#: 64-node partition) as in every sweep grid.  ``paper`` spans the
+#: paper's operation set at short/medium/long messages; ``smoke`` is
+#: the tiny grid CI byte-diffs.
+TUNE_GRIDS: Dict[str, SweepGrid] = {
+    "paper": SweepGrid(name="paper", ops=TUNE_OPS,
+                       message_sizes=(16, 1024, 16384, 65536),
+                       machine_sizes=(4, 16, 64)),
+    "smoke": SweepGrid(name="smoke", ops=("allreduce", "broadcast"),
+                       message_sizes=(64, 65536),
+                       machine_sizes=(4, 16)),
 }
 
 
-def tune_grid(name: str) -> TuneGrid:
+def tune_grid(name: str) -> SweepGrid:
     """Look up a named tuning grid."""
     try:
         return TUNE_GRIDS[name]

@@ -12,14 +12,14 @@ sweep (or vice versa) re-simulates nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..bench.workload import machine_sizes_for
 from ..core import QUICK_CONFIG, MeasurementConfig
 from ..machines import get_machine_spec
-from ..runner import ResultCache, SweepCell, SweepConfig, run_sweep
-from .candidates import TuneGrid, candidate_algorithms, tune_grid
+from ..runner import ResultCache, SweepCell, SweepConfig, SweepGrid, \
+    run_sweep
+from .candidates import candidate_algorithms, tune_grid
 from .fit import fit_decision_table
 from .table import DecisionTable, build_tuning_artifact
 
@@ -60,25 +60,19 @@ class TuneResult:
 
 
 def tune_cells(machines: Sequence[str],
-               grid: TuneGrid) -> Tuple[SweepCell, ...]:
+               grid: SweepGrid) -> Tuple[SweepCell, ...]:
     """The candidate-race cell list: every feasible candidate at every
-    (machine, op, m, p) grid point, in canonical sorted order."""
-    cells = set()
-    for machine in machines:
-        spec = get_machine_spec(machine)
-        sizes = machine_sizes_for(machine, grid.machine_sizes)
-        for op in grid.ops:
-            names = candidate_algorithms(spec, op)
-            for p in sizes:
-                for nbytes in grid.message_sizes:
-                    for name in names:
-                        cells.add(SweepCell(machine, op, nbytes, p,
-                                            algorithm=name))
-    return tuple(sorted(cells))
+    point of ``grid`` on ``machines``, in canonical sorted order."""
+    specs = {machine: get_machine_spec(machine) for machine in machines}
+    grid = replace(grid, machines=tuple(machines))
+    return tuple(sorted({
+        replace(cell, algorithm=name)
+        for cell in grid.cells()
+        for name in candidate_algorithms(specs[cell.machine], cell.op)}))
 
 
 def run_tune(machines: Sequence[str],
-             grid: Union[str, TuneGrid] = "paper",
+             grid: Union[str, SweepGrid] = "paper",
              config: MeasurementConfig = DEFAULT_TUNE_CONFIG,
              workers: int = 1,
              cache_dir: Optional[str] = None,

@@ -70,10 +70,9 @@ def test_plot_figure_adapter():
     assert "broadcast/t3d" in text
 
 
-def test_cli_plot_flag(capsys, monkeypatch):
+def test_cli_plot_flag(capsys):
     from repro.cli import main
-    monkeypatch.setenv("REPRO_BENCH_FAST", "1")
-    assert main(["figure", "4", "--plot"]) == 0
+    assert main(["--fast", "figure", "4", "--plot"]) == 0
     out = capsys.readouterr().out
     assert "legend:" in out
 

@@ -1,16 +1,16 @@
-"""Tests for the bench helpers: comparison utilities and workloads."""
+"""Tests for the bench helpers: comparison utilities and the paper's
+machine-size grid."""
 
 import pytest
 
 from repro.bench import (
-    bench_config,
     crossover_message_size,
-    machine_sizes_for,
     monotonically_increasing,
     ranking,
     winner,
 )
 from repro.bench.figures import FigureData
+from repro.core import machine_sizes_for
 
 
 def test_ranking_orders_fastest_first():
@@ -59,15 +59,6 @@ def test_t3d_capped_at_64_nodes():
     assert machine_sizes_for("t3d") == (2, 4, 8, 16, 32, 64)
     assert machine_sizes_for("sp2")[-1] == 128
     assert machine_sizes_for("paragon")[-1] == 128
-
-
-def test_bench_config_fast_mode(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_FAST", "1")
-    fast = bench_config()
-    monkeypatch.setenv("REPRO_BENCH_FAST", "")
-    quick = bench_config()
-    assert fast.runs <= quick.runs
-    assert fast.iterations <= quick.iterations
 
 
 def test_figure_data_add_get_format():

@@ -73,12 +73,11 @@ def test_write_table3_csv_and_json(tmp_path):
     assert payload[0]["published"] == payload[0]["fitted"]
 
 
-def test_cli_figure_export(tmp_path, capsys, monkeypatch):
+def test_cli_figure_export(tmp_path, capsys):
     from repro.cli import main
-    monkeypatch.setenv("REPRO_BENCH_FAST", "1")
     csv_path = tmp_path / "fig4.csv"
     json_path = tmp_path / "fig4.json"
-    code = main(["figure", "4", "--csv", str(csv_path),
+    code = main(["--fast", "figure", "4", "--csv", str(csv_path),
                  "--json", str(json_path)])
     assert code == 0
     assert csv_path.exists() and json_path.exists()

@@ -2,22 +2,36 @@
 
 Any change to the Table 3 transcription, the timing-expression
 evaluator, or the analytic cost model shows up here as a reviewable
-JSON diff instead of a silent drift.  Regenerate intentionally with
-``pytest --update-golden``.
+JSON diff instead of a silent drift; so does any change to the
+simulated ``--fast`` campaign (Figures 1-5, the Table 3 fits and a
+fault curve).  Regenerate intentionally with ``pytest --update-golden``.
 
 All values are rounded to 9 significant digits before snapshotting so
 the goldens survive last-ulp libm differences across platforms while
 still catching any real (model-level) change.
 """
 
-from repro.bench.workload import machine_sizes_for
+import pytest
+
+from repro.bench import (
+    CampaignError,
+    degradation_curves,
+    figure1,
+    figure2,
+    figure3,
+    figure4,
+    figure5,
+    table3,
+)
 from repro.core import (
     PAPER_MACHINE_SIZES,
     STARTUP_PROBE_BYTES,
     AnalyticModel,
+    machine_sizes_for,
     table3_grid,
 )
 from repro.core.canonical import load, round9
+from repro.faults import fault_preset
 from repro.machines import get_machine_spec
 from repro.runner import ARTIFACT_SCHEMA, preset_grid
 
@@ -96,3 +110,44 @@ def test_sweep_baseline_matches_model_mode():
     baseline = load(baseline_path, ARTIFACT_SCHEMA, "a sweep artifact")
     diff = diff_artifacts(baseline, regenerated, rtol=1e-9)
     assert diff.clean(), diff.format()
+
+
+def _series(data):
+    return {"/".join(map(str, key)): {str(x): round9(value)
+                                      for x, value in points.items()}
+            for key, points in data.series.items()}
+
+
+def _term(term):
+    return {"form": term.form, "coef": round9(term.coef),
+            "const": round9(term.const)}
+
+
+def test_campaign_fast_golden(golden):
+    """The simulated ``--fast`` campaign, pinned point by point.
+
+    The fault curve runs at the coarse sizes the single-link outage
+    leaves deliverable on the T3D; its p=2 point is the next test.
+    """
+    payload = {}
+    for build in (figure1, figure2, figure3, figure4, figure5):
+        data = build(fast=True)
+        payload[data.figure_id] = _series(data)
+    payload["Table 3"] = {
+        f"{machine}/{op}": {"startup": _term(row.fitted.startup),
+                            "per_byte": _term(row.fitted.per_byte)}
+        for (machine, op), row in table3(fast=True).items()}
+    payload["Degradation"] = _series(degradation_curves(
+        "t3d", "broadcast", fault_preset("single-link-outage"),
+        node_counts=(8, 32)))
+    golden.check("campaign_fast.json", payload)
+
+
+def test_undeliverable_campaign_point_names_its_cell():
+    """On two T3D nodes the outage cuts the only link from 0 to 1: the
+    fast fault curve fails on that cell rather than dropping it."""
+    with pytest.raises(CampaignError,
+                       match=r"cell t3d/broadcast/4/2 failed: "
+                             r"DeliveryError"):
+        degradation_curves("t3d", "broadcast",
+                           fault_preset("single-link-outage"), fast=True)

@@ -5,8 +5,7 @@ import pytest
 from repro.cli import main
 
 
-def test_measure_command(capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_FAST", "1")
+def test_measure_command(capsys):
     code = main(["measure", "t3d", "barrier", "--bytes", "0",
                  "--nodes", "8", "--iterations", "2", "--runs", "1"])
     out = capsys.readouterr().out
@@ -23,9 +22,8 @@ def test_measure_broadcast_reports_units(capsys):
     assert "us" in out or "ms" in out
 
 
-def test_figure_command_fast(capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_FAST", "1")
-    code = main(["figure", "4"])
+def test_figure_command_fast(capsys):
+    code = main(["--fast", "figure", "4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "Figure 4" in out
@@ -186,12 +184,41 @@ def test_profile_work_counters_are_those_of_the_plain_run(capsys):
     assert meter.transfers_shortcircuited == 11
 
 
-def test_fast_flag_sets_env(monkeypatch, capsys):
-    monkeypatch.delenv("REPRO_BENCH_FAST", raising=False)
+def test_fast_flag_does_not_leak_into_later_calls(monkeypatch, capsys):
+    """``--fast`` is an argument of the one command it is given to: it
+    leaves the environment alone, and a later in-process figure sweeps
+    the paper's machine sizes again."""
     import os
-    main(["--fast", "measure", "t3d", "barrier", "--bytes", "0",
-          "--nodes", "4", "--iterations", "1", "--runs", "1"])
-    assert os.environ.get("REPRO_BENCH_FAST") == "1"
+
+    import repro.runner.pool as pool
+    from repro.bench import figure1
+    from repro.core import CollectiveSample, machine_sizes_for
+
+    before = dict(os.environ)
+    assert main(["--fast", "measure", "t3d", "barrier", "--bytes", "0",
+                 "--nodes", "4", "--iterations", "1", "--runs", "1"]) == 0
+    assert dict(os.environ) == before
+
+    def instant(machine, op, nbytes, p, config):
+        return CollectiveSample(op, machine, nbytes, p, 1.0, (1.0,),
+                                1.0, 1.0, 1.0)
+
+    monkeypatch.setattr(pool, "measure_collective", instant)
+    data = figure1(ops=("broadcast",))
+    for machine in ("sp2", "t3d", "paragon"):
+        assert tuple(data.get("broadcast", machine)) == \
+            machine_sizes_for(machine)
+
+
+def test_chaos_curves_name_an_undeliverable_cell(capsys):
+    # Two T3D nodes have one link from 0 to 1, and the outage cuts it.
+    code = main(["--fast", "chaos", "t3d", "broadcast", "--curves"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "faulty:" in captured.out
+    assert captured.err.startswith("cell t3d/broadcast/4/2 failed: "
+                                   "DeliveryError")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_sweep_command_cold_then_warm(capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Candidate sets: feasibility filtering and grid lookup."""
 
+import hashlib
+
 import pytest
 
 from repro.machines import get_machine_spec
 from repro.mpi.collectives import algorithm_names
+from repro.runner import SweepGrid
 from repro.tuner import (
     CANDIDATES,
     TUNE_GRIDS,
@@ -72,9 +75,34 @@ def test_tune_cells_race_every_candidate_at_every_point():
 
 
 def test_tune_cells_honour_the_t3d_allocation_cap():
-    from repro.tuner import TuneGrid
-
-    grid = TuneGrid(name="big", ops=("broadcast",),
-                    message_sizes=(16,), machine_sizes=(4, 64, 256))
+    grid = SweepGrid(name="big", ops=("broadcast",),
+                     message_sizes=(16,), machine_sizes=(4, 64, 256))
     cells = tune_cells(["t3d"], grid)
     assert max(c.p for c in cells) == 64
+
+
+def test_tune_cells_ignore_the_grids_own_machines():
+    grid = tune_grid("smoke")
+    assert grid.machines == ("sp2", "t3d", "paragon")
+    assert {c.machine for c in tune_cells(["t3d"], grid)} == {"t3d"}
+
+
+#: (count, sha256 prefix of the newline-joined cell keys) of every
+#: preset's cell list, as the tuner enumerated them before tuning grids
+#: became sweep grids.
+PINNED_TUNE_CELLS = {
+    ("paper", "sp2"): (228, "9feae3795126b7b9"),
+    ("paper", "t3d"): (216, "7e43542d0f93d83c"),
+    ("paper", "paragon"): (228, "b51c9292c58070c4"),
+    ("smoke", "sp2"): (24, "bde286bfd9b37aab"),
+    ("smoke", "t3d"): (24, "91bab9cbb29a8697"),
+    ("smoke", "paragon"): (24, "b8aab7ff6cac039b"),
+}
+
+
+@pytest.mark.parametrize("grid_name,machine", sorted(PINNED_TUNE_CELLS))
+def test_tune_cells_are_pinned(grid_name, machine):
+    cells = tune_cells([machine], tune_grid(grid_name))
+    digest = hashlib.sha256(
+        "\n".join(c.key() for c in cells).encode()).hexdigest()[:16]
+    assert (len(cells), digest) == PINNED_TUNE_CELLS[grid_name, machine]
