@@ -14,39 +14,53 @@ of the engine's.
 Exactness comes from mirroring, not from a closed form.  The private
 heap schedules, one for one and in the same order, the events the
 engine would schedule for the call on the transport's per-message
-short-circuit: each rank's entry timeout, its send sleeps, DMA streams,
-the wire's landing and delivery, receive-event firings (or the urgent
-passthrough when a rank waits on an already fired one), receive
-sleeps, unexpected-message copies and combine timeouts.  Ties break on
-``(time, priority, insertion order)`` as in the engine, every time is
-computed by the same floating-point expression, and jitter is peeked
-from the same per-node ``sw.<i>`` streams in the same per-node order,
-so every result is bit-identical to the engine's.
+short-circuit: each rank's entry timeout, its send sleeps, DMA streams
+and buffered-send copies, the wire's landing and delivery,
+receive-event firings (or the urgent passthrough when a rank waits on
+an already fired one), receive sleeps and copies, combine and delay
+timeouts.  A message whose route finds a link busy takes the
+transport's contended wire (``Transport._wire_contended``) there too:
+its process-start entry, then the fabric's per-hop link protocol --
+requests in canonical link order, immediate grants, FIFO queues behind
+a holder or a booking with the booking-expiry wakeup, the hold and the
+releases that grant the next waiter -- then the wait for the NIC
+engines and the delivery.  Ties break on ``(time, priority, insertion
+order)`` as in the engine, every time is computed by the same
+floating-point expression, and jitter is peeked from the same per-node
+``sw.<i>`` streams in the same per-node order, so every result is
+bit-identical to the engine's.
 
-The replay is exact or it aborts.  Anything the per-message
-short-circuit would refuse -- a busy route link, a resource with queued
-protocol requests -- aborts it with no side effect, the ranks take
-their entry timeouts exactly as they would have, and the shape is not
-tried again on this communicator.  A successful replay is committed at
-once: the jitter draws are consumed, every resource's booking horizon
-is set, every message is accounted through the same helpers the
-short-circuit uses (counters, metrics, spans), and each rank is
-scheduled to resume at its own finish time, in completion order.
+The replay is exact or it aborts.  A resource already held through the
+request protocol when the episode first uses it, or a message or
+receive left unmatched at the end, aborts it with no side effect: the
+ranks take their entry timeouts exactly as they would have, and the
+shape is not tried again on this communicator.  A successful replay is
+committed at once: the jitter draws are consumed, every resource's
+booking horizon is set, and every message, queued transfer and copy is
+accounted, in the engine's order, through the same helpers the
+short-circuit and the fabric's per-hop path use (counters, link
+statistics, metrics, spans).  Each rank is then scheduled to resume at
+its own finish time, in completion order.
 
 Algorithms are recorded once per ``(algorithm, root, nbytes)`` per
 communicator by running their generators against a recording context
 that exposes only ``rank``, ``size``, ``coll_send``, ``coll_post``,
-``coll_wait``, ``coll_recv`` and ``combine``; touching anything else
-(the hardware barrier, the machine, ``buffered=`` sends, ...) leaves
-the algorithm to the engine.
+``coll_wait``, ``coll_recv``, ``combine``, ``delay`` and the machine's
+name and software constants as ``comm.spec``, read at record time.
+Sends and receives may be ``buffered=`` or carry an offloaded
+``sw_cost_us=``.  Touching anything else (the hardware barrier, the
+machine, another algorithm looked up through the spec, ...) leaves the
+algorithm to the engine.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from heapq import heappop, heappush
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Set,
-                    Tuple)
+from types import SimpleNamespace
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Set, Tuple)
 
 from ..node import TransferMode
 from ..sim import Event
@@ -54,15 +68,17 @@ from ..sim.engine import NORMAL, URGENT
 from .transport import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..machines import MachineSpec
     from .communicator import Communicator
 
 __all__ = ["EpisodeEvaluator", "record"]
 
 #: Operation codes of a recorded rank schedule.
-_SEND, _POST, _WAIT, _COMBINE = range(4)
+_SEND, _POST, _WAIT, _SLEEP = range(4)
 
 #: Private heap entry kinds.
-_RESUME, _LAND, _DELIVER, _FIRE = range(4)
+(_RESUME, _LAND, _DELIVER, _FIRE, _START, _GRANT, _WAKE,
+ _RELEASE) = range(8)
 
 #: Rank states: what the rank does when its next event fires.
 (_ENTERING, _RUNNING, _SENT, _STREAMED, _RECEIVING,
@@ -71,14 +87,17 @@ _RESUME, _LAND, _DELIVER, _FIRE = range(4)
 #: Receive-event states: untriggered, scheduled, fired.
 _PENDING, _SCHEDULED, _FIRED = range(3)
 
+#: Commit log entries: a message entered the wire, a queued transfer
+#: acquired its last link, a queued transfer released its route.
+_WIRED, _ACQUIRED, _RELEASED = range(3)
+
 
 class _Unrecordable(Exception):
     """The algorithm used something a recorded schedule cannot hold."""
 
 
 class _Abort(Exception):
-    """The replay met something the per-message short-circuit would
-    refuse."""
+    """The replay met a resource held through the request protocol."""
 
 
 # -- recording ------------------------------------------------------------
@@ -99,11 +118,13 @@ class _Recorder:
     """Stands in for a rank's context while its algorithm's generator
     runs once, listing the rank's operations."""
 
-    __slots__ = ("rank", "size", "ops", "_seq", "_posts")
+    __slots__ = ("rank", "size", "comm", "ops", "_seq", "_posts")
 
-    def __init__(self, rank: int, size: int, seq: int):
+    def __init__(self, rank: int, size: int, seq: int,
+                 comm: SimpleNamespace):
         self.rank = rank
         self.size = size
+        self.comm = comm
         self.ops: List[tuple] = []
         self._seq = seq
         self._posts = 0
@@ -116,11 +137,13 @@ class _Recorder:
             raise _Unrecordable(f"peer {peer} of seq {seq}")
 
     def coll_send(self, seq: int, phase: int, dst: int, nbytes: int,
-                  op: str, **kwargs):
+                  op: str, buffered: bool = False,
+                  sw_cost_us: Optional[float] = None, **kwargs):
         if kwargs or nbytes < 0:
             raise _Unrecordable("send options")
         self._check(seq, dst)
-        self.ops.append((_SEND, dst, nbytes, op, phase))
+        self.ops.append((_SEND, dst, nbytes, op, phase, buffered,
+                         sw_cost_us))
         return ()
 
     def coll_post(self, seq: int, phase: int, src: int) -> _Handle:
@@ -129,12 +152,13 @@ class _Recorder:
         self._posts += 1
         return _Handle(self, self._posts - 1)
 
-    def coll_wait(self, receive: _Handle, op: str, **kwargs):
+    def coll_wait(self, receive: _Handle, op: str, buffered: bool = False,
+                  sw_cost_us: Optional[float] = None, **kwargs):
         if kwargs or not isinstance(receive, _Handle) or \
                 receive.owner is not self or receive.waited:
             raise _Unrecordable("receive options")
         receive.waited = True
-        self.ops.append((_WAIT, receive.index, op))
+        self.ops.append((_WAIT, receive.index, op, buffered, sw_cost_us))
         return ()
 
     def coll_recv(self, seq: int, phase: int, src: int, op: str,
@@ -143,22 +167,31 @@ class _Recorder:
                               **kwargs)
 
     def combine(self, nbytes: int):
-        self.ops.append((_COMBINE, nbytes))
+        software = self.comm.spec.software
+        return self.delay(software.reduce_round_us +
+                          nbytes * software.reduce_us_per_byte)
+
+    def delay(self, base_us: float):
+        self.ops.append((_SLEEP, base_us))
         return ()
 
 
 def record(algorithm: Callable, size: int, seq: int, nbytes: int,
-           root: int) -> Optional[List[List[tuple]]]:
-    """Each rank's operation list for one call of ``algorithm``, or
-    ``None`` when the algorithm is not recordable.
+           root: int, spec: "MachineSpec") -> Optional[List[List[tuple]]]:
+    """Each rank's operation list for one call of ``algorithm`` on a
+    ``spec`` machine, or ``None`` when the algorithm is not recordable.
 
     Any exception while recording means the algorithm needs something
     the recording context lacks (an envelope, the machine, ...): the
     engine then runs it and raises whatever it raises for real.
     """
+    # The constants an algorithm may read; not the spec itself, whose
+    # decision table would let a composite resolve other algorithms.
+    comm = SimpleNamespace(spec=SimpleNamespace(name=spec.name,
+                                                software=spec.software))
     schedule = []
     for rank in range(size):
-        recorder = _Recorder(rank, size, seq)
+        recorder = _Recorder(rank, size, seq, comm)
         try:
             for _ in algorithm(recorder, seq, nbytes, root):
                 return None  # it waits on an engine event of its own
@@ -185,32 +218,39 @@ class _Schedule:
 class _Send:
     """A recorded send with every per-message constant resolved."""
 
-    __slots__ = ("dst", "nbytes", "op", "phase", "dma", "dma_us", "fast",
-                 "tx", "tx_us", "fast_rx", "rx", "rx_us", "links",
-                 "bookings", "hold", "src_nic", "dst_nic")
+    __slots__ = ("dst", "nbytes", "op", "phase", "cost", "dma", "dma_us",
+                 "bus", "copy", "copy_us", "fast", "tx", "tx_us",
+                 "fast_rx", "rx", "rx_us", "route", "links", "hold",
+                 "src_nic", "dst_nic")
 
 
 class _Message:
     """One message of a replayed episode: when its send was issued,
     when it asked for and got the DMA engine, when it entered the wire
-    and got the two NIC engines, and when it was delivered."""
+    and got the two NIC engines, and when it was delivered.  A message
+    whose route was busy also keeps its walk through the per-hop link
+    protocol: when it queued, which hop it is requesting since when,
+    the links it waited for, and when it got its last link and
+    released the route."""
 
     __slots__ = ("src", "send", "issued", "dma_asked", "dma_start",
                  "sent_at", "tx_start", "rx_start", "delivered_at",
-                 "unexpected")
+                 "unexpected", "queued_at", "hop", "arrived", "waits",
+                 "granted_at", "released_at", "span", "link_spans")
 
     def __init__(self, src: int, send: _Send, issued: float):
         self.src = src
         self.send = send
         self.issued = issued
         self.unexpected = False
+        self.queued_at: Optional[float] = None
 
 
 class _Receive:
     """One posted receive of a replayed episode."""
 
     __slots__ = ("rank", "src", "phase", "state", "waiting", "message",
-                 "unexpected", "prefer_dma")
+                 "unexpected", "wait")
 
     def __init__(self, rank: int, src: int, phase: int):
         self.rank = rank
@@ -222,10 +262,22 @@ class _Receive:
         self.unexpected = False
 
 
+class _Lane:
+    """The private request-protocol state of one route link: the
+    message holding its grant and the FIFO of messages waiting."""
+
+    __slots__ = ("resource", "holder", "waiting")
+
+    def __init__(self, resource):
+        self.resource = resource
+        self.holder: Optional[_Message] = None
+        self.waiting: Deque[_Message] = deque()
+
+
 class _Outcome:
     """Everything a successful replay hands to the commit."""
 
-    __slots__ = ("entered", "finished", "messages", "copies", "phases",
+    __slots__ = ("entered", "finished", "log", "copies", "phases",
                  "horizons")
 
 
@@ -303,7 +355,8 @@ class EpisodeEvaluator:
             return None
         schedule = self._schedules.get(key)
         if schedule is None:
-            recorded = record(algorithm, self.comm.size, seq, nbytes, root)
+            recorded = record(algorithm, self.comm.size, seq, nbytes, root,
+                              self.comm.spec)
             if recorded is None:
                 self._refused.add(key)
                 return None
@@ -327,11 +380,14 @@ class EpisodeEvaluator:
     # -- compiling a recorded schedule --------------------------------------
     def _compile(self, recorded: List[List[tuple]]) -> _Schedule:
         """Resolve every machine constant of a recorded schedule once:
-        nodes, engines, durations, route links and hold times.
+        nodes, engines, costs, durations, route links and hold times,
+        each computed by the expression the engine path computes it
+        with.
 
         A replay draws jitter once per send on the sender (its software
         cost), once per message on the receiver (its delivery latency),
-        once per wait (the receive cost) and once per combine."""
+        once per wait (the receive cost) and once per combine or
+        delay."""
         comm = self.comm
         machine = comm.machine
         spec = machine.spec
@@ -347,7 +403,7 @@ class EpisodeEvaluator:
             for entry in ops:
                 kind = entry[0]
                 if kind == _SEND:
-                    _, dst, nbytes, op, phase = entry
+                    _, dst, nbytes, op, phase, buffered, sw_cost = entry
                     draws[dst] += 1
                     dst_node = nodes[dst]
                     prefer_dma = spec.uses_dma_for(op)
@@ -356,10 +412,26 @@ class EpisodeEvaluator:
                         dst, nbytes, op, phase
                     send.fast = src_node.payload_mode(
                         prefer_dma, nbytes) is not TransferMode.HOST
+                    # An offloaded send is its cost alone: no payload
+                    # move, no copy.  Otherwise the payload streams
+                    # through the DMA engine, or a buffered one is staged
+                    # through system buffers on the memory bus.
+                    moves = sw_cost is None and nbytes > 0
+                    if sw_cost is not None:
+                        send.cost = sw_cost
+                    else:
+                        send.cost = software.send_msg_us
+                        if buffered:
+                            send.cost += software.buffered_msg_us
                     send.dma = src_node.dma \
-                        if send.fast and nbytes > 0 else None
+                        if moves and send.fast else None
                     send.dma_us = 0.0 if send.dma is None \
                         else send.dma.duration_us(nbytes)
+                    memory = src_node.memory
+                    send.bus = memory.bus
+                    send.copy = 2 * nbytes \
+                        if moves and buffered and not send.fast else 0
+                    send.copy_us = send.copy * memory.copy_us_per_byte
                     send.src_nic = src_node.nic
                     send.tx = src_node.nic.tx_engine
                     send.tx_us = src_node.nic.occupancy_us(nbytes,
@@ -374,17 +446,28 @@ class EpisodeEvaluator:
                                                dst_node.index)
                     send.hold = fabric.hold_us(len(route), nbytes) \
                         if route else 0.0
-                    route = route if fabric.contention else []
-                    send.links = [link.resource for link in route]
-                    send.bookings = [(link, None) for link in route]
+                    send.route = route if fabric.contention else []
+                    send.links = [link.resource for link in send.route]
                     out.append((_SEND, send))
                 elif kind == _WAIT:
-                    _, index, op = entry
-                    out.append((_WAIT, index, spec.uses_dma_for(op)))
-                elif kind == _COMBINE:
-                    cost = software.reduce_round_us + \
-                        entry[1] * software.reduce_us_per_byte
-                    out.append((_COMBINE, cost))
+                    # The receive cost and how many times the payload is
+                    # copied, for a message found posted and for an
+                    # unexpected one: an offloaded receive is its cost
+                    # alone, buffered traffic stages through system
+                    # buffers in and out, and an unexpected message is
+                    # copied out once.
+                    _, index, op, buffered, sw_cost = entry
+                    if sw_cost is not None:
+                        costs = (sw_cost, sw_cost)
+                        copies = (0, 0)
+                    else:
+                        cost = software.recv_msg_us
+                        if buffered:
+                            cost += software.buffered_msg_us
+                        costs = (cost, cost + software.unexpected_us)
+                        copies = (2, 2) if buffered else (0, 1)
+                    out.append((_WAIT, index, spec.uses_dma_for(op), costs,
+                                copies))
                 else:
                     out.append(entry)
             compiled.append(out)
@@ -400,11 +483,7 @@ class EpisodeEvaluator:
         """
         comm = self.comm
         machine = comm.machine
-        software = machine.spec.software
-        send_us = software.send_msg_us
-        recv_us = software.recv_msg_us
-        unexpected_us = software.unexpected_us
-        deliver_us = software.deliver_us
+        deliver_us = machine.spec.software.deliver_us
         world_ranks = comm.world_ranks
         nodes = [machine.nodes[node] for node in world_ranks]
         schedule = compiled.ops
@@ -416,6 +495,7 @@ class EpisodeEvaluator:
         heap: List[tuple] = []
         tick = itertools.count().__next__
         horizons: Dict[object, float] = {}
+        lanes: Dict[object, _Lane] = {}
         pc = [0] * size
         state = [_ENTERING] * size
         current: List[object] = [None] * size
@@ -424,16 +504,17 @@ class EpisodeEvaluator:
         unexpected: List[List[_Message]] = [[] for _ in range(size)]
         entered: List[Tuple[int, float]] = []
         finished: List[Tuple[int, float]] = []
-        messages: List[_Message] = []
+        log: List[Tuple[int, _Message]] = []
         copies: List[Tuple[int, int, float]] = []
         phases: List[Tuple[float, int]] = []
 
         def first_use(resource) -> float:
-            """A resource's booking horizon when the replay first books
-            it; one held through the request protocol refuses bookings."""
+            """A resource's booking horizon when the replay first uses
+            it: the machine's, unless it is held through the protocol."""
             if resource._users or resource._waiting:
                 raise _Abort("resource held through the protocol")
-            return resource._busy_until
+            busy = horizons[resource] = resource._busy_until
+            return busy
 
         def book(resource, duration: float, now: float) -> float:
             busy = horizons.get(resource)
@@ -448,13 +529,23 @@ class EpisodeEvaluator:
             message.sent_at = now
             message.tx_start = tx_start = book(send.tx, send.tx_us, now)
             message.rx_start = rx_start = book(send.rx, send.rx_us, now)
-            hold = send.hold
-            for resource in send.links:
+            log.append((_WIRED, message))
+            links = send.links
+            for resource in links:
                 busy = horizons.get(resource)
                 if busy is None:
                     busy = first_use(resource)
-                if busy > now:
-                    raise _Abort("route contended")
+                lane = lanes.get(resource) if lanes else None
+                if busy > now or lane is not None and \
+                        (lane.holder is not None or lane.waiting):
+                    # Route contended: the engine bookings stand and the
+                    # contended wire process starts, urgent, at this
+                    # instant.
+                    message.queued_at = now
+                    heappush(heap, (now, URGENT, tick(), _START, message))
+                    return
+            hold = send.hold
+            for resource in links:
                 horizons[resource] = now + hold
             end = tx_start + send.tx_us
             if now + hold > end:
@@ -462,16 +553,43 @@ class EpisodeEvaluator:
             rx_end = rx_start + send.rx_us
             if rx_end > end:
                 end = rx_end
-            messages.append(message)
             heappush(heap, (end, NORMAL, tick(), _LAND, message))
+
+        def request(message: _Message, now: float) -> None:
+            """``Resource.request`` for the message's current hop."""
+            resource = message.send.links[message.hop]
+            message.arrived = now
+            lane = lanes.get(resource)
+            if lane is None:
+                lane = lanes[resource] = _Lane(resource)
+            if lane.holder is not None:
+                lane.waiting.append(message)
+                return
+            busy = horizons.get(resource)
+            if busy is None:
+                busy = first_use(resource)
+            if busy > now:
+                # Queued behind a booking, whose expiry wakeup plays the
+                # holder's release; one wakeup per queue.
+                if not lane.waiting:
+                    heappush(heap, (busy, NORMAL, tick(), _WAKE, lane))
+                lane.waiting.append(message)
+                return
+            lane.holder = message
+            heappush(heap, (now, NORMAL, tick(), _GRANT, message))
+
+        def grant(lane: _Lane, now: float) -> None:
+            message = lane.waiting.popleft()
+            lane.holder = message
+            heappush(heap, (now, NORMAL, tick(), _GRANT, message))
 
         def run(rank: int, now: float) -> None:
             """Advance ``rank`` at ``now`` until it waits again."""
             step = state[rank]
             if step == _SENT:
                 message = current[rank]
-                if message.send.dma is not None:
-                    send = message.send
+                send = message.send
+                if send.dma is not None:
                     message.dma_asked = now
                     begin = book(send.dma.engine, send.dma_us, now)
                     message.dma_start = begin
@@ -479,25 +597,33 @@ class EpisodeEvaluator:
                     heappush(heap, (begin + send.dma_us, NORMAL, tick(),
                                     _RESUME, rank))
                     return
+                if send.copy:
+                    begin = book(send.bus, send.copy_us, now)
+                    copies.append((rank, send.copy, begin - now))
+                    state[rank] = _STREAMED
+                    heappush(heap, (begin + send.copy_us, NORMAL, tick(),
+                                    _RESUME, rank))
+                    return
                 wire(message, now)
             elif step == _STREAMED:
                 wire(current[rank], now)
             elif step == _RECEIVING:
                 receive = current[rank]
-                cost = recv_us
-                if receive.unexpected:
-                    cost += unexpected_us
+                cost = receive.wait[3][receive.unexpected]
                 state[rank] = _RECEIVED
                 heappush(heap, (now + cost * draw[rank](), NORMAL, tick(),
                                 _RESUME, rank))
                 return
             elif step == _RECEIVED:
                 receive = current[rank]
+                wait = receive.wait
+                count = wait[4][receive.unexpected]
                 nbytes = receive.message.send.nbytes
-                if receive.unexpected and nbytes > 0 and \
-                        nodes[rank].payload_mode(receive.prefer_dma, nbytes) \
+                if count and nbytes > 0 and \
+                        nodes[rank].payload_mode(wait[2], nbytes) \
                         is TransferMode.HOST:
                     memory = nodes[rank].memory
+                    nbytes *= count
                     duration = nbytes * memory.copy_us_per_byte
                     begin = book(memory.bus, duration, now)
                     copies.append((rank, nbytes, begin - now))
@@ -519,7 +645,7 @@ class EpisodeEvaluator:
                     current[rank] = _Message(rank, send, now)
                     state[rank] = _SENT
                     pc[rank] = index
-                    heappush(heap, (now + send_us * draw[rank](), NORMAL,
+                    heappush(heap, (now + send.cost * draw[rank](), NORMAL,
                                     tick(), _RESUME, rank))
                     return
                 if kind == _POST:
@@ -543,7 +669,7 @@ class EpisodeEvaluator:
                     continue
                 if kind == _WAIT:
                     receive = posts[rank][entry[1]]
-                    receive.prefer_dma = entry[2]
+                    receive.wait = entry
                     current[rank] = receive
                     state[rank] = _RECEIVING
                     pc[rank] = index
@@ -586,16 +712,59 @@ class EpisodeEvaluator:
                 else:
                     item.unexpected = True
                     unexpected[dst].append(item)
-            else:
+            elif kind == _FIRE:
                 item.state = _FIRED
                 if item.waiting:
                     run(item.rank, now)
+            elif kind == _START:
+                # The contended wire process starts.  The fabric first
+                # retries the batched booking; it cannot succeed at this
+                # instant, since nothing between the failed booking and
+                # this urgent entry releases a link or lowers a horizon.
+                # So the per-hop protocol takes over.
+                item.hop = 0
+                item.waits = []
+                request(item, now)
+            elif kind == _GRANT:
+                wait = now - item.arrived
+                if wait > 0:
+                    item.waits.append((item.hop, wait))
+                item.hop += 1
+                if item.hop < len(item.send.links):
+                    request(item, now)
+                else:
+                    item.granted_at = now
+                    log.append((_ACQUIRED, item))
+                    heappush(heap, (now + item.send.hold, NORMAL, tick(),
+                                    _RELEASE, item))
+            elif kind == _WAKE:
+                if item.waiting and item.holder is None and \
+                        horizons[item.resource] <= now:
+                    grant(item, now)
+            else:
+                item.released_at = now
+                log.append((_RELEASED, item))
+                send = item.send
+                for resource in send.links:
+                    lane = lanes[resource]
+                    lane.holder = None
+                    if lane.waiting:
+                        grant(lane, now)
+                # The wire ends when the slower NIC engine is done too.
+                tx_end = item.tx_start + send.tx_us
+                rx_end = item.rx_start + send.rx_us
+                end = tx_end if tx_end > rx_end else rx_end
+                if end > now:
+                    heappush(heap, (end, NORMAL, tick(), _LAND, item))
+                else:
+                    heappush(heap, (now + deliver_us * draw[send.dst](),
+                                    NORMAL, tick(), _DELIVER, item))
         if len(finished) != size or any(posted) or any(unexpected):
             return None
         outcome = _Outcome()
         outcome.entered = entered
         outcome.finished = finished
-        outcome.messages = messages
+        outcome.log = log
         outcome.copies = copies
         outcome.phases = phases
         outcome.horizons = horizons
@@ -606,7 +775,15 @@ class EpisodeEvaluator:
                 op: str, nbytes: int) -> None:
         """Make the replayed episode the machine's state: consume the
         jitter draws, set every booking horizon, and account every
-        message and copy as the short-circuit would have."""
+        message and copy as the engine would have.
+
+        The log is walked in the engine's order, so each link's
+        statistics add up in the order its occupancies and waits
+        happened.  A message accounts its send, engine bookings and
+        delivery when it enters the wire; a queued transfer also counts
+        what ``fabric.transfer`` and the link resources count inline,
+        and its acquisition and release go through the fabric's per-hop
+        helpers at the times they happened."""
         comm = self.comm
         machine = comm.machine
         transport = comm.transport
@@ -618,6 +795,7 @@ class EpisodeEvaluator:
             resource._busy_until = busy
         obs = comm.obs
         env = machine.env
+        work = env.work
         phase_spans: Dict[int, object] = {}
         if env.tracer is not None or env.metrics is not None:
             for _, entered_at in outcome.entered:
@@ -625,14 +803,30 @@ class EpisodeEvaluator:
             for called_at, phase in outcome.phases:
                 phase_spans[phase] = obs.phase(seq, phase, called_at)
         tag = ("c", comm.comm_id, seq)
-        for message in outcome.messages:
+        delivered = 0
+        for act, message in outcome.log:
             send = message.send
             size = send.nbytes
             src = world_ranks[message.src]
             dst = world_ranks[send.dst]
+            if act != _WIRED:
+                if act == _ACQUIRED:
+                    route = send.route
+                    for hop, wait in message.waits:
+                        route[hop].record_wait(wait)
+                    at = message.granted_at
+                    message.link_spans = fabric.hop_acquired(
+                        route, size, at - message.queued_at, src, dst,
+                        message.span, at)
+                else:
+                    fabric.hop_released(send.route, size, send.hold,
+                                        message.link_spans,
+                                        message.released_at)
+                continue
+            delivered += 1
             parent = phase_spans.get(send.phase)
-            span = transport.record_send(src, dst, size, send.op, parent,
-                                         message.issued)
+            span = message.span = transport.record_send(
+                src, dst, size, send.op, parent, message.issued)
             if send.dma is not None:
                 send.dma.record_booked(size,
                                        message.dma_start - message.dma_asked)
@@ -641,15 +835,22 @@ class EpisodeEvaluator:
                                          message.tx_start, sent_at)
             send.dst_nic.commit_receive(size, send.fast_rx,
                                         message.rx_start, sent_at)
-            fabric.commit_route(send.bookings, size, send.hold, src, dst,
-                                span, sent_at)
+            if message.queued_at is None:
+                fabric.commit_route(send.route, size, send.hold, src,
+                                    dst, span, sent_at)
+            elif work is not None:
+                hops = len(send.links)
+                work.transfers_booked += 1
+                work.resource_requests += hops
+                work.resource_grants += hops
+                work.resource_releases += hops
             transport.record_delivery(
                 Envelope(src=src, dst=dst, tag=tag + (send.phase,),
                          nbytes=size, sent_at=sent_at,
                          delivered_at=message.delivered_at, span=span,
                          phase_span=parent),
                 message.unexpected)
-        transport.messages_delivered += len(outcome.messages)
+        transport.messages_delivered += delivered
         nodes = machine.nodes
         for rank, size, wait in outcome.copies:
             nodes[world_ranks[rank]].memory.record_booked(size, wait)

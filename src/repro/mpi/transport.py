@@ -217,8 +217,8 @@ class Transport:
             # process that queues in the link FIFOs like any other.
             env.process(self._wire_contended(envelope, tx[0], rx[0]))
             return True
-        hold, bookings = routed
-        machine.fabric.commit_route(bookings, nbytes, hold, src, dst,
+        hold, links = routed
+        machine.fabric.commit_route(links, nbytes, hold, src, dst,
                                     envelope.span)
         now = env._now
         wire_end = tx[0]

@@ -31,10 +31,6 @@ from ..sim import Environment, Event, Interrupt, Span
 from .link import Link, LinkParameters
 from .topology import LinkId, Topology
 
-#: A rolled-back-able set of link bookings: ``(link, previous_busy_until)``
-#: per link, in canonical acquisition order.
-RouteBooking = List[Tuple[Link, float]]
-
 __all__ = ["NetworkFabric", "TransferAborted"]
 
 
@@ -127,67 +123,53 @@ class NetworkFabric:
 
     # -- synchronous fast-path booking ------------------------------------
     def try_book_route(self, src: int, dst: int, nbytes: int
-                       ) -> Optional[Tuple[float, RouteBooking]]:
+                       ) -> Optional[Tuple[float, List[Link]]]:
         """Book every link of an *uncontended* transfer starting now.
 
         Synchronous counterpart of :meth:`transfer` for the analytic
         short-circuit: only callable with no fault injector attached
         (the caller checks), and only succeeds when every link on the
         route is idle at the current instant — any busy or booked link
-        rolls the whole attempt back and returns ``None``, forcing the
-        full simulation path (which is where contention waits and stall
-        counters live).  Returns ``(hold, bookings)``; the caller must
-        finish with :meth:`commit_route` (success) or
-        :meth:`undo_route` (a later leg of its own booking failed).
-        No counters, link statistics or spans are touched until
-        commit.
+        books nothing and returns ``None``, forcing the full simulation
+        path (which is where contention waits and stall counters live).
+        Returns ``(hold, links)``, the links booked (none on a fabric
+        without contention); the caller must finish with
+        :meth:`commit_route`.  No counters, link statistics or spans are
+        touched until commit.
         """
         route = self.route_links(src, dst)
         if not route:
-            return 0.0, []
+            return 0.0, route
         hold = self.hold_us(len(route), nbytes)
         if not self.contention:
             return hold, []
-        bookings = self._book_links(route, hold)
-        return None if bookings is None else (hold, bookings)
+        return (hold, route) if self._book_links(route, hold) else None
 
     def hold_us(self, hops: int, nbytes: int) -> float:
         """Fault-free occupancy of a ``hops``-link route by ``nbytes``."""
         return hops * self.params.hop_latency_us + \
             nbytes * self.params.us_per_byte
 
-    def _book_links(self, ordered: List[Link], hold: float
-                    ) -> Optional[RouteBooking]:
+    @staticmethod
+    def _book_links(ordered: List[Link], hold: float) -> bool:
         """Book every link in ``ordered`` (canonical order) for ``hold``
-        starting now, all or nothing: the first link that is busy or
-        booked rolls back the bookings made so far and yields ``None``.
-        """
-        now = self.env._now
-        bookings: RouteBooking = []
+        starting now, all or nothing: when any link is busy, booked or
+        held, nothing is booked and the answer is ``False``."""
         for link in ordered:
-            booking = link.resource.try_occupy(hold)
-            if booking is None or booking[0] != now:
-                if booking is not None:
-                    link.resource.undo_occupy(booking[1])
-                self.undo_route(bookings)
-                return None
-            bookings.append((link, booking[1]))
-        return bookings
+            if not link.resource.idle:
+                return False
+        for link in ordered:
+            link.resource.try_occupy(hold)
+        return True
 
-    def undo_route(self, bookings: RouteBooking) -> None:
-        """Roll back a :meth:`try_book_route` booking (synchronously)."""
-        for link, previous in reversed(bookings):
-            link.resource.undo_occupy(previous)
-
-    def commit_route(self, bookings: RouteBooking, nbytes: int,
-                     hold: float, src: int, dst: int,
-                     parent_span: Optional[Span],
+    def commit_route(self, links: List[Link], nbytes: int, hold: float,
+                     src: int, dst: int, parent_span: Optional[Span],
                      at: Optional[float] = None) -> None:
-        """Commit a booking made at time ``at`` (default: now): link
-        statistics, work counters, metrics and link spans."""
-        for link, _ in bookings:
+        """Commit the ``links`` booked at time ``at`` (default: now):
+        link statistics, work counters, metrics and link spans."""
+        for link in links:
             link.record(nbytes, busy_us=hold)
-        self._held(bookings, nbytes, hold, src, dst, parent_span,
+        self._held(links, nbytes, hold, src, dst, parent_span,
                    self.env._now if at is None else at)
         work = self.env.work
         if work is not None:
@@ -195,33 +177,33 @@ class NetworkFabric:
             work.transfers_completed += 1
             work.transfers_shortcircuited += 1
 
-    def _held(self, bookings: RouteBooking, nbytes: int, hold: float,
+    def _held(self, links: List[Link], nbytes: int, hold: float,
               src: int, dst: int, parent_span: Optional[Span],
               now: float) -> None:
         """Account a route booked idle at ``now``: one occupancy per
         link, the transfer metrics (it waited for nothing), and one
         ``link`` span per link over ``[now, now + hold]`` — what the
         per-hop protocol records for a transfer that never queued."""
-        if not bookings:
+        if not links:
             return
         env = self.env
         work = env.work
         if work is not None:
-            work.link_acquisitions += len(bookings)
-            work.resource_occupancies += len(bookings)
+            work.link_acquisitions += len(links)
+            work.resource_occupancies += len(links)
         if env.metrics is not None:
-            self._record_transfer(nbytes, 0.0, src, dst)
+            self._record_transfer(nbytes, 0.0, src, dst, now)
         tracer = env.tracer
         if tracer is not None:
-            for link, _ in bookings:
+            for link in links:
                 tracer.begin(now, f"link {link.link_id}", "link",
                              node=src, parent=parent_span, dst=dst,
                              nbytes=nbytes).end = now + hold
 
     def _record_transfer(self, nbytes: int, wait: float, src: int,
-                         dst: int) -> None:
-        """Transfer metrics and the contention mark, shared by every
-        path that acquires a route."""
+                         dst: int, now: float) -> None:
+        """Transfer metrics and the contention mark of a route acquired
+        at ``now``, shared by every path that acquires a route."""
         env = self.env
         metrics = env.metrics
         if metrics is not None:
@@ -232,8 +214,44 @@ class NetworkFabric:
                 metrics.histogram("fabric.wait_us").observe(wait)
         tracer = env.tracer
         if wait > 0 and tracer is not None:
-            tracer.mark(env._now, "link-contention", src,
+            tracer.mark(now, "link-contention", src,
                         dst=dst, waited_us=wait, nbytes=nbytes)
+
+    def hop_acquired(self, links: List[Link], nbytes: int, wait: float,
+                     src: int, dst: int, parent_span: Optional[Span],
+                     now: float) -> List[Span]:
+        """Account a route acquired hop by hop, its last link granted at
+        ``now`` after the transfer queued ``wait``: the acquisition and
+        stall counters, the transfer metrics and contention mark, and
+        one open ``link`` span per link (returned; empty when tracing
+        is off).  Finish with :meth:`hop_released`."""
+        env = self.env
+        work = env.work
+        if work is not None:
+            work.link_acquisitions += len(links)
+            if wait > 0:
+                work.transfers_stalled += 1
+        self._record_transfer(nbytes, wait, src, dst, now)
+        tracer = env.tracer
+        if tracer is None:
+            return []
+        return [tracer.begin(now, f"link {link.link_id}", "link",
+                             node=src, parent=parent_span, dst=dst,
+                             nbytes=nbytes)
+                for link in links]
+
+    def hop_released(self, links: List[Link], nbytes: int, hold: float,
+                     spans: List[Span], now: float) -> None:
+        """Account a route released at ``now`` after its hold: link
+        statistics, the completion, and the link ``spans`` still open
+        (those :meth:`hop_acquired` opened; none for a booked route)."""
+        for link in links:
+            link.record(nbytes, busy_us=hold)
+        for span in spans:
+            self.env.tracer.end(span, now)
+        work = self.env.work
+        if work is not None:
+            work.transfers_completed += 1
 
     def transfer(self, src: int, dst: int, nbytes: int,
                  parent_span: Optional[Span] = None
@@ -311,6 +329,7 @@ class NetworkFabric:
                 work.transfers_completed += 1
             return
         ordered = sorted(route, key=self._order.__getitem__)
+        links = [self._links[link_id] for link_id in ordered]
         if self.injector is None:
             # Batched booking: with every link on the route idle right
             # now (the common case) the whole multi-hop occupancy is
@@ -320,56 +339,37 @@ class NetworkFabric:
             # which is where waiting and stall accounting live.  No
             # injector means no Interrupt can arrive mid-hold, so the
             # bookings never need to be torn down early.
-            bookings = self._book_links(
-                [self._links[link_id] for link_id in ordered], hold)
-            if bookings is not None:
-                self._held(bookings, nbytes, hold, src, dst, parent_span,
+            if self._book_links(links, hold):
+                self._held(links, nbytes, hold, src, dst, parent_span,
                            self.env._now)
                 yield self.env.sleep(hold)
-                for link, _ in bookings:
-                    link.record(nbytes, busy_us=hold)
-                if work is not None:
-                    work.transfers_completed += 1
+                self.hop_released(links, nbytes, hold, [], self.env._now)
                 return
-        requests: List[Tuple[LinkId, Event]] = []
+        requests: List[Event] = []
         occupancy: List[Span] = []
         queued_at = self.env.now
         try:
-            for link_id in ordered:
+            for link in links:
                 arrived = self.env.now
-                request = self._links[link_id].resource.request()
-                requests.append((link_id, request))
+                request = link.resource.request()
+                requests.append(request)
                 yield request
                 link_wait = self.env.now - arrived
                 if link_wait > 0:
-                    self._links[link_id].record_wait(link_wait)
-            wait = self.env.now - queued_at
-            if work is not None:
-                work.link_acquisitions += len(ordered)
-                if wait > 0:
-                    work.transfers_stalled += 1
-            self._record_transfer(nbytes, wait, src, dst)
-            tracer = self.env.tracer
-            if tracer is not None:
-                occupancy = [
-                    tracer.begin(self.env.now, f"link {link_id}", "link",
-                                 node=src, parent=parent_span, dst=dst,
-                                 nbytes=nbytes)
-                    for link_id, _ in requests]
+                    link.record_wait(link_wait)
+            now = self.env.now
+            occupancy = self.hop_acquired(links, nbytes, now - queued_at,
+                                          src, dst, parent_span, now)
             yield self.env.sleep(hold)
         except Interrupt:
-            for link_id, request in requests:
-                self._links[link_id].resource.release(request)
+            for link, request in zip(links, requests):
+                link.resource.release(request)
             for span in occupancy:
-                tracer.end(span, self.env.now)
+                self.env.tracer.end(span, self.env.now)
             raise
-        for link_id, request in requests:
-            self._links[link_id].record(nbytes, busy_us=hold)
-            self._links[link_id].resource.release(request)
-        for span in occupancy:
-            tracer.end(span, self.env.now)
-        if work is not None:
-            work.transfers_completed += 1
+        self.hop_released(links, nbytes, hold, occupancy, self.env.now)
+        for link, request in zip(links, requests):
+            link.resource.release(request)
 
     def utilisation(self) -> Dict[LinkId, int]:
         """Bytes carried per link (only meaningful with contention on)."""

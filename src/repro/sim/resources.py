@@ -92,6 +92,14 @@ class Resource:
         """End of the current timestamp booking (``-inf`` when none)."""
         return self._busy_until
 
+    @property
+    def idle(self) -> bool:
+        """Whether :meth:`try_occupy` would book this resource starting
+        now: capacity 1, no grant outstanding, no request queued, and
+        no booking running past now."""
+        return self.capacity == 1 and not self._users and \
+            not self._waiting and self._busy_until <= self.env._now
+
     # -- timestamp-booking fast path --------------------------------------
     def try_occupy(self, duration: float) -> Optional[Tuple[float, float]]:
         """Book this resource for ``duration`` without events.

@@ -21,7 +21,7 @@ from repro.machines import get_machine_spec
 from repro.mpi import MpiError, MpiWorld, RankError
 from repro.mpi.collectives import base as registry
 from repro.mpi.collectives import get_algorithm
-from repro.mpi.episode import record
+from repro.mpi.episode import EpisodeEvaluator, record
 from repro.obs import HostProfile
 from repro.obs.perf import WorkMeter
 from repro.obs.report import link_stats
@@ -36,6 +36,10 @@ PARITY_CASES = (
     ("gather", 4, 16),
     ("scan", 64, 16),
     ("barrier", 0, 16),
+    # Contended and buffered: alltoall queues behind busy links.
+    ("alltoall", 65536, 8),
+    ("alltoall", 1024, 16),
+    ("gather", 4, 32),
 )
 
 
@@ -67,14 +71,45 @@ def test_hardware_counters_match_full_simulation(machine, op, nbytes, p):
 
 
 def test_parity_cases_take_the_evaluator():
-    evaluated = {(machine, op): _counters(machine, op, nbytes,
-                                          p)[3].episodes_evaluated
+    """Every parity case evaluates its three fenced calls, contended
+    and buffered ones included."""
+    evaluated = {(machine, op, nbytes, p): _counters(machine, op, nbytes,
+                                                     p)[3]
                  for machine in MACHINES
                  for op, nbytes, p in PARITY_CASES}
-    assert evaluated[("paragon", "scatter")] == 3
-    assert evaluated[("sp2", "barrier")] == 3
-    # The T3D's barrier is its barrier wire, which no schedule records.
-    assert evaluated[("t3d", "barrier")] == 0
+    for (machine, op, _, _), work in evaluated.items():
+        assert work.episodes_aborted == 0
+        # The T3D's barrier is its barrier wire, which no schedule
+        # records.
+        expected = 0 if (machine, op) == ("t3d", "barrier") else 3
+        assert work.episodes_evaluated == expected, (machine, op)
+    assert evaluated[("paragon", "alltoall", 65536, 8)].transfers_stalled
+    assert evaluated[("t3d", "alltoall", 1024, 16)].transfers_stalled
+
+
+#: Counters that differ by design when episodes are evaluated: the
+#: engine's own event and heap work, and the episode counts.
+_ENGINE_COUNTERS = ("events_", "callbacks_dispatched", "heap_",
+                    "episodes_")
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+@pytest.mark.parametrize("op,nbytes,p", PARITY_CASES)
+def test_evaluated_episodes_do_the_engines_work(monkeypatch, machine, op,
+                                                nbytes, p):
+    """Every work counter but the engine's own is what the engine
+    counts running the same calls: each message, transfer, stall, link
+    acquisition, resource request, grant, release and occupancy."""
+    evaluated = _counters(machine, op, nbytes, p)
+    monkeypatch.setattr(EpisodeEvaluator, "register",
+                        lambda *args, **kwargs: None)
+    engine = _counters(machine, op, nbytes, p)
+    assert engine[3].episodes_evaluated == 0
+    assert evaluated[:3] == engine[:3]
+    assert {name: value for name, value in evaluated[3]
+            if not name.startswith(_ENGINE_COUNTERS)} == \
+        {name: value for name, value in engine[3]
+         if not name.startswith(_ENGINE_COUNTERS)}
 
 
 # -- repeat ---------------------------------------------------------------
@@ -222,17 +257,19 @@ def test_ranks_mixing_repeat_and_plain_calls():
     assert work.episodes_evaluated == 0
 
 
-# -- aborts ------------------------------------------------------------------
-
-def test_contended_route_aborts_once_per_shape():
-    """A replay that meets a busy link aborts with no side effect; the
-    shape is then left to the engine on that communicator."""
+def test_contended_routes_replay_exactly():
+    """A replay whose messages meet busy links queues them through the
+    per-hop link protocol, as the engine does, instead of aborting."""
     fast = _counters("sp2", "broadcast", 4096, 16, iterations=6)
     full = _counters("sp2", "broadcast", 4096, 16, iterations=6,
                      fast_wire=False)
-    assert fast[3].episodes_aborted == 1
-    assert fast[3].episodes_evaluated == 0
+    assert fast[3].episodes_aborted == 0
+    assert fast[3].episodes_evaluated == 4
+    assert fast[3].transfers_stalled > 0
     assert fast[:3] == full[:3]
+
+
+# -- aborts ------------------------------------------------------------------
 
 
 def _with_algorithm(monkeypatch, name, algorithm, machine="sp2"):
@@ -276,6 +313,29 @@ def test_deadlocked_replay_aborts_and_the_engine_reports_it(monkeypatch):
     world = _world(spec, 4)
     with pytest.raises(MpiError, match="did not finish"):
         world.run_collective("broadcast", 8, iterations=3)
+    assert world.env.work.episodes_aborted == 1
+
+
+def test_a_link_held_through_the_protocol_aborts_the_replay():
+    """A link some process holds through the request protocol, with
+    nothing pending in the engine, refuses the replay at first use; the
+    engine then queues behind the holder for good."""
+    world = _world("t3d", 2)
+    link = world.machine.fabric.route_links(1, 0)[0]
+    assert link not in world.machine.fabric.route_links(0, 1)
+
+    def holder():
+        yield link.resource.request()
+        yield world.env.event()  # never fires: the link stays held
+
+    def program(ctx):
+        if ctx.rank == 0:
+            world.env.process(holder())
+        yield from ctx.barrier()  # the barrier wire: no link used
+        yield from ctx.repeat("gather", 8, 3)
+
+    with pytest.raises(MpiError, match="did not finish"):
+        world.run(program)
     assert world.env.work.episodes_aborted == 1
 
 
@@ -382,29 +442,51 @@ def test_random_programs_replay_exactly(program, machine, sigma):
 
 # -- recording ---------------------------------------------------------------
 
+def _record(algorithm, size, seq, nbytes, root, machine="sp2"):
+    return record(algorithm, size, seq, nbytes, root,
+                  get_machine_spec(machine))
+
+
 def test_binomial_broadcast_records_its_tree():
-    schedule = record(get_algorithm("binomial_broadcast"), 4, 7, 64, 0)
+    schedule = _record(get_algorithm("binomial_broadcast"), 4, 7, 64, 0)
     assert [[entry[0] for entry in ops] for ops in schedule] == \
         [[0, 0], [1, 2], [1, 2, 0], [1, 2]]
-    assert schedule[0] == [(0, 2, 64, "broadcast", 2),
-                           (0, 1, 64, "broadcast", 1)]
+    assert schedule[0] == [(0, 2, 64, "broadcast", 2, False, None),
+                           (0, 1, 64, "broadcast", 1, False, None)]
+
+
+def test_buffered_and_offloaded_messages_record_their_options():
+    """``buffered=`` sends and receives keep the flag; the Paragon's
+    offloaded scan reads its coprocessor costs from ``comm.spec`` at
+    record time, setup delay included."""
+    schedule = _record(get_algorithm("posted_alltoall"), 2, 1, 64, 0)
+    assert schedule[0] == [(1, 1, 1), (0, 1, 64, "alltoall", 1, True, None),
+                           (2, 0, "alltoall", True, None)]
+    software = get_machine_spec("paragon").software
+    schedule = _record(get_algorithm("offloaded_scan"), 2, 1, 64, 0,
+                       machine="paragon")
+    half = (software.offload_round_us +
+            64 * software.offload_us_per_byte) / 2.0
+    assert schedule[0][-1] == (0, 1, 64, "scan", 1, False, half)
+    assert schedule[1][-1] == (2, 0, "scan", False, half)
+    setup = [entry for entry in schedule[0] if entry[0] == 3]
+    assert setup == ([(3, software.offload_setup_us)]
+                     if software.offload_setup_us > 0 else [])
 
 
 @pytest.mark.parametrize("name", [
     "hardware_barrier",           # the barrier wire: ctx.machine
-    "offloaded_scan",             # coprocessor costs: ctx.comm
-    "posted_alltoall",            # buffered= sends
     "reduce_broadcast_allreduce",  # sub-algorithm lookup: ctx.comm
 ])
 def test_registered_algorithms_the_engine_must_run(name):
-    assert record(get_algorithm(name), 8, 1, 64, 0) is None
+    assert _record(get_algorithm(name), 8, 1, 64, 0, machine="t3d") is None
 
 
 def _unrecordable(body):
     def algorithm(ctx, seq, nbytes, root=0):
         yield from body(ctx, seq, nbytes)
 
-    return record(algorithm, 4, 1, 16, 0)
+    return _record(algorithm, 4, 1, 16, 0)
 
 
 @pytest.mark.parametrize("body", [
@@ -430,4 +512,4 @@ def test_a_receive_waited_twice_is_unrecordable():
         yield from ctx.coll_wait(receive, op="x")
         yield from ctx.coll_wait(receive, op="x")
 
-    assert record(twice, 2, 1, 16, 0) is None
+    assert _record(twice, 2, 1, 16, 0) is None

@@ -236,17 +236,27 @@ MPI_CASES = [
     ("paragon", "gather", 4096, 32),
     ("t3d", "reduce", 64, 5),
     ("sp2", "scan", 4096, 32),
-    # Contention-free: the evaluator takes these cases' episodes.
+    # Contention-free.
     ("sp2", "reduce", 4, 12),
     ("paragon", "broadcast", 1024, 12),
     ("sp2", "barrier", 0, 12),
     ("paragon", "scatter", 1024, 32),
     (_still("t3d"), "scatter", 64, 16),
     (_still("sp2"), "reduce", 4, 16),
+    # Buffered sends, and transfers queued behind busy links.
+    ("sp2", "alltoall", 65536, 8),
+    ("t3d", "alltoall", 65536, 8),
+    ("paragon", "alltoall", 65536, 8),
+    ("t3d", "reduce", 4, 64),
+    ("sp2", "scan", 4, 16),
+    ("paragon", "scan", 4, 16),
+    (_still("paragon"), "alltoall", 1024, 16),
 ]
 
-#: The cases whose fenced iterations are evaluated off the engine.
-EVALUATED_CASES = MPI_CASES[8:]
+#: The cases whose fenced iterations are evaluated off the engine: all
+#: but the composite allreduce, which looks its stages up through the
+#: communicator and so stays on the engine.
+EVALUATED_CASES = [case for case in MPI_CASES if case[1] != "allreduce"]
 
 
 @st.composite
@@ -396,7 +406,10 @@ def test_short_circuit_delivers_exactly_like_full_simulation(workload):
 
 
 def test_short_circuit_exact_on_fixed_cases():
-    aborted = 0
+    """Contended routes no longer abort a replay; the abort path is
+    pinned by the unfinished and deadlocked replays of
+    ``tests/mpi/test_episode.py``."""
+    stalled = 0
     for workload in MPI_CASES:
         fast_work = assert_short_circuit_exact(workload)
         assert fast_work["transfers_shortcircuited"] > 0, \
@@ -404,10 +417,9 @@ def test_short_circuit_exact_on_fixed_cases():
         if workload in EVALUATED_CASES:
             assert fast_work["episodes_evaluated"] > 0, \
                 f"{workload} never took the episode evaluator"
-        aborted += fast_work["episodes_aborted"]
-    # Contended routes abort replays: the engine must then run those
-    # episodes exactly as if no replay had been tried.
-    assert aborted > 0
+            assert fast_work["episodes_aborted"] == 0, workload
+            stalled += fast_work["transfers_stalled"]
+    assert stalled > 0
 
 
 def test_observation_is_not_an_input_on_fixed_cases():
