@@ -16,6 +16,14 @@ the max over processes is the operation's time "because it reflects the
 condition that all processes involved have finished the operation", and
 the whole program is executed several times per configuration, with
 min/mean/max collected.
+
+Each rank runs the pseudocode, warm-up included, as one
+:meth:`RankContext.time_block <repro.mpi.context.RankContext.time_block>`
+call.  That hands the communicator's episode evaluator
+(:mod:`repro.mpi.episode`) the whole block, so every fenced call of it,
+from the warm-up's last one to the last timed one, is evaluated off the
+event loop in one fold, with the simulated times and counters the
+plain calls give.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import Optional, Union
 
 from ..faults import FaultPlan
 from ..machines import MachineSpec, get_machine_spec
-from ..mpi import MpiWorld, RankContext
+from ..mpi import MpiWorld
 from .metrics import STARTUP_PROBE_BYTES, CollectiveSample
 
 __all__ = ["MeasurementConfig", "PAPER_CONFIG", "QUICK_CONFIG",
@@ -86,17 +94,8 @@ def _run_seed(config: MeasurementConfig, op: str, nbytes: int,
 
 def _timing_program(op: str, nbytes: int, config: MeasurementConfig):
     """Build the per-rank timing program (the paper's pseudocode)."""
-
-    def program(ctx: RankContext):
-        if config.warmup_iterations:
-            yield from ctx.repeat(op, nbytes, config.warmup_iterations)
-        yield from ctx.barrier()
-        start = ctx.wtime()
-        yield from ctx.repeat(op, nbytes, config.iterations)
-        local_time = (ctx.wtime() - start) / config.iterations
-        return local_time
-
-    return program
+    return lambda ctx: ctx.time_block(op, nbytes, config.iterations,
+                                      config.warmup_iterations)
 
 
 def measure_collective(machine: Union[str, MachineSpec], op: str,

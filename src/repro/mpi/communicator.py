@@ -15,8 +15,8 @@ paper reports.
 The fence is also what lets a repeated collective call be evaluated
 off the event loop (see :mod:`repro.mpi.episode`): a call whose ranks
 were all released by one fence, on an otherwise idle machine, and that
-every rank follows with the next fence, cannot interact with anything
-else.
+every rank follows with the next fence (or with nothing, at the end of
+the paper's timing block), cannot interact with anything else.
 """
 
 from __future__ import annotations
@@ -105,13 +105,19 @@ class Communicator:
         event = self.completion_event(seq)
         self._completion_counts[seq] += 1
         if self._completion_counts[seq] == self.size:
-            self.obs.complete(seq, self.machine.env.now, self.size)
+            self.completed(seq, self.machine.env.now)
             event.succeed()
-            # The fence is only ever awaited for seq-1, and every rank
-            # has passed it by now; seq-2 went when seq-1 completed.
-            self._completions.pop(seq - 1, None)
-            self._completion_counts.pop(seq - 1, None)
-            self._fence_waiters.pop(seq - 1, None)
+
+    def completed(self, seq: int, at: float) -> None:
+        """Close collective ``seq``, which every rank finished by
+        ``at``.  The episode evaluator calls this directly for a call it
+        folded into the next one, whose fence no rank waits on."""
+        self.obs.complete(seq, at, self.size)
+        # The fence is only ever awaited for seq-1, and every rank has
+        # passed it by now; seq-2 went when seq-1 completed.
+        self._completions.pop(seq - 1, None)
+        self._completion_counts.pop(seq - 1, None)
+        self._fence_waiters.pop(seq - 1, None)
 
     def algorithm(self, op: str, nbytes: int) -> Callable:
         """The algorithm this communicator runs for ``op`` at ``nbytes``.

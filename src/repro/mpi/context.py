@@ -41,6 +41,13 @@ COLLECTIVE_OPS = (
 )
 
 
+def call_setup_us(software, op: str) -> float:
+    """The entry cost of one call of collective ``op`` before jitter."""
+    if op == "barrier" and software.barrier_call_setup_us is not None:
+        return software.barrier_call_setup_us
+    return software.call_setup_us
+
+
 class RankContext:
     """One process's view of the communicator."""
 
@@ -167,52 +174,56 @@ class RankContext:
     def _entry_cost(self, op: str, nbytes: int) -> float:
         """Per-call entry cost: the jittered call setup plus the
         first-touch penalty of a cold working set."""
-        software = self.machine.spec.software
-        setup = software.call_setup_us
-        if op == "barrier" and software.barrier_call_setup_us is not None:
-            setup = software.barrier_call_setup_us
-        cost = setup * self.machine.jitter(self.world_rank)
+        cost = call_setup_us(self.machine.spec.software, op) * \
+            self.machine.jitter(self.world_rank)
         return cost + self.node.memory.first_touch_penalty((op, nbytes),
                                                            nbytes)
 
-    def _call(self, op: str, nbytes: int, root: int, algorithm: Callable,
-              final: bool) -> Generator[Event, None, None]:
-        """One collective call: wait on the previous call's completion
-        fence, pay the entry cost, run the algorithm, report completion.
+    def _call(self, shape: tuple, rest: Optional[tuple]
+              ) -> Generator[Event, None, tuple]:
+        """One collective call of ``shape`` = ``(op, algorithm, root,
+        nbytes)``: wait on the previous call's completion fence, pay the
+        entry cost, run the algorithm, report completion.
 
         All ranks must invoke collectives in the same order (an MPI
         requirement); the per-rank counter then agrees across ranks and
         serves as the tag namespace for the operation's messages.
-        ``final`` is ``False`` only for a :meth:`repeat` iteration that
-        the next one follows on this rank; when every rank's call is
-        such an iteration, the communicator's
-        :class:`~repro.mpi.episode.EpisodeEvaluator` may evaluate the
-        whole call off the event loop, and this rank then resumes at
-        its own finish time.
+        ``rest`` is ``None`` when the rank may do anything after this
+        call; otherwise it holds the shapes of the calls the rank makes
+        next, back to back, and nothing else follows them.  When every
+        rank's call comes with the same ``rest``, the communicator's
+        :class:`~repro.mpi.episode.EpisodeEvaluator` may evaluate this
+        call and a prefix of ``rest`` off the event loop.  Returns this
+        rank's finish time of each call made, resuming at the last one:
+        of this call alone when the engine ran it.
         """
         comm = self.comm
         seq = self._collective_seq
         self._collective_seq += 1
         if seq > 0 and self.machine.spec.serialize_collectives:
             yield comm.fence(seq - 1)
+        op, algorithm, root, nbytes = shape
         cost = self._entry_cost(op, nbytes)
-        gate = comm.episodes.register(self.rank, seq, cost,
-                                      (op, algorithm, root, nbytes), final)
+        gate = comm.episodes.register(self.rank, seq, cost, shape, rest)
         if gate is None:
             yield self.env.timeout(cost)
-        elif (yield gate):
-            comm.report_completion(seq)
-            return
+        else:
+            finishes = yield gate
+            if finishes:
+                self._collective_seq += len(finishes) - 1
+                comm.report_completion(self._collective_seq - 1)
+                return finishes
         comm.obs.enter(seq, op, nbytes, self.env.now)
         yield from algorithm(self, seq, nbytes, root)
         comm.report_completion(seq)
+        return (self.env.now,)
 
     # -- collectives ----------------------------------------------------------
     def collective(self, op: str, nbytes: int = 0,
                    root: int = 0) -> Generator[Event, None, None]:
         """Run collective ``op`` by name (dispatch used by the bench)."""
-        algorithm = self._algorithm(op, nbytes, root)
-        yield from self._call(op, nbytes, root, algorithm, True)
+        shape = (op, self._algorithm(op, nbytes, root), root, nbytes)
+        yield from self._call(shape, None)
 
     def repeat(self, op: str, nbytes: int, count: int,
                root: int = 0) -> Generator[Event, None, None]:
@@ -222,14 +233,55 @@ class RankContext:
         Same simulated behaviour as ``count`` calls of
         :meth:`collective`; every iteration but the last is followed by
         the next one's fence on this communicator, which is what lets
-        those iterations be evaluated off the event loop.
+        those iterations be evaluated off the event loop, one by one.
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        algorithm = self._algorithm(op, nbytes, root)
+        shape = (op, self._algorithm(op, nbytes, root), root, nbytes)
         for _ in range(count - 1):
-            yield from self._call(op, nbytes, root, algorithm, False)
-        yield from self._call(op, nbytes, root, algorithm, True)
+            yield from self._call(shape, ())
+        yield from self._call(shape, None)
+
+    def time_block(self, op: str, nbytes: int, iterations: int,
+                   warmup: int, root: int = 0
+                   ) -> Generator[Event, None, float]:
+        """The paper's timing block (Section 2) as one call: ``warmup``
+        discarded calls of ``op``, a barrier, then ``iterations`` calls
+        read between two clock reads.  Returns this rank's local time
+        per timed call.
+
+        Same simulated behaviour and result as the plain program::
+
+            if warmup:
+                yield from ctx.repeat(op, nbytes, warmup, root)
+            yield from ctx.barrier()
+            start = ctx.wtime()
+            yield from ctx.repeat(op, nbytes, iterations, root)
+            return (ctx.wtime() - start) / iterations
+
+        The block must end the rank's communication, unless another
+        collective call on this communicator follows it (whose fence
+        waits for every rank): the evaluator may take every fenced call
+        of the block, the last one included, from the first eligible
+        call on (see :mod:`repro.mpi.episode`).
+        """
+        if iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {iterations}")
+        if warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {warmup}")
+        call = (op, self._algorithm(op, nbytes, root), root, nbytes)
+        barrier = ("barrier", self._algorithm("barrier", 0, 0), 0, 0)
+        calls = (call,) * warmup + (barrier,) + (call,) * iterations
+        clock = self.node.clock
+        start = 0.0
+        index = 0
+        while index < len(calls):
+            finishes = yield from self._call(calls[index],
+                                             calls[index + 1:])
+            if index <= warmup < index + len(finishes):
+                start = clock.read(at=finishes[warmup - index])
+            index += len(finishes)
+        return (clock.read() - start) / iterations
 
     def barrier(self) -> Generator[Event, None, None]:
         """``MPI_Barrier``: block until all ranks have entered."""

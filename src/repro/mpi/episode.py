@@ -1,15 +1,30 @@
-"""Whole-collective short-circuit: one repeated collective call
-("episode") evaluated off the event loop.
+"""Whole-collective short-circuit: fenced collective calls
+("episodes") evaluated off the event loop.
 
 The paper times a collective as ``k`` back-to-back calls, and the
 communicator's completion fence (:mod:`repro.mpi.communicator`) makes
 every call but the first start with all ranks released at one instant.
 When, in addition, the engine has nothing else pending and every rank
 follows the call with the next fence (a :meth:`RankContext.repeat
-<repro.mpi.context.RankContext.repeat>` iteration other than the last),
-the call cannot interact with anything else: the
-:class:`EpisodeEvaluator` then runs it in a private event heap instead
-of the engine's.
+<repro.mpi.context.RankContext.repeat>` iteration other than the last)
+or with nothing at all (the last call of :meth:`RankContext.time_block
+<repro.mpi.context.RankContext.time_block>`), the call cannot interact
+with anything else: the :class:`EpisodeEvaluator` then runs it in a
+private event heap instead of the engine's.
+
+A ``repeat`` iteration is evaluated on its own, and its ranks resume
+on the engine at their finish times.  The paper's timing block hands
+the evaluator all of its calls at once: from the first eligible fenced
+call on, the evaluator *folds* the block, replaying and committing the
+warm-up's last call, the barrier and every timed call one after
+another.  Each next call is released at the previous one's last finish
+time, its ranks enter in the previous one's completion order, and
+their entry costs are drawn at the point of each node's ``sw.<i>``
+stream the engine would draw them at.  The ranks resume once, at their
+finish of the last folded call.  A call that cannot be evaluated (the
+T3D barrier wire, a composite, an abort) ends the fold before it draws
+anything: the ranks resume at their finish of the previous call, the
+engine runs that call, and the next fenced call may start a new fold.
 
 Exactness comes from mirroring, not from a closed form.  The private
 heap schedules, one for one and in the same order, the events the
@@ -39,8 +54,11 @@ committed at once: the jitter draws are consumed, every resource's
 booking horizon is set, and every message, queued transfer and copy is
 accounted, in the engine's order, through the same helpers the
 short-circuit and the fabric's per-hop path use (counters, link
-statistics, metrics, spans).  Each rank is then scheduled to resume at
-its own finish time, in completion order.
+statistics, metrics, spans).  In a fold, a call is closed at its last
+finish time, as the last rank's completion report would have closed
+it, once the next call's replay has succeeded.  Each rank is then
+scheduled to resume at its own finish time of the last evaluated call,
+in completion order.
 
 Algorithms are recorded once per ``(algorithm, root, nbytes)`` per
 communicator by running their generators against a recording context
@@ -65,6 +83,7 @@ from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
 from ..node import TransferMode
 from ..sim import Event
 from ..sim.engine import NORMAL, URGENT
+from .context import call_setup_us
 from .transport import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -206,13 +225,15 @@ def record(algorithm: Callable, size: int, seq: int, nbytes: int,
 class _Schedule:
     """A recorded algorithm compiled for one communicator: per rank,
     its operations with every machine constant resolved, and how many
-    jitter draws a complete replay makes on its node."""
+    jitter draws a complete replay makes on its node, without and with
+    the draw of the entry cost."""
 
-    __slots__ = ("ops", "draws")
+    __slots__ = ("ops", "draws", "entered_draws")
 
     def __init__(self, ops: List[List[tuple]], draws: List[int]):
         self.ops = ops
         self.draws = draws
+        self.entered_draws = [count + 1 for count in draws]
 
 
 class _Send:
@@ -301,17 +322,20 @@ class EpisodeEvaluator:
 
     # -- eligibility ------------------------------------------------------
     def register(self, rank: int, seq: int, cost: float, shape: tuple,
-                 final: bool) -> Optional[Event]:
+                 rest: Optional[tuple]) -> Optional[Event]:
         """Register ``rank``'s entry into collective ``seq``, an
         ``(op, algorithm, root, nbytes)`` call whose entry costs
-        ``cost``; ``final`` unless the rank's next call follows it.
+        ``cost``; ``rest`` is ``None`` when the rank may do anything
+        after the call, else the shapes of the calls it makes next,
+        back to back, with nothing after them.
 
         Returns ``None`` when the call cannot be an episode (the rank
         then takes its entry timeout itself), or the event the rank
-        waits on instead: fired with ``False`` at the end of its entry
-        cost when the engine is to run the call, or with ``True`` at
-        its finish time when the call was evaluated.  Eligibility reads
-        state only, never the tracer, metrics or work meter.
+        waits on instead: fired with ``()`` at the end of its entry
+        cost when the engine is to run the call, or at its finish time
+        of the last call evaluated, with its finish time of each call
+        evaluated from this one on.  Eligibility reads state only,
+        never the tracer, metrics or work meter.
         """
         comm = self.comm
         machine = comm.machine
@@ -323,7 +347,7 @@ class EpisodeEvaluator:
         # register in this same dispatch, back to back: deferring the
         # entry timeouts to the last registration schedules them in the
         # order and at the times the ranks would have.
-        self._pending.append((rank, cost, gate, shape, final))
+        self._pending.append((rank, cost, gate, shape, rest))
         if len(self._pending) == comm.size:
             self._decide(seq)
         return gate
@@ -331,24 +355,71 @@ class EpisodeEvaluator:
     def _decide(self, seq: int) -> None:
         pending, self._pending = self._pending, []
         env = self.comm.machine.env
-        shape = pending[0][3]
-        outcome = None
-        if env.peek() == float("inf") and \
-                all(entry[3] == shape and not entry[4] for entry in pending):
-            outcome = self._evaluate(shape, pending, seq)
-        if outcome is None:
+        _, _, _, shape, rest = pending[0]
+        folded = None
+        if env.peek() == float("inf") and rest is not None and \
+                all(entry[3] == shape and entry[4] == rest
+                    for entry in pending):
+            folded = self._fold(seq, pending, (shape,) + rest)
+        if folded is None:
             now = env.now
             for _, cost, gate, _, _ in pending:
-                gate.succeed_at(now + cost, False)
+                gate.succeed_at(now + cost, ())
             return
+        order, finishes = folded
         gates = {entry[0]: entry[2] for entry in pending}
-        for rank, finish in outcome.finished:
-            gates[rank].succeed_at(finish, True)
+        for rank, finish in order:
+            gates[rank].succeed_at(finish, tuple(finishes[rank]))
 
-    def _evaluate(self, shape: tuple, pending: List[tuple],
-                  seq: int) -> Optional[_Outcome]:
-        """Replay and commit the episode; ``None`` leaves it to the
-        engine."""
+    def _fold(self, seq: int, pending: List[tuple], calls: tuple
+              ) -> Optional[Tuple[List[Tuple[int, float]],
+                                  List[List[float]]]]:
+        """Evaluate ``calls[0]`` (collective ``seq``), then each next
+        call from the state the previous one committed, until one
+        cannot be evaluated or the calls run out.
+
+        Each next call is released at the previous one's last finish,
+        its ranks register in the previous one's completion order, and
+        their entry costs are drawn at that point of each node's
+        ``sw.<i>`` stream.  Returns the last evaluated call's
+        completion order and every rank's finish time of each evaluated
+        call, or ``None`` when the engine is to run ``calls[0]``.
+        """
+        comm = self.comm
+        order = [entry[0] for entry in pending]
+        costs: Optional[List[float]] = [entry[1] for entry in pending]
+        start = comm.machine.env.now
+        finishes: List[List[float]] = [[] for _ in range(comm.size)]
+        finished = None
+        for index, shape in enumerate(calls):
+            replayed = self._replay_call(shape, seq + index, order, costs,
+                                         start)
+            if replayed is None:
+                break
+            if index:
+                # The ranks resume only after the last evaluated call, so
+                # the ones before it are closed here, each before the
+                # next call's entries.
+                comm.completed(seq + index - 1, start)
+            outcome, draws = replayed
+            self._commit(outcome, draws, costs is None, seq + index, shape)
+            finished = outcome.finished
+            for rank, finish in finished:
+                finishes[rank].append(finish)
+            order = [rank for rank, _ in finished]
+            costs = None
+            start = finished[-1][1]
+        if finished is None:
+            return None
+        return finished, finishes
+
+    def _replay_call(self, shape: tuple, seq: int, order: List[int],
+                     costs: Optional[List[float]], start: float
+                     ) -> Optional[Tuple[_Outcome, List[int]]]:
+        """Replay collective ``seq`` of ``shape``, whose ranks enter in
+        ``order`` at ``start`` plus their entry ``costs`` (``None``:
+        drawn in the replay); return the outcome and the jitter draws it
+        made per rank, or ``None`` to leave the call to the engine."""
         op, algorithm, root, nbytes = shape
         key = (algorithm, root, nbytes)
         if key in self._refused:
@@ -361,21 +432,20 @@ class EpisodeEvaluator:
                 self._refused.add(key)
                 return None
             schedule = self._schedules[key] = self._compile(recorded)
-        env = self.comm.machine.env
+        draws = schedule.draws if costs is not None else \
+            schedule.entered_draws
         try:
-            outcome = self._replay(schedule, pending, env.now)
+            outcome = self._replay(schedule, draws, order, costs, start,
+                                   op, nbytes)
         except _Abort:
             outcome = None
-        work = env.work
         if outcome is None:
             self._refused.add(key)
+            work = self.comm.machine.env.work
             if work is not None:
                 work.episodes_aborted += 1
             return None
-        self._commit(outcome, schedule.draws, seq, op, nbytes)
-        if work is not None:
-            work.episodes_evaluated += 1
-        return outcome
+        return outcome, draws
 
     # -- compiling a recorded schedule --------------------------------------
     def _compile(self, recorded: List[List[tuple]]) -> _Schedule:
@@ -474,23 +544,36 @@ class EpisodeEvaluator:
         return _Schedule(compiled, draws)
 
     # -- the private heap ---------------------------------------------------
-    def _replay(self, compiled: _Schedule, pending: List[tuple],
-                start: float) -> Optional[_Outcome]:
-        """Run the episode in a private heap mirroring the engine's.
+    def _replay(self, compiled: _Schedule, draws: List[int],
+                order: List[int], costs: Optional[List[float]],
+                start: float, op: str, nbytes: int) -> Optional[_Outcome]:
+        """Run the episode in a private heap mirroring the engine's:
+        the ranks enter in ``order``, each at ``start`` plus its entry
+        cost, given in ``costs`` or, when ``None``, drawn here as the
+        rank's first of its ``draws`` jitter factors, plus the
+        first-touch penalty of the call's working set.
 
         Raises :class:`_Abort` (or returns ``None`` for an episode that
         does not finish cleanly) without touching any shared state.
         """
         comm = self.comm
         machine = comm.machine
-        deliver_us = machine.spec.software.deliver_us
+        software = machine.spec.software
+        deliver_us = software.deliver_us
         world_ranks = comm.world_ranks
         nodes = [machine.nodes[node] for node in world_ranks]
         schedule = compiled.ops
         size = len(schedule)
         # Each rank's jitter factors, in the order its node draws them.
         draw = [iter(machine.peek_jitter(world_ranks[rank], count)).__next__
-                for rank, count in enumerate(compiled.draws)]
+                for rank, count in enumerate(draws)]
+        if costs is None:
+            setup = call_setup_us(software, op)
+            working_set = (op, nbytes)
+            costs = [setup * draw[rank]() +
+                     nodes[rank].memory.first_touch_cost(working_set,
+                                                         nbytes)
+                     for rank in order]
 
         heap: List[tuple] = []
         tick = itertools.count().__next__
@@ -687,7 +770,7 @@ class EpisodeEvaluator:
             pc[rank] = index
             finished.append((rank, now))
 
-        for rank, cost, _, _, _ in pending:
+        for rank, cost in zip(order, costs):
             heappush(heap, (start + cost, NORMAL, tick(), _RESUME, rank))
         while heap:
             now, _, _, kind, item = heappop(heap)
@@ -771,11 +854,12 @@ class EpisodeEvaluator:
         return outcome
 
     # -- commit ---------------------------------------------------------------
-    def _commit(self, outcome: _Outcome, draws: List[int], seq: int,
-                op: str, nbytes: int) -> None:
+    def _commit(self, outcome: _Outcome, draws: List[int], entered: bool,
+                seq: int, shape: tuple) -> None:
         """Make the replayed episode the machine's state: consume the
-        jitter draws, set every booking horizon, and account every
-        message and copy as the engine would have.
+        jitter draws, warm the call's working set when the replay drew
+        the ``entered`` costs itself, set every booking horizon, and
+        account every message and copy as the engine would have.
 
         The log is walked in the engine's order, so each link's
         statistics add up in the order its occupancies and waits
@@ -789,8 +873,14 @@ class EpisodeEvaluator:
         transport = comm.transport
         fabric = machine.fabric
         world_ranks = comm.world_ranks
+        op, _, _, nbytes = shape
         for rank, count in enumerate(draws):
             machine.skip_jitter(world_ranks[rank], count)
+        if entered:
+            working_set = (op, nbytes)
+            for node in world_ranks:
+                machine.nodes[node].memory.first_touch_penalty(working_set,
+                                                               nbytes)
         for resource, busy in outcome.horizons.items():
             resource._busy_until = busy
         obs = comm.obs
@@ -854,3 +944,5 @@ class EpisodeEvaluator:
         nodes = machine.nodes
         for rank, size, wait in outcome.copies:
             nodes[world_ranks[rank]].memory.record_booked(size, wait)
+        if work is not None:
+            work.episodes_evaluated += 1

@@ -10,6 +10,8 @@ nodes), a small rate drift, and a finite tick resolution.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..sim import Environment
 
 __all__ = ["NodeClock"]
@@ -27,14 +29,16 @@ class NodeClock:
         self.drift = drift
         self.resolution_us = resolution_us
 
-    def read(self) -> float:
-        """Current local wall-clock time in microseconds.
+    def read(self, at: Optional[float] = None) -> float:
+        """Local wall-clock time in microseconds, now or at global time
+        ``at``.
 
-        Equals ``(1 + drift) * now + offset``, rounded down to the
+        Equals ``(1 + drift) * t + offset``, rounded down to the
         clock's tick.  Only differences of two reads from the *same*
         clock are physically meaningful.
         """
-        raw = (1.0 + self.drift) * self.env.now + self.offset_us
+        now = self.env.now if at is None else at
+        raw = (1.0 + self.drift) * now + self.offset_us
         if self.resolution_us > 0:
             ticks = int(raw / self.resolution_us)
             return ticks * self.resolution_us

@@ -81,9 +81,15 @@ class MemorySystem:
 
     def first_touch_penalty(self, key: Hashable, nbytes: int) -> float:
         """Cold-start cost for working set ``key``; zero once warm."""
+        penalty = self.first_touch_cost(key, nbytes)
+        self._touched.add(key)
+        return penalty
+
+    def first_touch_cost(self, key: Hashable, nbytes: int) -> float:
+        """What :meth:`first_touch_penalty` would charge for ``key``
+        now, without touching it."""
         if key in self._touched:
             return 0.0
-        self._touched.add(key)
         return self.warmup_us + nbytes * self.warmup_us_per_byte
 
     def is_warm(self, key: Hashable) -> bool:

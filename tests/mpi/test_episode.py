@@ -6,7 +6,10 @@ the full simulation.  This module pins the rest: hardware counters
 committed by an evaluated episode equal the full simulation's, random
 recorded programs replay exactly, which calls are eligible, which
 algorithms record, and that an aborted or refused replay leaves the
-engine to produce the same results.
+engine to produce the same results.  The paper's timing block, whose
+fenced calls the evaluator folds into one evaluation, is checked
+against the same block written as plain calls, the oracle, and where
+each fold breaks.
 """
 
 from dataclasses import replace
@@ -269,6 +272,183 @@ def test_contended_routes_replay_exactly():
     assert fast[:3] == full[:3]
 
 
+# -- the paper's timing block ---------------------------------------------------
+
+def _reference_block(op, nbytes, iterations, warmup):
+    """The timing block as plain calls: the oracle ``time_block`` must
+    reproduce bit for bit."""
+    def program(ctx):
+        if warmup:
+            yield from ctx.repeat(op, nbytes, warmup)
+        yield from ctx.barrier()
+        start = ctx.wtime()
+        yield from ctx.repeat(op, nbytes, iterations)
+        return (ctx.wtime() - start) / iterations
+
+    return program
+
+
+def _time_block(op, nbytes, iterations, warmup):
+    return lambda ctx: ctx.time_block(op, nbytes, iterations, warmup)
+
+
+def _block_run(machine, p, program, **kwargs):
+    world = _world(machine, p, **kwargs)
+    local_times = world.run(program)
+    return (local_times, collect_diagnostics(world),
+            link_stats(world.machine.fabric), world.env.work)
+
+
+def _hardware_work(work):
+    return {name: value for name, value in work
+            if not name.startswith(_ENGINE_COUNTERS)}
+
+
+def _assert_block_matches_reference(machine, p, block, **kwargs):
+    """``time_block`` against the plain program: the same per-rank
+    local times, hardware counters and every work counter but the
+    engine's own; returns the block's work meter."""
+    folded = _block_run(machine, p, _time_block(*block), **kwargs)
+    plain = _block_run(machine, p, _reference_block(*block), **kwargs)
+    assert folded[:3] == plain[:3], (machine, p, block)
+    assert _hardware_work(folded[3]) == _hardware_work(plain[3]), \
+        (machine, p, block)
+    return folded[3]
+
+
+#: (op, bytes) of the seven collectives the paper measures.
+PAPER_OPS = (("barrier", 0), ("broadcast", 4096), ("gather", 4),
+             ("scatter", 1024), ("reduce", 64), ("scan", 64),
+             ("alltoall", 65536))
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+@pytest.mark.parametrize("op,nbytes", PAPER_OPS)
+def test_time_block_matches_the_plain_program(machine, op, nbytes):
+    """Folding the block's fenced calls into evaluator calls changes no
+    local time, hardware counter or work counter, for any warm-up and
+    iteration count."""
+    for p in (2, 12, 16):
+        for warmup in (0, 1, 2):
+            for iterations in (1, 2, 5):
+                work = _assert_block_matches_reference(
+                    machine, p, (op, nbytes, iterations, warmup))
+                assert work.episodes_aborted == 0
+
+
+@given(st.sampled_from(PAPER_OPS), st.sampled_from([4, 1024, 65536]),
+       st.integers(0, 2), st.integers(1, 4), st.sampled_from(MACHINES),
+       st.sampled_from([0.0, 0.03, 0.3]),
+       st.sampled_from([3, 5, 6, 7, 11, 13]))
+@settings(max_examples=30, deadline=None)
+def test_time_block_matches_full_simulation(paper_op, nbytes, warmup,
+                                            iterations, machine, sigma, p):
+    """Random blocks, machines, jitter and non-power-of-two sizes: the
+    folded block gives the full simulation's local times and hardware
+    counters."""
+    op = paper_op[0]
+    nbytes = 0 if op == "barrier" else nbytes
+    spec = get_machine_spec(machine)
+    spec = replace(spec, software=replace(spec.software,
+                                          jitter_sigma=sigma))
+    program = _time_block(op, nbytes, iterations, warmup)
+    fast = _block_run(spec, p, program)
+    full = _block_run(spec, p, program, fast_wire=False)
+    assert fast[:3] == full[:3]
+    assert full[3].episodes_evaluated == 0
+
+
+def test_time_block_folds_every_fenced_call():
+    """After the unfenced first call, the block's calls are evaluated in
+    one fold: the warm-up's last call, the barrier and all five timed
+    calls.  The T3D's barrier wire ends the fold; the timed calls then
+    start a new one."""
+    block = ("broadcast", 4, 5, 2)
+    assert _assert_block_matches_reference(
+        "sp2", 16, block).episodes_evaluated == 7
+    assert _assert_block_matches_reference(
+        "t3d", 16, block).episodes_evaluated == 6
+
+
+def test_blocks_back_to_back():
+    """A block may be followed by another collective call: its fence
+    waits for the last folded call.  The second block's barrier finds
+    the working set the first block's fold warmed."""
+    blocks = (("reduce", 4, 3, 1), ("broadcast", 64, 2, 0))
+
+    def program(factory):
+        def run(ctx):
+            times = []
+            for block in blocks:
+                times.append((yield from factory(*block)(ctx)))
+            return times
+
+        return run
+
+    folded = _block_run("paragon", 12, program(_time_block))
+    plain = _block_run("paragon", 12, program(_reference_block))
+    assert folded[:3] == plain[:3]
+    assert _hardware_work(folded[3]) == _hardware_work(plain[3])
+    assert folded[3].episodes_evaluated == 4 + 3
+
+
+def test_time_block_keeps_ties_in_completion_order():
+    """With no jitter, ranks tie everywhere; each folded call enters in
+    the previous call's completion order, as the engine's fence
+    dispatch does."""
+    spec = get_machine_spec("paragon")
+    spec = replace(spec, software=replace(spec.software, jitter_sigma=0.0))
+    for op, nbytes in (("reduce", 4), ("broadcast", 4096),
+                       ("alltoall", 1024)):
+        work = _assert_block_matches_reference(spec, 12,
+                                               (op, nbytes, 4, 2))
+        assert work.episodes_evaluated == 6
+
+
+def test_a_composite_breaks_every_fold():
+    """``reduce_broadcast_allreduce`` looks its stages up through the
+    spec, so no allreduce call is recordable: only the barrier, between
+    two engine calls, is evaluated."""
+    work = _assert_block_matches_reference("sp2", 12,
+                                           ("allreduce", 64, 3, 2))
+    assert work.episodes_evaluated == 1
+    assert work.episodes_aborted == 0
+
+
+def test_pending_engine_work_blocks_the_fold():
+    def program(block):
+        def run(ctx):
+            if ctx.rank == 0:
+                ctx.env.timeout(1e9)
+            return (yield from block(ctx))
+
+        return run
+
+    block = ("reduce", 4, 5, 2)
+    folded = _block_run("sp2", 12, program(_time_block(*block)))
+    plain = _block_run("sp2", 12, program(_reference_block(*block)))
+    assert folded[:3] == plain[:3]
+    assert folded[3].episodes_evaluated == 0
+
+
+def test_fault_plans_keep_the_block_on_the_engine():
+    work = _assert_block_matches_reference(
+        "paragon", 8, ("broadcast", 1024, 3, 2),
+        faults=fault_preset("lossy"))
+    assert work.episodes_evaluated == work.episodes_aborted == 0
+
+
+@pytest.mark.parametrize("args", [("broadcast", 4, 0, 2),
+                                  ("broadcast", 4, 3, -1),
+                                  ("bogus", 4, 3, 2)])
+def test_time_block_validates_its_arguments(args):
+    def program(ctx):
+        return (yield from ctx.time_block(*args))
+
+    with pytest.raises(MpiError):
+        MpiWorld("sp2", 4).run(program)
+
+
 # -- aborts ------------------------------------------------------------------
 
 
@@ -302,6 +482,26 @@ def test_unfinished_replays_abort(monkeypatch):
         transport = world.comm.transport
         assert transport.pending_unexpected(1) == 4
         assert transport.pending_posted(2) == 4
+
+
+def test_an_abort_mid_fold_hands_the_call_to_the_engine(monkeypatch):
+    """A call whose replay aborts inside a fold draws nothing: the
+    ranks resume at their finish of the previous call, the engine runs
+    the aborted call with the entry costs it draws itself, and the next
+    fenced call starts a new fold."""
+    def orphans(ctx, seq, nbytes, root=0):
+        if ctx.rank == 0:
+            yield from ctx.coll_send(seq, 0, 1, 8, op="barrier")
+        elif ctx.rank == 1:
+            yield from ctx.combine(1 << 20)
+
+    monkeypatch.setitem(registry._ALGORITHMS, "test_orphans", orphans)
+    spec = get_machine_spec("sp2")
+    spec = replace(spec, algorithms={**spec.algorithms,
+                                     "barrier": "test_orphans"})
+    work = _assert_block_matches_reference(spec, 6, ("reduce", 4, 5, 2))
+    assert work.episodes_aborted == 1
+    assert work.episodes_evaluated == 6
 
 
 def test_deadlocked_replay_aborts_and_the_engine_reports_it(monkeypatch):

@@ -56,6 +56,22 @@ def test_clock_resolution_quantizes():
     assert clock.read() == 10.0
 
 
+def test_clock_reads_at_an_explicit_time():
+    """``read(at=t)`` is what ``read()`` gives once the clock is at
+    ``t``, drift and tick included."""
+    env = Environment()
+    clock = NodeClock(env, offset_us=3.0, drift=0.01, resolution_us=0.25)
+    early = clock.read(at=42.7)
+
+    def proc():
+        yield env.timeout(42.7)
+
+    env.process(proc())
+    env.run()
+    assert early == clock.read()
+    assert clock.read(at=0.0) == 3.0
+
+
 def test_clocks_disagree_across_nodes():
     env = Environment()
     a = NodeClock(env, offset_us=3.0)

@@ -95,6 +95,17 @@ def test_first_touch_penalty_once():
     assert again == 0.0
 
 
+def test_first_touch_cost_only_reads():
+    env = Environment()
+    memory = MemorySystem(env, copy_us_per_byte=0.0, warmup_us=100.0,
+                          warmup_us_per_byte=0.5)
+    key = ("broadcast", 64)
+    assert memory.first_touch_cost(key, 64) == 132.0
+    assert not memory.is_warm(key)
+    assert memory.first_touch_penalty(key, 64) == 132.0
+    assert memory.first_touch_cost(key, 64) == 0.0
+
+
 def test_first_touch_distinct_keys():
     env = Environment()
     memory = MemorySystem(env, copy_us_per_byte=0.0, warmup_us=50.0,

@@ -445,6 +445,39 @@ def test_observation_is_not_an_input(workload):
     assert_observation_is_not_an_input(workload)
 
 
+def observe_timing_block(machine, op, nbytes, p, folded):
+    """The paper's timing block (2 warm-up and 4 timed calls), traced
+    and metered: as one ``time_block`` call when ``folded``, else as
+    plain calls.  Returns the local times, spans and metrics."""
+    def plain(ctx):
+        yield from ctx.repeat(op, nbytes, 2)
+        yield from ctx.barrier()
+        start = ctx.wtime()
+        yield from ctx.repeat(op, nbytes, ITERATIONS)
+        return (ctx.wtime() - start) / ITERATIONS
+
+    def block(ctx):
+        return (yield from ctx.time_block(op, nbytes, ITERATIONS, 2))
+
+    world = MpiWorld(machine, p, seed=0, trace=True, metrics=True)
+    local_times = world.run(block if folded else plain)
+    return (local_times,
+            span_multiset(world.env.tracer, world.comm.comm_id),
+            world.env.metrics.snapshot())
+
+
+@pytest.mark.parametrize("workload", EVALUATED_CASES[:4])
+def test_a_folded_timing_block_records_the_plain_spans(workload):
+    """Folded calls enter, complete and account their messages at
+    explicit times: the folded block records the spans and metrics of
+    the plain program, collectives and phases included."""
+    folded = observe_timing_block(*workload, folded=True)
+    plain = observe_timing_block(*workload, folded=False)
+    assert folded[0] == plain[0], workload
+    assert folded[1] == plain[1], workload
+    assert_metrics_match(folded[2], plain[2])
+
+
 def run_two_calls(machine, op, nbytes, p, attach):
     """Two back-to-back ``run_collective`` calls on one world, with the
     pops and work metered throughout; ``attach`` attaches a tracer and
