@@ -24,15 +24,13 @@ Usage::
     python examples/stap_tradeoff.py
 """
 
-from repro import MeasurementConfig, MpiWorld
+from repro import MpiWorld
 from repro.core.report import format_table, format_us
 
 #: Total work per phase across all nodes, in CPU-microseconds.
 TOTAL_WORK_US = 100_000.0
 #: Radar data cube size in bytes (4 MB).
 CUBE_BYTES = 4 * 2 ** 20
-
-CONFIG = MeasurementConfig(iterations=1, warmup_iterations=1, runs=1)
 
 
 def stap_step_time(machine: str, num_nodes: int) -> float:

@@ -50,11 +50,9 @@ from .machines import (
 from .mpi import (
     COLLECTIVE_OPS,
     Communicator,
-    MPI_FLOAT,
     MpiError,
     MpiWorld,
     RankContext,
-    message_bytes,
 )
 
 __version__ = "1.0.0"
@@ -63,7 +61,6 @@ __all__ = [
     "COLLECTIVE_OPS",
     "Communicator",
     "HEADLINE",
-    "MPI_FLOAT",
     "Machine",
     "MachineSpec",
     "MeasurementConfig",
@@ -84,7 +81,6 @@ __all__ = [
     "machine_names",
     "measure_collective",
     "measure_startup_latency",
-    "message_bytes",
     "paper_expression",
     "register_machine_spec",
 ]

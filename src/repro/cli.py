@@ -360,17 +360,6 @@ def _sensitivity(args) -> None:
     print(format_sensitivities(results, top=args.top))
 
 
-@_command("app", "run an application kernel with phase breakdown",
-          _arg("name", choices=["stap", "fft2d", "samplesort"]),
-          _machine, _arg("--nodes", type=int, default=16))
-def _app(args) -> None:
-    from .apps import simulate_fft2d, simulate_samplesort, simulate_stap
-    _check_nodes(args)
-    runner = {"stap": simulate_stap, "fft2d": simulate_fft2d,
-              "samplesort": simulate_samplesort}[args.name]
-    print(runner(args.machine, args.nodes).format())
-
-
 @_command("trace",
           "capture a span trace of one collective "
           "(Chrome-trace/Perfetto JSON, CSV)",

@@ -183,9 +183,6 @@ class MachineSpec:
     barrier_wire: Optional[BarrierWire] = None
     #: op name -> algorithm name registered in repro.mpi.collectives.
     algorithms: Mapping[str, str] = field(default_factory=dict)
-    #: Sustained node compute rate in MFLOPS, used by the application
-    #: kernels in repro.apps to convert flop counts into compute time.
-    compute_mflops: float = 100.0
     clock_skew_us: float = 500.0
     clock_drift_sigma: float = 1e-6
     timer_resolution_us: float = 0.1

@@ -71,7 +71,6 @@ PARAGON = MachineSpec(
         "allgather": "gather_broadcast_allgather",
         "reduce_scatter": "reduce_scatter_composite",
     },
-    compute_mflops=60.0,  # i860 XP sustained
     clock_skew_us=500.0,
     timer_resolution_us=0.1,
 )

@@ -58,7 +58,6 @@ SP2 = MachineSpec(
         "allgather": "gather_broadcast_allgather",
         "reduce_scatter": "reduce_scatter_composite",
     },
-    compute_mflops=200.0,  # POWER2 sustained
     clock_skew_us=500.0,
     timer_resolution_us=0.1,
 )

@@ -76,7 +76,6 @@ T3D = MachineSpec(
         "allgather": "gather_broadcast_allgather",
         "reduce_scatter": "reduce_scatter_composite",
     },
-    compute_mflops=110.0,  # 150 MHz Alpha EV4 sustained
     clock_skew_us=200.0,
     timer_resolution_us=0.02,
 )

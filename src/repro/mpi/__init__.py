@@ -3,15 +3,6 @@
 from . import collectives  # noqa: F401 - registers algorithms
 from .communicator import Communicator
 from .context import COLLECTIVE_OPS, RankContext
-from .datatypes import (
-    MPI_BYTE,
-    MPI_CHAR,
-    MPI_DOUBLE,
-    MPI_FLOAT,
-    MPI_INT,
-    Datatype,
-    message_bytes,
-)
 from .errors import DeliveryError, MpiError, RankError, TruncationError
 from .transport import Envelope, PostedReceive, Transport
 from .world import MpiWorld, Program
@@ -19,14 +10,8 @@ from .world import MpiWorld, Program
 __all__ = [
     "COLLECTIVE_OPS",
     "Communicator",
-    "Datatype",
     "DeliveryError",
     "Envelope",
-    "MPI_BYTE",
-    "MPI_CHAR",
-    "MPI_DOUBLE",
-    "MPI_FLOAT",
-    "MPI_INT",
     "MpiError",
     "MpiWorld",
     "PostedReceive",
@@ -36,5 +21,4 @@ __all__ = [
     "Transport",
     "TruncationError",
     "collectives",
-    "message_bytes",
 ]

@@ -89,8 +89,9 @@ def test_sweep_baseline_matches_model_mode():
 
     ``tests/golden/BENCH_sweep_baseline.json`` is what ``repro-bench
     diff`` gates against; this test regenerates the same smoke grid in
-    ``model`` mode and requires a clean diff, so the baseline can
-    never drift from the code that claims to reproduce it.
+    ``model`` mode and requires a clean diff and the same cell
+    fingerprints, so neither the baseline's times nor its cache keys
+    can drift from the code that claims to reproduce it.
     """
     from pathlib import Path
 
@@ -110,6 +111,14 @@ def test_sweep_baseline_matches_model_mode():
     baseline = load(baseline_path, ARTIFACT_SCHEMA, "a sweep artifact")
     diff = diff_artifacts(baseline, regenerated, rtol=1e-9)
     assert diff.clean(), diff.format()
+    # The diff compares times only; a spec change that leaves every
+    # time alone still changes each cell's cache key.
+    assert _fingerprints(regenerated) == _fingerprints(baseline)
+
+
+def _fingerprints(artifact):
+    return {(c["machine"], c["op"], c["nbytes"], c["p"], c.get("algorithm")):
+            c["fingerprint"] for c in artifact["cells"]}
 
 
 def _series(data):

@@ -1,42 +1,8 @@
-"""Tests for datatypes, error types, and world-level failure handling."""
+"""Tests for error types and world-level failure handling."""
 
 import pytest
 
-from repro.mpi import (
-    MPI_BYTE,
-    MPI_DOUBLE,
-    MPI_FLOAT,
-    MPI_INT,
-    Datatype,
-    MpiError,
-    MpiWorld,
-    RankError,
-    message_bytes,
-)
-
-
-def test_standard_datatype_sizes():
-    assert MPI_BYTE.size_bytes == 1
-    assert MPI_INT.size_bytes == 4
-    assert MPI_FLOAT.size_bytes == 4  # the paper's element type
-    assert MPI_DOUBLE.size_bytes == 8
-
-
-def test_message_bytes():
-    # Paper: messages are counted in MPI_FLOAT elements.
-    assert message_bytes(16) == 64
-    assert message_bytes(16, MPI_DOUBLE) == 128
-    assert message_bytes(0) == 0
-
-
-def test_message_bytes_negative_rejected():
-    with pytest.raises(ValueError):
-        message_bytes(-1)
-
-
-def test_custom_datatype_validation():
-    with pytest.raises(ValueError):
-        Datatype("MPI_NOTHING", 0)
+from repro.mpi import MpiError, MpiWorld, RankError
 
 
 def test_rank_error_message():

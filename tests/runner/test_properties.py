@@ -18,6 +18,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+import pytest
 
 import repro
 from repro.core import MeasurementConfig
@@ -115,7 +116,6 @@ FIELD_PATHS = [
     ("nic", "bandwidth_mbs"),
     ("network", "link_bandwidth_mbs"),
     ("network", "hop_latency_us"),
-    (None, "compute_mflops"),
     (None, "clock_skew_us"),
     (None, "timer_resolution_us"),
 ]
@@ -143,6 +143,43 @@ def test_any_spec_field_change_changes_cache_key(path, machine, scale):
     assert spec_fingerprint(mutated) != spec_fingerprint(spec)
     assert cell_fingerprint(mutated, "broadcast", 16, 4, FAST) != \
         cell_fingerprint(spec, "broadcast", 16, 4, FAST)
+
+
+def _numeric_leaves(obj, path=()):
+    """Dotted paths of every number or flag in a (nested) spec."""
+    for spec_field in dataclasses.fields(obj):
+        value = getattr(obj, spec_field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _numeric_leaves(value, path + (spec_field.name,))
+        elif isinstance(value, (bool, int, float)):
+            yield path + (spec_field.name,)
+
+
+def _perturb(obj, path):
+    head, rest = path[0], path[1:]
+    value = getattr(obj, head)
+    if rest:
+        changed = _perturb(value, rest)
+    elif isinstance(value, bool):
+        changed = not value
+    elif isinstance(value, int):
+        changed = value + 1
+    else:
+        changed = value * 1.5 if value else 1.0
+    return dataclasses.replace(obj, **{head: changed})
+
+
+@pytest.mark.parametrize("machine", ["sp2", "t3d", "paragon"])
+def test_every_numeric_spec_field_is_in_the_cache_key(machine):
+    # Exhaustive companion of the sampled property above: a field
+    # added to any part of the spec must reach the fingerprint.
+    spec = get_machine_spec(machine)
+    paths = list(_numeric_leaves(spec))
+    assert len(paths) > len(FIELD_PATHS)
+    unkeyed = [".".join(path) for path in paths
+               if spec_fingerprint(_perturb(spec, path)) ==
+               spec_fingerprint(spec)]
+    assert not unkeyed, f"fields outside the cache key: {unkeyed}"
 
 
 def test_algorithm_choice_changes_cache_key():

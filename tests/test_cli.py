@@ -53,7 +53,6 @@ def test_unknown_machine_rejected():
     ["chaos", "sp2", "bogus"],
     ["sensitivity", "sp2", "bogus"],
     ["sensitivity", "sp2", "broadcast", "--nodes", "1"],
-    ["app", "stap", "t3d", "--nodes", "9999"],
     ["sweep", "--grid", "smoke", "--iterations", "0", "--no-cache"],
 ], ids=" ".join)
 def test_usage_errors_exit_2_with_one_line(argv, capsys, monkeypatch,
@@ -113,19 +112,6 @@ def test_sensitivity_command(capsys):
     assert code == 0
     assert "sensitivity of scatter" in out
     assert "dma.us_per_byte" in out
-
-
-def test_app_command(capsys):
-    code = main(["app", "stap", "t3d", "--nodes", "4"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "STAP pipeline on t3d, 4 nodes" in out
-    assert "corner-turn" in out
-
-
-def test_app_unknown_rejected():
-    with pytest.raises(SystemExit):
-        main(["app", "linpack", "t3d"])
 
 
 def test_trace_command_writes_valid_chrome_json(capsys, tmp_path):
