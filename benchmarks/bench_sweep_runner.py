@@ -59,12 +59,12 @@ def test_sweep_parallel_matches_serial(benchmark, single_shot,
     assert diff.clean(), diff.format()
 
 
-def test_sweep_analytic_mode_is_closed_form(benchmark, single_shot,
-                                            sweep_subgrid):
+def test_sweep_predict_mode_simulates_one_warm_call(benchmark, single_shot,
+                                                   sweep_subgrid):
     cells = _sub_fig3(sweep_subgrid)
-    config = SweepConfig(mode="analytic", use_cache=False)
+    config = SweepConfig(mode="predict", use_cache=False)
     result = single_shot(benchmark, run_sweep, cells, config,
                          ResultCache(enabled=False))
-    print(f"analytic: {result.summary()}")
+    print(f"predict: {result.summary()}")
     assert result.evaluated == len(cells)
     assert all(r["time_us"] > 0 for r in result.results.values())

@@ -19,9 +19,18 @@ Package map:
 * :mod:`repro.network` — mesh / torus / multistage interconnects
 * :mod:`repro.node` — node hardware (clock, memory, NIC, DMA, barrier)
 * :mod:`repro.machines` — SP2, T3D, Paragon models
-* :mod:`repro.mpi` — simulated MPI runtime and collectives
-* :mod:`repro.core` — the paper's measurement/fitting methodology
+* :mod:`repro.mpi` — simulated MPI runtime: transport, communicator,
+  episode evaluator
+* :mod:`repro.mpi.collectives` — the collective algorithm library
+* :mod:`repro.faults` — deterministic fault plans and injection
+* :mod:`repro.core` — the paper's measurement/fitting methodology and
+  ``predict_collective``
+* :mod:`repro.obs` — tracing, metrics, work meter, critical path,
+  drift audit, run ledger
+* :mod:`repro.runner` — parallel sweep runner and result cache
+* :mod:`repro.tuner` — algorithm tuner and decision tables
 * :mod:`repro.bench` — figure/table regeneration harness
+* :mod:`repro.dash` — static dashboard over a run ledger
 """
 
 from .core import (

@@ -2,16 +2,17 @@
 
 Downstream users (plotting scripts, regression dashboards) want the
 figure series and fitted expressions as data, not text.  These writers
-keep the schema deliberately flat: one row per point.
+keep the schema deliberately flat: one row per point.  JSON goes out in
+the repository's one canonical form (:mod:`repro.core.canonical`).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Dict, Tuple, Union
 
+from ..core.canonical import write
 from .figures import FigureData
 from .tables import Table3Row
 
@@ -52,8 +53,7 @@ def write_figure_csv(data: FigureData, path: PathLike) -> Path:
 
 def write_figure_json(data: FigureData, path: PathLike) -> Path:
     """Write one figure's series to ``path`` as JSON."""
-    path = Path(path)
-    payload = {
+    return write({
         "figure": data.figure_id,
         "title": data.title,
         "unit": data.unit,
@@ -63,9 +63,7 @@ def write_figure_json(data: FigureData, path: PathLike) -> Path:
             }
             for key, points in sorted(data.series.items())
         },
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return path
+    }, path)
 
 
 def sweep_to_rows(artifact: Dict[str, object]) -> list:
@@ -133,6 +131,4 @@ def write_table3_csv(rows: Dict[Tuple[str, str], Table3Row],
 def write_table3_json(rows: Dict[Tuple[str, str], Table3Row],
                       path: PathLike) -> Path:
     """Write the Table 3 comparison to ``path`` as JSON."""
-    path = Path(path)
-    path.write_text(json.dumps(table3_to_rows(rows), indent=2))
-    return path
+    return write(table3_to_rows(rows), path)

@@ -66,6 +66,7 @@ from .core import QUICK_CONFIG, MeasurementConfig, measure_collective
 from .core.report import format_us
 from .machines import MachineSpec, get_machine_spec, machine_names
 from .mpi import COLLECTIVE_OPS
+from .runner import SWEEP_MODES
 
 __all__ = ["UsageError", "main"]
 
@@ -197,20 +198,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # -- resolvers: flag values -> checked objects, or UsageError ---------------
-def _check_nodes(args, simulated: bool = True) -> MachineSpec:
-    """Check ``--nodes`` against the machine; returns the machine spec.
-
-    The analytic ``sensitivity`` scan (``simulated=False``) accepts
-    node counts past the machine's installation size.
-    """
+def _check_nodes(args) -> MachineSpec:
+    """Check ``--nodes`` against the machine; returns the machine spec."""
     spec = get_machine_spec(args.machine)
-    if args.nodes < 2 or (simulated and args.nodes > spec.max_nodes):
+    if not 2 <= args.nodes <= spec.max_nodes:
         raise UsageError(f"{spec.name} supports 2..{spec.max_nodes} "
                          f"nodes, got --nodes {args.nodes}")
     return spec
 
 
-def _check_point(args, simulated: bool = True) -> MachineSpec:
+def _check_point(args) -> MachineSpec:
     """Validate the collective point; returns the machine spec."""
     if args.op not in COLLECTIVE_OPS:
         raise UsageError(f"unknown collective {args.op!r}; known "
@@ -220,7 +217,7 @@ def _check_point(args, simulated: bool = True) -> MachineSpec:
     if getattr(args, "iterations", 1) < 1:
         raise UsageError(f"--iterations must be >= 1, got "
                          f"{args.iterations}")
-    return _check_nodes(args, simulated)
+    return _check_nodes(args)
 
 
 def _measurement(args, faults=None) -> MeasurementConfig:
@@ -355,7 +352,7 @@ def _measure(args) -> None:
           _arg("--top", type=_positive_int, default=8))
 def _sensitivity(args) -> None:
     from .core import format_sensitivities, scan_sensitivities
-    spec = _check_point(args, simulated=False)
+    spec = _check_point(args)
     results = scan_sensitivities(spec, args.op, args.bytes, args.nodes)
     print(format_sensitivities(results, top=args.top))
 
@@ -496,9 +493,10 @@ def _perf(args) -> int:
           "runner, reusing cached cells",
           _arg("--grid", default="fig3",
                help="grid preset (fig1, fig2, fig3, smoke, full)"),
-          _arg("--mode", default="sim", choices=["sim", "analytic", "model"],
-               help="sim = discrete-event simulator, analytic = "
-                    "closed-form cost model, model = the paper's Table 3 "
+          _arg("--mode", default="sim", choices=SWEEP_MODES,
+               help="sim = the paper's measurement protocol on the "
+                    "simulator, predict = the simulator's noise-free "
+                    "time of one warm call, model = the paper's Table 3 "
                     "expressions"),
           _arg("--workers", type=_positive_int, default=1,
                help="worker processes for simulated cells"),
@@ -526,7 +524,7 @@ def _perf(args) -> int:
           _arg("--decision-table", metavar="PATH",
                help="BENCH_tuning.json decision table; cells it covers "
                     "run the tuned algorithm instead of the machine's "
-                    "fixed choice (sim mode only)"))
+                    "fixed choice (sim and predict modes)"))
 def _sweep(args) -> int:
     from .bench import write_sweep_csv
     from .core.canonical import write
@@ -547,13 +545,13 @@ def _sweep(args) -> int:
                          f"nothing to sweep")
     measurement = _measurement(args, faults=_faults(args))
     if args.breakdown and args.mode != "sim":
-        raise UsageError("--breakdown requires --mode sim (closed forms "
-                         "have no trace to analyse)")
+        raise UsageError("--breakdown requires --mode sim (only the "
+                         "measurement protocol is traced)")
     if args.decision_table:
-        if args.mode != "sim":
-            raise UsageError("--decision-table requires --mode sim "
-                             "(closed forms are keyed to the machines' "
-                             "fixed algorithms)")
+        if args.mode == "model":
+            raise UsageError("--decision-table requires --mode sim or "
+                             "predict (the Table 3 forms are keyed to "
+                             "the machines' fixed algorithms)")
         with _usage(OSError, ValueError):
             cells = _apply_decision_table(cells, args.decision_table)
     config = SweepConfig(mode=args.mode, workers=args.workers,

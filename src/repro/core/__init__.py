@@ -1,6 +1,5 @@
 """The paper's methodology: measurement, metrics, fitting, published model."""
 
-from .analytic import AnalyticModel, predict_batch_us, predict_time_us
 from .sensitivity import (
     ParameterSensitivity,
     format_sensitivities,
@@ -28,6 +27,7 @@ from .measurement import (
     MeasurementConfig,
     measure_collective,
     measure_startup_latency,
+    predict_collective,
 )
 from .metrics import (
     FIGURE_OPS,
@@ -47,7 +47,6 @@ from .paper_model import HEADLINE, PAPER_TABLE3, RAW_HARDWARE, \
 from .report import format_ratio, format_series, format_table, format_us
 
 __all__ = [
-    "AnalyticModel",
     "CONST_FORM",
     "CollectiveSample",
     "FIGURE_OPS",
@@ -91,8 +90,7 @@ __all__ = [
     "measure_collective",
     "measure_startup_latency",
     "paper_expression",
-    "predict_batch_us",
-    "predict_time_us",
+    "predict_collective",
     "rinf_from_expression",
     "table3_grid",
 ]

@@ -1,8 +1,9 @@
 """The one canonical JSON form every checked-in artifact is written in.
 
 Sweep artifacts, decision tables, drift trends, engine-perf
-trajectories, ledger bundles and replay documents are all rendered the
-same way: sorted keys, two-space indent, one final newline, and floats
+trajectories, ledger bundles, replay documents, figure and Table 3
+exports and the dashboard's embedded ledger are all rendered the same
+way: sorted keys, two-space indent, one final newline, and floats
 rounded to 9 significant digits where they are host- or libm-sensitive.
 That form is what makes them byte-comparable across runs, processes and
 worker counts.  Each document carries a ``schema`` tag that
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict, Union
 
 __all__ = ["round9", "dumps", "write", "load"]
 
@@ -28,12 +29,12 @@ def round9(value: float) -> float:
     return float(f"{value:.9g}")
 
 
-def dumps(payload: Mapping[str, Any]) -> str:
+def dumps(payload: Any) -> str:
     """Canonical serialization: sorted keys, indent 2, final newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write(payload: Mapping[str, Any], path: PathLike) -> Path:
+def write(payload: Any, path: PathLike) -> Path:
     """Write ``payload`` canonically; returns the path."""
     path = Path(path)
     path.write_text(dumps(payload), "utf-8")

@@ -24,13 +24,17 @@ call.  That hands the communicator's episode evaluator
 from the warm-up's last one to the last timed one, is evaluated off the
 event loop in one fold, with the simulated times and counters the
 plain calls give.
+
+:func:`predict_collective` answers the question Table 3 exists for,
+the time of one call at a given point, from the same simulator: one
+warm, fenced call with the software jitter off.
 """
 
 from __future__ import annotations
 
 import hashlib
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from ..faults import FaultPlan
@@ -39,7 +43,8 @@ from ..mpi import MpiWorld
 from .metrics import STARTUP_PROBE_BYTES, CollectiveSample
 
 __all__ = ["MeasurementConfig", "PAPER_CONFIG", "QUICK_CONFIG",
-           "measure_collective", "measure_startup_latency"]
+           "measure_collective", "measure_startup_latency",
+           "predict_collective"]
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,34 @@ def measure_collective(machine: Union[str, MachineSpec], op: str,
         process_mean_us=statistics.fmean(local_times),
         process_max_us=max(local_times),
     )
+
+
+def predict_collective(machine: Union[str, MachineSpec], op: str,
+                       nbytes: int, num_nodes: int) -> float:
+    """The simulator's time for one warm, fenced call of ``op``.
+
+    Every rank calls the collective twice on a machine without software
+    jitter.  The completion fence releases the second call when the
+    last rank finishes the first, so the answer is the last rank's
+    finish of the second call minus that instant.  The first call pays
+    the cold working set.  With jitter off, no result depends on the
+    world's seed.  A decision table attached to ``machine`` still
+    picks the algorithms.
+    """
+    spec = get_machine_spec(machine) if isinstance(machine, str) \
+        else machine
+    still = replace(spec, software=replace(spec.software, jitter_sigma=0.0))
+    world = MpiWorld(still, num_nodes, decision_table=spec.decision_table)
+
+    def program(ctx):
+        yield from ctx.collective(op, nbytes)
+        released = ctx.env.now
+        yield from ctx.collective(op, nbytes)
+        return released, ctx.env.now
+
+    finishes = world.run(program)
+    return max(end for _, end in finishes) - \
+        max(released for released, _ in finishes)
 
 
 def measure_startup_latency(machine: Union[str, MachineSpec], op: str,

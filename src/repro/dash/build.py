@@ -26,10 +26,10 @@ Sections, each driven by one artifact family in the bundle:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Mapping, Union
 
+from ..core.canonical import dumps
 from ..obs.ledger import validate_ledger
 
 __all__ = ["render_dashboard_html", "write_dashboard"]
@@ -39,8 +39,7 @@ PathLike = Union[str, Path]
 
 def _embed_json(payload: Any) -> str:
     """Canonical JSON, safe inside a ``<script>`` island."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    return text.replace("</", "<\\/")
+    return dumps(payload).replace("</", "<\\/")
 
 
 def render_dashboard_html(ledger: Mapping[str, Any],
@@ -121,8 +120,7 @@ svg { display:block; }
 </header>
 <main id="app"></main>
 <script type="application/json" id="ledger">
-__LEDGER_JSON__
-</script>
+__LEDGER_JSON__</script>
 <script>
 "use strict";
 const LEDGER = JSON.parse(document.getElementById("ledger").textContent);

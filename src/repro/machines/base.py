@@ -210,7 +210,7 @@ class MachineSpec:
         default — the answer is exactly the paper's fixed 1996 choice,
         so simulated times, fingerprints, and goldens are unchanged.
         """
-        table = getattr(self, "_decision_table", None)
+        table = self.decision_table
         if table is not None and nbytes is not None and p is not None:
             choice = table.lookup(self.name, op, nbytes, p)
             if choice is not None:
@@ -220,6 +220,15 @@ class MachineSpec:
         except KeyError:
             raise KeyError(
                 f"{self.name} defines no algorithm for {op!r}") from None
+
+    @property
+    def decision_table(self) -> Optional[Any]:
+        """The table :meth:`with_decision_table` attached, or ``None``.
+
+        ``dataclasses.replace`` builds a spec without it: a copy that
+        must pick the same algorithms re-attaches it.
+        """
+        return getattr(self, "_decision_table", None)
 
     def with_decision_table(self, table: Optional[Any]) -> "MachineSpec":
         """Copy of this spec consulting ``table`` (any object with a

@@ -39,11 +39,12 @@ its process-start entry, then the fabric's per-hop link protocol --
 requests in canonical link order, immediate grants, FIFO queues behind
 a holder or a booking with the booking-expiry wakeup, the hold and the
 releases that grant the next waiter -- then the wait for the NIC
-engines and the delivery.  Ties break on ``(time, priority, insertion
-order)`` as in the engine, every time is computed by the same
-floating-point expression, and jitter is peeked from the same per-node
-``sw.<i>`` streams in the same per-node order, so every result is
-bit-identical to the engine's.
+engines, which keeps the place in the tie order the transport reserves
+for it when the process starts, and the delivery.  Ties break on
+``(time, priority, insertion order)`` as in the engine, every time is
+computed by the same floating-point expression, and jitter is peeked
+from the same per-node ``sw.<i>`` streams in the same per-node order,
+so every result is bit-identical to the engine's.
 
 The replay is exact or it aborts.  A resource already held through the
 request protocol when the episode first uses it, or a message or
@@ -257,7 +258,8 @@ class _Message:
     __slots__ = ("src", "send", "issued", "dma_asked", "dma_start",
                  "sent_at", "tx_start", "rx_start", "delivered_at",
                  "unexpected", "queued_at", "hop", "arrived", "waits",
-                 "granted_at", "released_at", "span", "link_spans")
+                 "granted_at", "released_at", "span", "link_spans",
+                 "ticket")
 
     def __init__(self, src: int, send: _Send, issued: float):
         self.src = src
@@ -807,6 +809,7 @@ class EpisodeEvaluator:
                 # So the per-hop protocol takes over.
                 item.hop = 0
                 item.waits = []
+                item.ticket = tick()
                 request(item, now)
             elif kind == _GRANT:
                 wait = now - item.arrived
@@ -838,7 +841,7 @@ class EpisodeEvaluator:
                 rx_end = item.rx_start + send.rx_us
                 end = tx_end if tx_end > rx_end else rx_end
                 if end > now:
-                    heappush(heap, (end, NORMAL, tick(), _LAND, item))
+                    heappush(heap, (end, NORMAL, item.ticket, _LAND, item))
                 else:
                     heappush(heap, (now + deliver_us * draw[send.dst](),
                                     NORMAL, tick(), _DELIVER, item))

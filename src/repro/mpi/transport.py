@@ -241,12 +241,16 @@ class Transport:
         wire ends when the slowest of the three is done — exactly when
         the full path's ``all_of`` over the legs would have fired."""
         env = self.env
+        # The full path's engine legs schedule their ends as it starts;
+        # the wait for them, if the fabric finishes first, keeps that
+        # place among same-time events.
+        ticket = env.ticket()
         yield from self.machine.fabric.transfer(
             envelope.src, envelope.dst, envelope.nbytes,
             parent_span=envelope.span)
         wire_end = tx_end if tx_end > rx_end else rx_end
         if wire_end > env._now:
-            yield env.sleep_until(wire_end)
+            yield env.sleep_until(wire_end, ticket)
         yield env.sleep(self.spec.software.deliver_us *
                         self.machine.jitter(envelope.dst))
         self._delivered(envelope)

@@ -77,10 +77,10 @@ def cell_fingerprint(spec: MachineSpec, op: str, nbytes: int, p: int,
                      algorithm: Optional[str] = None) -> str:
     """Cache key for one (machine, op, m, p) sweep cell.
 
-    ``config`` is the measurement protocol (``None`` for the analytic
+    ``config`` is the measurement protocol (``None`` for the predict
     and paper-model modes, which take no protocol knobs); ``mode``
-    distinguishes simulated from closed-form results for otherwise
-    identical cells; ``breakdown`` marks cells that also carry a
+    tells the three modes' results apart for otherwise identical
+    cells; ``breakdown`` marks cells that also carry a
     critical-path component breakdown (the key gains the marker only
     when set, so existing plain-cell cache entries stay valid).
     ``algorithm`` is a per-cell override of the machine's fixed

@@ -4,13 +4,14 @@
 :class:`~repro.runner.cache.ResultCache`, and evaluates only the cells
 the cache cannot answer:
 
-* ``sim`` mode shards the missing cells round-robin across a
-  ``multiprocessing`` pool (one full simulation per cell);
-* ``analytic`` and ``model`` modes group cells by (machine, op, p) and
-  evaluate each group's whole message-size vector in one call to the
-  vectorized closed-form paths (:meth:`AnalyticModel.predict_batch`,
-  :meth:`TimingExpression.evaluate_grid`) — no pool needed, the numpy
-  pass is already orders of magnitude faster than simulation.
+* ``sim`` and ``predict`` modes shard the missing cells round-robin
+  across a ``multiprocessing`` pool: ``sim`` runs the measurement
+  protocol per cell, ``predict`` simulates one warm, fenced call with
+  the software jitter off (:func:`~repro.core.predict_collective`);
+* ``model`` mode groups cells by (machine, op, p) and evaluates each
+  group's whole message-size vector in one call to the paper's
+  Table 3 expressions (:meth:`TimingExpression.evaluate_grid`) — no
+  pool needed.
 
 Determinism: a cell's result depends only on the cell and the
 measurement protocol (all simulation seeds derive from them), never on
@@ -28,14 +29,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import (
     QUICK_CONFIG,
-    AnalyticModel,
     MeasurementConfig,
     measure_collective,
     paper_expression,
+    predict_collective,
 )
 from ..core.canonical import round9
 from ..faults import FaultPlan
-from ..machines import MachineSpec, get_machine_spec
+from ..machines import get_machine_spec
 from .cache import ResultCache
 from .fingerprint import cell_fingerprint
 from .shard import SweepCell, shard_cells
@@ -43,9 +44,10 @@ from .shard import SweepCell, shard_cells
 __all__ = ["SWEEP_MODES", "SweepConfig", "SweepResult", "evaluate_cell",
            "run_sweep", "validate_cell_algorithms"]
 
-#: ``sim`` runs the discrete-event simulator; ``analytic`` the
-#: no-simulation cost model; ``model`` the paper's Table 3 expressions.
-SWEEP_MODES = ("sim", "analytic", "model")
+#: ``sim`` runs the paper's measurement protocol on the simulator;
+#: ``predict`` the simulator's noise-free time of one warm call;
+#: ``model`` the paper's Table 3 expressions.
+SWEEP_MODES = ("sim", "predict", "model")
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,13 @@ class SweepConfig:
             raise ValueError(f"cell_timeout_s must be > 0, got "
                              f"{self.cell_timeout_s}")
         if self.breakdown and self.mode != "sim":
-            raise ValueError("breakdown requires mode='sim' (closed "
-                             "forms have no trace to analyse)")
+            raise ValueError("breakdown requires mode='sim' (only the "
+                             "measurement protocol is traced)")
 
     def cell_config(self) -> Optional[MeasurementConfig]:
         """The protocol that keys cache entries (``None`` off the
-        simulator path — closed forms take no protocol knobs)."""
+        measurement protocol — a prediction and the Table 3 forms take
+        no protocol knobs)."""
         return self.measurement if self.mode == "sim" else None
 
 
@@ -134,8 +137,10 @@ def evaluate_cell(cell: SweepCell, config: Optional[MeasurementConfig],
                   breakdown: bool = False) -> Dict[str, float]:
     """Simulate one cell from scratch (no cache involved).
 
-    The closed-form modes never come here: :func:`run_sweep` evaluates
-    them a whole message-size row at a time (:func:`_evaluate_batched`).
+    ``config`` is the measurement protocol, or ``None`` for the
+    ``predict`` mode's one warm call.  The ``model`` mode never comes
+    here: :func:`run_sweep` evaluates it a whole message-size row at a
+    time (:func:`_evaluate_batched`).
     """
     machine: object = cell.machine
     if cell.algorithm:
@@ -145,8 +150,11 @@ def evaluate_cell(cell: SweepCell, config: Optional[MeasurementConfig],
         machine = dataclasses.replace(
             spec, algorithms={**dict(spec.algorithms),
                               cell.op: cell.algorithm})
+    if config is None:
+        return {"time_us": predict_collective(machine, cell.op,
+                                              cell.nbytes, cell.p)}
     sample = measure_collective(machine, cell.op, cell.nbytes, cell.p,
-                                config or QUICK_CONFIG)
+                                config)
     result = {
         "time_us": sample.time_us,
         "run_times_us": list(sample.run_times_us),
@@ -155,7 +163,7 @@ def evaluate_cell(cell: SweepCell, config: Optional[MeasurementConfig],
         "process_max_us": sample.process_max_us,
     }
     if breakdown:
-        result["breakdown"] = _cell_breakdown(cell, config or QUICK_CONFIG)
+        result["breakdown"] = _cell_breakdown(cell, config)
     return result
 
 
@@ -202,7 +210,7 @@ def _evaluate_parallel(cells: Sequence[SweepCell],
                        config: SweepConfig
                        ) -> Tuple[Dict[SweepCell, Dict[str, float]],
                                   Dict[SweepCell, str], int]:
-    """Fan simulation cells out across a worker pool.
+    """Fan simulated cells out across a worker pool.
 
     Returns ``(results, quarantined, requeued)``.  A shard whose worker
     raises, crashes, or blows its time budget is split and resubmitted
@@ -211,7 +219,9 @@ def _evaluate_parallel(cells: Sequence[SweepCell],
     cell that fails alone lands in ``quarantined`` with the reason
     rather than aborting the sweep.
     """
-    config_kwargs = dataclasses.asdict(config.measurement)
+    cell_config = config.cell_config()
+    config_kwargs = {} if cell_config is None \
+        else dataclasses.asdict(cell_config)
     results: Dict[SweepCell, Dict[str, float]] = {}
     quarantined: Dict[SweepCell, str] = {}
     requeued = 0
@@ -221,7 +231,6 @@ def _evaluate_parallel(cells: Sequence[SweepCell],
     if config.workers == 1 and config.cell_timeout_s is None:
         # In-process fast path: no pool, but the same per-cell
         # quarantine semantics.
-        cell_config = _rebuild_config(config_kwargs)
         for cell in cells:
             try:
                 results[cell] = evaluate_cell(cell, cell_config,
@@ -267,12 +276,10 @@ def _evaluate_parallel(cells: Sequence[SweepCell],
     return results, quarantined, requeued
 
 
-def _evaluate_batched(cells: Sequence[SweepCell],
-                      specs: Dict[str, MachineSpec],
-                      mode: str
+def _evaluate_batched(cells: Sequence[SweepCell]
                       ) -> Tuple[Dict[SweepCell, Dict[str, float]],
                                  Dict[SweepCell, str]]:
-    """Closed-form modes: vectorize each (machine, op, p) row's sizes.
+    """``model`` mode: vectorize each (machine, op, p) row's sizes.
 
     Returns ``(results, quarantined)`` — a row whose closed form raises
     quarantines its cells with the reason instead of sinking the sweep,
@@ -287,12 +294,8 @@ def _evaluate_batched(cells: Sequence[SweepCell],
     for (machine, op, p), sizes in sorted(rows.items()):
         sizes = sorted(set(sizes))
         try:
-            if mode == "analytic":
-                times = AnalyticModel(specs[machine]).predict_batch(
-                    op, sizes, p)
-            else:
-                times = paper_expression(machine, op).evaluate_grid(
-                    sizes, (p,))[0]
+            times = paper_expression(machine, op).evaluate_grid(
+                sizes, (p,))[0]
         except Exception as exc:
             for nbytes in sizes:
                 quarantined[SweepCell(machine, op, nbytes, p)] = repr(exc)
@@ -310,19 +313,19 @@ def validate_cell_algorithms(cells: Sequence[SweepCell], mode: str = "sim",
     An unknown name (a hand-edited decision table, a stale file) must
     surface as a clean :class:`ValueError` naming the known algorithms
     — not as a raw ``KeyError`` traceback from ``get_algorithm`` deep
-    inside a worker mid-sweep.  Overrides also require ``sim`` mode
-    (the closed forms are keyed to the machines' fixed algorithms) and
-    are incompatible with the breakdown capture path.
+    inside a worker mid-sweep.  Overrides are refused in ``model`` mode
+    (the Table 3 forms are keyed to the machines' fixed algorithms) and
+    with the breakdown capture path.
     """
     overridden = sorted({cell.algorithm for cell in cells
                          if cell.algorithm})
     if not overridden:
         return
-    if mode != "sim":
+    if mode == "model":
         raise ValueError(
-            f"per-cell algorithm overrides require mode='sim'; mode "
-            f"{mode!r} uses closed forms keyed to the machines' fixed "
-            f"algorithms")
+            "per-cell algorithm overrides need a simulated mode; mode "
+            "'model' evaluates Table 3 forms keyed to the machines' "
+            "fixed algorithms")
     if breakdown:
         raise ValueError("per-cell algorithm overrides are incompatible "
                          "with breakdown=True (the capture path runs "
@@ -377,12 +380,11 @@ def run_sweep(cells: Sequence[SweepCell],
     quarantined: Dict[SweepCell, str] = {}
     requeued = 0
     if missing:
-        if config.mode == "sim":
+        if config.mode == "model":
+            computed, quarantined = _evaluate_batched(missing)
+        else:
             computed, quarantined, requeued = \
                 _evaluate_parallel(missing, config)
-        else:
-            computed, quarantined = _evaluate_batched(missing, specs,
-                                                      config.mode)
         for cell in missing:
             if cell in quarantined:
                 continue

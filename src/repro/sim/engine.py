@@ -502,13 +502,28 @@ class Environment:
         self._schedule(event, self._now + delay, NORMAL)
         return event
 
-    def sleep_until(self, at: float) -> Timeout:
+    def ticket(self) -> int:
+        """Reserve the next event id without scheduling anything.
+
+        An event later scheduled with the ticket (see
+        :meth:`sleep_until`) breaks same-time ties as if it had been
+        scheduled now: a fast path that learns only later whether it
+        needs an event can still order it where the full pipeline
+        scheduled its counterpart.
+        """
+        self._eid = eid = self._eid + 1
+        return eid
+
+    def sleep_until(self, at: float,
+                    ticket: Optional[int] = None) -> Timeout:
         """A pooled fire-and-forget timeout at *absolute* time ``at``.
 
         Same contract and pooling as :meth:`sleep`, but the event fires
         at exactly ``at`` (which must not be in the past) rather than at
         ``now + delay`` — the distinction matters to booking fast paths
-        that must land on a pre-computed end time bit-for-bit.
+        that must land on a pre-computed end time bit-for-bit.  With a
+        ``ticket`` from :meth:`ticket` it takes the reserved event id
+        instead of the next one.
         """
         now = self._now
         if at < now:
@@ -524,7 +539,13 @@ class Environment:
         event._ok = True
         event._defused = False
         event.delay = at - now
-        self._schedule(event, at, NORMAL)
+        if ticket is None:
+            self._schedule(event, at, NORMAL)
+        else:
+            # _schedule hands out the id after the counter's value.
+            counter, self._eid = self._eid, ticket - 1
+            self._schedule(event, at, NORMAL)
+            self._eid = counter
         return event
 
     def process(self, generator: Generator,

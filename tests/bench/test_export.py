@@ -14,6 +14,7 @@ from repro.bench import (
 from repro.bench.figures import FigureData
 from repro.bench.tables import Table3Row
 from repro.core import paper_expression
+from repro.core.canonical import dumps
 
 
 def sample_figure():
@@ -53,6 +54,8 @@ def test_write_figure_json(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["figure"] == "Figure 1"
     assert payload["series"]["broadcast/t3d"]["4"] == 58.0
+    # The one canonical form every JSON writer shares.
+    assert path.read_text() == dumps(payload)
 
 
 def test_table3_to_rows():
@@ -71,6 +74,7 @@ def test_write_table3_csv_and_json(tmp_path):
     assert rows[0]["op"] == "alltoall"
     payload = json.loads(json_path.read_text())
     assert payload[0]["published"] == payload[0]["fitted"]
+    assert json_path.read_text() == dumps(payload)
 
 
 def test_cli_figure_export(tmp_path, capsys):

@@ -1,68 +1,11 @@
-"""Vectorized evaluation paths agree exactly with the scalar ones."""
+"""The vectorized Table 3 paths agree with the scalar ones."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import (
-    PAPER_TABLE3,
-    AnalyticModel,
-    predict_batch_us,
-    table3_grid,
-)
-from repro.machines import PARAGON, SP2, T3D, get_machine_spec
-
-ALL_OPS = ("barrier", "broadcast", "reduce", "scan", "scatter",
-           "gather", "alltoall", "allreduce", "allgather",
-           "reduce_scatter")
+from repro.core import PAPER_TABLE3, table3_grid
 
 POWER_OF_TWO_P = (2, 4, 8, 16, 32, 64, 128)
-
-
-@settings(max_examples=60, deadline=None)
-@given(machine=st.sampled_from(("sp2", "t3d", "paragon")),
-       op=st.sampled_from(ALL_OPS),
-       p=st.sampled_from(POWER_OF_TWO_P),
-       sizes=st.lists(st.integers(min_value=0, max_value=1 << 17),
-                      min_size=1, max_size=6))
-def test_predict_batch_elementwise_equals_scalar(machine, op, p, sizes):
-    model = AnalyticModel(get_machine_spec(machine))
-    batch = model.predict_batch(op, sizes, p)
-    assert batch.shape == (len(sizes),)
-    for nbytes, time_us in zip(sizes, batch):
-        assert time_us == model.predict(op, nbytes, p)
-
-
-def test_predict_batch_spans_dma_threshold():
-    """One vector straddling the T3D BLT cutoff: both regimes in one
-    pass must match the scalar path on each side."""
-    assert T3D.dma is not None
-    cutoff = T3D.dma.min_message_bytes
-    sizes = [cutoff // 2, cutoff - 1, cutoff, cutoff + 1, 4 * cutoff]
-    model = AnalyticModel(T3D)
-    batch = model.predict_batch("scatter", sizes, 16)
-    scalar = [model.predict("scatter", m, 16) for m in sizes]
-    assert list(batch) == scalar
-
-
-def test_predict_batch_validation():
-    model = AnalyticModel(SP2)
-    with pytest.raises(ValueError):
-        model.predict_batch("broadcast", [8], 1)
-    with pytest.raises(ValueError):
-        model.predict_batch("broadcast", [8, -1], 8)
-    with pytest.raises(ValueError):
-        model.predict_batch("alltoallv", [8], 8)
-    with pytest.raises(ValueError):
-        model.predict_batch("broadcast", [[8, 16]], 8)
-
-
-def test_predict_batch_wrapper_matches_model():
-    values = predict_batch_us(PARAGON, "gather", (4, 1024), 32)
-    model = AnalyticModel(PARAGON)
-    assert list(values) == [model.predict("gather", 4, 32),
-                            model.predict("gather", 1024, 32)]
 
 
 def test_table3_grid_matches_pointwise_evaluation():

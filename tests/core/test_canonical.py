@@ -22,7 +22,7 @@ def _sweep():
     from repro.runner import (ResultCache, SweepConfig, build_artifact,
                               preset_grid, run_sweep)
 
-    config = SweepConfig(mode="analytic", use_cache=False,
+    config = SweepConfig(mode="predict", use_cache=False,
                          measurement=MeasurementConfig(
                              iterations=1, warmup_iterations=0, runs=1))
     result = run_sweep(preset_grid("smoke").cells(), config,

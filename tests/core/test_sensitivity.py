@@ -1,5 +1,7 @@
 """Tests for the parameter-sensitivity scanner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -64,6 +66,22 @@ def test_bandwidth_elasticity_is_negative():
     results = scan_sensitivities(PARAGON, "alltoall", 65536, 32,
                                  parameters=["nic.bandwidth_mbs"])
     assert results[0].elasticity <= 0.0
+
+
+def test_scan_keeps_an_attached_decision_table():
+    class Table:
+        def lookup(self, machine, op, nbytes, p):
+            return "scatter_allgather_broadcast"
+
+    tuned = SP2.with_decision_table(Table())
+    raced = replace(SP2, algorithms={**dict(SP2.algorithms),
+                                     "broadcast":
+                                     "scatter_allgather_broadcast"})
+    parameters = ["memory.copy_us_per_byte", "nic.bandwidth_mbs"]
+    scans = [scan_sensitivities(spec, "broadcast", 65536, 8,
+                                parameters=parameters)
+             for spec in (tuned, raced, SP2)]
+    assert scans[0] == scans[1] != scans[2]
 
 
 def test_invalid_step_rejected():

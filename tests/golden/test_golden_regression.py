@@ -1,8 +1,8 @@
 """Golden regression layer: snapshots of the closed-form outputs.
 
-Any change to the Table 3 transcription, the timing-expression
-evaluator, or the analytic cost model shows up here as a reviewable
-JSON diff instead of a silent drift; so does any change to the
+Any change to the Table 3 transcription or the timing-expression
+evaluator shows up here as a reviewable JSON diff instead of a silent
+drift; so does any change to the
 simulated ``--fast`` campaign (Figures 1-5, the Table 3 fits and a
 fault curve).  Regenerate intentionally with ``pytest --update-golden``.
 
@@ -23,16 +23,9 @@ from repro.bench import (
     figure5,
     table3,
 )
-from repro.core import (
-    PAPER_MACHINE_SIZES,
-    STARTUP_PROBE_BYTES,
-    AnalyticModel,
-    machine_sizes_for,
-    table3_grid,
-)
+from repro.core import table3_grid
 from repro.core.canonical import load, round9
 from repro.faults import fault_preset
-from repro.machines import get_machine_spec
 from repro.runner import ARTIFACT_SCHEMA, preset_grid
 
 TABLE3_SIZES = (4, 64, 1024, 16384, 65536)
@@ -50,38 +43,6 @@ def test_table3_expression_outputs_golden(golden):
                               for j, m in enumerate(TABLE3_SIZES)}
         payload[f"{machine}/{op}"] = series
     golden.check("table3_expressions.json", payload)
-
-
-def _analytic_curves(ops, sizes):
-    """op/machine -> p -> m -> predicted us, over the paper's sizes."""
-    payload = {}
-    for op in ops:
-        for machine in ("sp2", "t3d", "paragon"):
-            model = AnalyticModel(get_machine_spec(machine))
-            series = {}
-            for p in machine_sizes_for(machine, PAPER_MACHINE_SIZES):
-                times = model.predict_batch(op, sizes, p)
-                series[str(p)] = {str(m): round9(t)
-                                  for m, t in zip(sizes, times)}
-            payload[f"{op}/{machine}"] = series
-    return payload
-
-
-def test_fig1_curve_points_golden(golden):
-    """Figure 1's startup-latency curves via the analytic model."""
-    ops = ("broadcast", "alltoall", "scatter", "gather", "scan",
-           "reduce")
-    golden.check("fig1_analytic_curves.json",
-                 _analytic_curves(ops, (STARTUP_PROBE_BYTES,)))
-
-
-def test_fig3_curve_points_golden(golden):
-    """Figure 3's short/long machine-size curves (plus the barrier)."""
-    ops = ("broadcast", "alltoall", "scatter", "gather", "scan",
-           "reduce")
-    payload = _analytic_curves(ops, (16, 65536))
-    payload.update(_analytic_curves(("barrier",), (0,)))
-    golden.check("fig3_analytic_curves.json", payload)
 
 
 def test_sweep_baseline_matches_model_mode():

@@ -19,7 +19,7 @@ from repro.core.canonical import dumps
 FAST = MeasurementConfig(iterations=1, warmup_iterations=0, runs=1)
 
 
-def _artifact(mode="analytic"):
+def _artifact(mode="predict"):
     config = SweepConfig(mode=mode, measurement=FAST, use_cache=False)
     result = run_sweep(preset_grid("smoke").cells(), config,
                        ResultCache(enabled=False))
@@ -30,8 +30,8 @@ def test_artifact_shape():
     artifact = _artifact()
     assert artifact["schema"] == ARTIFACT_SCHEMA
     assert artifact["grid"] == "smoke"
-    assert artifact["mode"] == "analytic"
-    assert artifact["config"] is None  # closed-form: no protocol knobs
+    assert artifact["mode"] == "predict"
+    assert artifact["config"] is None  # one warm call: no protocol knobs
     assert len(artifact["cells"]) == \
         len(preset_grid("smoke").cells())
 
@@ -105,7 +105,7 @@ def test_scrub_volatile_strips_wall_clock_fields():
 def test_build_artifact_scrubs_volatile_result_fields():
     """A cached result written by older tooling may carry wall-clock
     fields; they must never reach the byte-compared artifact."""
-    config = SweepConfig(mode="analytic", measurement=FAST,
+    config = SweepConfig(mode="predict", measurement=FAST,
                          use_cache=False)
     result = run_sweep(preset_grid("smoke").cells(), config,
                        ResultCache(enabled=False))

@@ -54,7 +54,7 @@ def test_cell_fingerprint_distinguishes_every_axis():
         cell_fingerprint(SP2, "broadcast", 1024, 16, QUICK_CONFIG),
         cell_fingerprint(SP2, "broadcast", 1024, 8, None),
         cell_fingerprint(SP2, "broadcast", 1024, 8, QUICK_CONFIG,
-                         mode="analytic"),
+                         mode="predict"),
         cell_fingerprint(SP2, "broadcast", 1024, 8,
                          MeasurementConfig(iterations=5)),
     ]

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import QUICK_CONFIG, measure_collective
+from repro.core import QUICK_CONFIG, measure_collective, predict_collective
 from repro.machines import get_machine_spec
 from repro.runner import (
     ResultCache,
@@ -74,11 +74,27 @@ def test_unknown_algorithm_rejected_up_front():
 def test_overrides_require_simulation_mode():
     cells = [SweepCell("sp2", "broadcast", 1024, 8,
                        algorithm="scatter_allgather_broadcast")]
-    with pytest.raises(ValueError, match="sim"):
-        validate_cell_algorithms(cells, mode="analytic")
+    with pytest.raises(ValueError, match="simulated mode"):
+        validate_cell_algorithms(cells, mode="model")
     with pytest.raises(ValueError, match="breakdown"):
         validate_cell_algorithms(cells, mode="sim", breakdown=True)
     validate_cell_algorithms(cells, mode="sim")  # fine
+    validate_cell_algorithms(cells, mode="predict")  # fine
+
+
+def test_predict_mode_honours_an_algorithm_override():
+    plain = SweepCell("sp2", "broadcast", 65536, 8)
+    raced = SweepCell("sp2", "broadcast", 65536, 8,
+                      algorithm="scatter_allgather_broadcast")
+    config = SweepConfig(mode="predict", use_cache=False)
+    result = run_sweep([plain, raced], config, ResultCache(enabled=False))
+    overridden = dataclasses.replace(
+        SP2, algorithms={**dict(SP2.algorithms),
+                          "broadcast": "scatter_allgather_broadcast"})
+    assert result.results[raced] == {
+        "time_us": predict_collective(overridden, "broadcast", 65536, 8)}
+    assert result.results[raced] != result.results[plain]
+    assert result.fingerprints[raced] != result.fingerprints[plain]
 
 
 def test_run_sweep_validates_before_evaluating():

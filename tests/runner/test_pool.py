@@ -8,9 +8,8 @@ from repro.core import (
     MeasurementConfig,
     measure_collective,
     paper_expression,
-    predict_time_us,
+    predict_collective,
 )
-from repro.machines import get_machine_spec
 from repro.runner import (
     ResultCache,
     SweepCell,
@@ -57,15 +56,26 @@ def test_sim_result_matches_direct_measurement(tmp_path):
         list(sample.run_times_us)
 
 
-def test_analytic_mode_matches_scalar_model():
+def test_predict_mode_matches_predict_collective():
     cells = preset_grid("smoke").cells()
-    result = run_sweep(cells, SweepConfig(mode="analytic",
+    result = run_sweep(cells, SweepConfig(mode="predict",
                                           use_cache=False),
                        ResultCache(enabled=False))
     for cell in cells:
-        expected = predict_time_us(get_machine_spec(cell.machine),
-                                   cell.op, cell.nbytes, cell.p)
+        expected = predict_collective(cell.machine, cell.op, cell.nbytes,
+                                      cell.p)
         assert result.results[cell] == {"time_us": expected}
+
+
+def test_predict_mode_runs_on_a_worker_pool():
+    cells = preset_grid("smoke").cells()[:6]
+    serial = run_sweep(cells, SweepConfig(mode="predict",
+                                          use_cache=False),
+                       ResultCache(enabled=False))
+    pooled = run_sweep(cells, SweepConfig(mode="predict", workers=2,
+                                          use_cache=False),
+                       ResultCache(enabled=False))
+    assert pooled.results == serial.results
 
 
 def test_model_mode_matches_paper_expressions():
@@ -82,7 +92,7 @@ def test_model_mode_matches_paper_expressions():
 
 def test_input_order_and_duplicates_do_not_matter():
     cells = list(preset_grid("smoke").cells()[:4])
-    config = SweepConfig(mode="analytic", use_cache=False)
+    config = SweepConfig(mode="predict", use_cache=False)
     forward = run_sweep(cells, config, ResultCache(enabled=False))
     backward = run_sweep(list(reversed(cells)) + cells, config,
                          ResultCache(enabled=False))
@@ -99,7 +109,7 @@ def test_sweep_config_validation():
 
 def test_summary_mentions_cache_and_cell_counts(tmp_path):
     cells = preset_grid("smoke").cells()[:2]
-    result = run_sweep(cells, SweepConfig(mode="analytic",
+    result = run_sweep(cells, SweepConfig(mode="predict",
                                           cache_dir=str(tmp_path)),
                        ResultCache(tmp_path))
     assert "2 cells" in result.summary()

@@ -412,6 +412,32 @@ def test_sleep_until_rejects_past_times():
     assert p.value == 12.0
 
 
+def test_sleep_until_with_a_ticket_ties_where_it_was_reserved():
+    """A ticketed sleep scheduled last still pops before a same-time
+    event scheduled after the ticket was taken, and the id counter
+    moves on as if nothing had been scheduled out of turn."""
+    env = Environment()
+    order = []
+
+    def early():
+        ticket = env.ticket()
+        yield env.sleep(1.0)
+        yield env.sleep_until(5.0, ticket)
+        order.append("ticketed")
+
+    def late():
+        yield env.sleep_until(5.0)
+        order.append("plain")
+
+    env.process(early())
+    env.process(late())
+    env.run()
+    assert order == ["ticketed", "plain"]
+    eid = env._eid
+    env.timeout(1.0)
+    assert env._heap[0][2] == eid + 1
+
+
 def test_run_until_already_processed_event_returns_value():
     env = Environment()
     event = env.timeout(1.0, value="early")

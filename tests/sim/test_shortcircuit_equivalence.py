@@ -220,11 +220,13 @@ def test_random_timeout_batches_pop_in_time_order(delays):
 ITERATIONS = 4
 
 
-def _still(machine):
-    """``machine``'s spec without software jitter: at sigma 0 equal
-    times are everywhere, so only a mirrored event order survives."""
+def _still(machine, **algorithms):
+    """``machine``'s spec without software jitter, running the given
+    ``op=algorithm`` overrides: at sigma 0 equal times are everywhere,
+    so only a mirrored event order survives."""
     spec = get_machine_spec(machine)
-    return replace(spec, software=replace(spec.software, jitter_sigma=0.0))
+    return replace(spec, software=replace(spec.software, jitter_sigma=0.0),
+                   algorithms={**dict(spec.algorithms), **algorithms})
 
 
 MPI_CASES = [
@@ -251,6 +253,26 @@ MPI_CASES = [
     ("sp2", "scan", 4, 16),
     ("paragon", "scan", 4, 16),
     (_still("paragon"), "alltoall", 1024, 16),
+]
+
+#: Without jitter, messages sent at one instant tie everywhere.  Each
+#: case below once delivered in another order on the short-circuits:
+#: a contended wire's wait for its NIC engines was ordered among
+#: same-time events by when its fabric leg finished, where the full
+#: pipeline orders it by when the engine legs started.
+STILL_TIE_CASES = [
+    *[(_still("sp2", allgather="ring_allgather"), "allgather", nbytes, p)
+      for nbytes in (4, 65536) for p in (6, 20)],
+    *[(_still("sp2", reduce_scatter="ring_reduce_scatter"),
+       "reduce_scatter", nbytes, p)
+      for nbytes in (4, 65536) for p in (6, 20)],
+    *[(_still("sp2", broadcast="scatter_allgather_broadcast"), "broadcast",
+       65536, p) for p in (6, 12)],
+    (_still("sp2", alltoall="pairwise_exchange_alltoall"), "alltoall",
+     65536, 20),
+    (_still("sp2", reduce="binary_tree_reduce"), "reduce", 4, 20),
+    *[(_still("t3d"), "allreduce", nbytes, p)
+      for nbytes in (4, 65536) for p in (12, 20)],
 ]
 
 #: The cases whose fenced iterations are evaluated off the engine: all
@@ -420,6 +442,14 @@ def test_short_circuit_exact_on_fixed_cases():
             assert fast_work["episodes_aborted"] == 0, workload
             stalled += fast_work["transfers_stalled"]
     assert stalled > 0
+
+
+@pytest.mark.parametrize("workload", STILL_TIE_CASES,
+                         ids=lambda case: "-".join(map(str, (
+                             case[0].name, case[0].algorithms[case[1]],
+                             *case[2:]))))
+def test_short_circuit_exact_on_jitter_free_ties(workload):
+    assert_short_circuit_exact(workload)
 
 
 def test_observation_is_not_an_input_on_fixed_cases():

@@ -40,6 +40,15 @@ def test_unknown_machine_rejected():
         main(["measure", "cm5", "broadcast"])
 
 
+def test_sweep_rejects_the_retired_analytic_mode(capsys):
+    # The closed-form mode is gone; ``predict`` simulates instead.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--grid", "smoke", "--mode", "analytic",
+              "--no-cache"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'analytic'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["diff", "missing.json", "other.json"],
     ["measure", "sp2", "bogus"],
@@ -53,6 +62,7 @@ def test_unknown_machine_rejected():
     ["chaos", "sp2", "bogus"],
     ["sensitivity", "sp2", "bogus"],
     ["sensitivity", "sp2", "broadcast", "--nodes", "1"],
+    ["sensitivity", "t3d", "broadcast", "--nodes", "9999"],
     ["sweep", "--grid", "smoke", "--iterations", "0", "--no-cache"],
 ], ids=" ".join)
 def test_usage_errors_exit_2_with_one_line(argv, capsys, monkeypatch,
@@ -590,7 +600,7 @@ def test_sweep_decision_table_requires_sim_mode(capsys, tmp_path):
     assert main(["tune", "--machines", "sp2", "--grid", "smoke",
                  "--no-cache", "--out", str(table)]) == 0
     capsys.readouterr()
-    assert main(["sweep", "--grid", "smoke", "--mode", "analytic",
+    assert main(["sweep", "--grid", "smoke", "--mode", "model",
                  "--decision-table", str(table), "--no-cache"]) == 2
     assert "sim" in capsys.readouterr().err
 
