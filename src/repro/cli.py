@@ -497,7 +497,8 @@ def _perf(args) -> int:
                help="sim = the paper's measurement protocol on the "
                     "simulator, predict = the simulator's noise-free "
                     "time of one warm call, model = the paper's Table 3 "
-                    "expressions"),
+                    "expressions; --iterations, --runs, --seed and "
+                    "--faults apply to sim mode only"),
           _arg("--workers", type=_positive_int, default=1,
                help="worker processes for simulated cells"),
           _arg("--out", metavar="PATH", default="BENCH_sweep.json",
@@ -510,8 +511,8 @@ def _perf(args) -> int:
           _arg("--faults", metavar="PRESET",
                help="inject a fault-plan preset into every cell "
                     "(single-link-outage, midflight-outage, flaky-link, "
-                    "lossy, slow-node, chaos); changes every cache "
-                    "fingerprint"),
+                    "lossy, slow-node, chaos); sim mode only, changes "
+                    "every cache fingerprint"),
           _arg("--cell-timeout", type=_positive_float, metavar="SECONDS",
                help="per-cell wall-clock budget; shards that blow it are "
                     "requeued cell by cell and a cell that fails alone "
@@ -547,6 +548,9 @@ def _sweep(args) -> int:
     if args.breakdown and args.mode != "sim":
         raise UsageError("--breakdown requires --mode sim (only the "
                          "measurement protocol is traced)")
+    if args.faults and args.mode != "sim":
+        raise UsageError("--faults requires --mode sim (predict and model "
+                         "cells run no fault plan)")
     if args.decision_table:
         if args.mode == "model":
             raise UsageError("--decision-table requires --mode sim or "

@@ -118,6 +118,7 @@ def measure_collective(machine: Union[str, MachineSpec], op: str,
                          contention=config.contention,
                          faults=config.faults)
         local_times = world.run(_timing_program(op, nbytes, config))
+        world.close()
         run_times.append(max(local_times))  # the paper's max-reduce
     return CollectiveSample(
         op=op,

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..faults import FaultInjector, FaultPlan
 from ..network import (
     LinkParameters,
@@ -300,10 +302,10 @@ class Machine:
                                     contention=contention,
                                     injector=self.injector)
         self.nodes = [self._build_node(i) for i in range(num_nodes)]
-        # Per-node pools of pre-drawn ``sw.<i>`` normals, stored
-        # reversed so ``pop()`` yields them in draw order.  jitter()
-        # runs several times per message, and a scalar numpy draw
-        # costs several times a list pop.
+        # Per-node pools of pre-drawn ``sw.<i>`` factors (normals
+        # clamped at 1e-3), stored reversed so ``pop()`` yields them in
+        # draw order.  jitter() runs several times per message, and a
+        # scalar numpy draw costs several times a list pop.
         self._jitter_sigma = spec.software.jitter_sigma
         self._jitter_pools: List[List[float]] = [
             [] for _ in range(num_nodes)]
@@ -350,11 +352,8 @@ class Machine:
         else:
             pool = self._jitter_pools[node_index]
             if not pool:
-                pool.extend(self.streams.stream(f"sw.{node_index}")
-                            .normal(1.0, sigma, _JITTER_BLOCK).tolist())
-                pool.reverse()
-            draw = pool.pop()
-            factor = draw if draw > 1e-3 else 1e-3
+                pool[:0] = self._jitter_block(node_index)
+            factor = pool.pop()
         if self.cpu_slowdown:
             factor = factor * self.cpu_slowdown.get(node_index, 1.0)
         if self.injector is not None:
@@ -377,15 +376,20 @@ class Machine:
         else:
             pool = self._jitter_pools[node_index]
             while len(pool) < count:
-                block = self.streams.stream(f"sw.{node_index}").normal(
-                    1.0, self._jitter_sigma, _JITTER_BLOCK).tolist()
-                block.reverse()
-                pool[:0] = block
-            draws = [draw if draw > 1e-3 else 1e-3
-                     for draw in reversed(pool[len(pool) - count:])]
+                pool[:0] = self._jitter_block(node_index)
+            draws = pool[len(pool) - count:]
+            draws.reverse()
         if slowdown is None:
             return draws
         return [factor * slowdown for factor in draws]
+
+    def _jitter_block(self, node_index: int) -> List[float]:
+        """The next :data:`_JITTER_BLOCK` factors of ``node_index``'s
+        ``sw.<i>`` stream, reversed for its pool."""
+        block = np.maximum(self.streams.stream(f"sw.{node_index}").normal(
+            1.0, self._jitter_sigma, _JITTER_BLOCK), 1e-3).tolist()
+        block.reverse()
+        return block
 
     def skip_jitter(self, node_index: int, count: int) -> None:
         """Consume ``count`` draws of ``node_index`` that were already

@@ -61,6 +61,40 @@ it, once the next call's replay has succeeded.  Each rank is then
 scheduled to resume at its own finish time of the last evaluated call,
 in completion order.
 
+A call whose shape and entry mode (entry costs given, or drawn in the
+replay) will come again -- a later call of the fold, or the next
+``repeat`` iteration -- is replayed with a *tape* recorded as it runs:
+every time the replay computes becomes an entry, the same
+floating-point expression over earlier entries, the peeked draws, the
+start time and the booking horizons the schedule's resources had
+before the call (``begin = busy if busy > now else now`` stays a max).
+Every value-dependent choice becomes a guard ``a < b`` between two
+computed times, with the outcome the replay found: per resource (a NIC
+engine, a route link), the order of the events that book or request
+it; per node, the order of the events that draw its ``sw.<i>`` jitter;
+per receive channel, whether a message arrived before its receive was
+posted; per posted receive, whether it fired before its wait; per
+contended message, whether the route was busy, each hop request's and
+wakeup's outcome, whether a grant waited and whether the NIC engines
+outlast the release.  Two events in a row on a dependency need no guard
+when one is the other's ancestor, when both were scheduled at one
+computed time by one handler, or when both are steps of the node's own
+rank: a resource only its rank books (its DMA engine and memory bus) has
+none.  Independent events may swap, which a check of the global pop
+order would not allow.  A later call of that shape and mode is *played*
+from the tape instead: the entries are evaluated with the call's
+draws, start and horizons in the recorded pop order, each guard as soon
+as its later operand exists, and the lists the commit reads come out
+in time order, so :meth:`EpisodeEvaluator._commit` stays the one commit
+path.  A failed guard, a resource held through the request protocol,
+or an exact tie between two entries of the outcome's lists that one
+handler did not produce at one time sends the call to the heap, which
+records a new tape; a recording that itself meets a tie keeps none.
+After :data:`_TAPE_MISSES` misses in a row the communicator stops
+taping the shape, and it never tapes a schedule sending more than
+:data:`_TAPED_MESSAGES_PER_RANK` messages per rank, whose tapes rarely
+hold.
+
 Algorithms are recorded once per ``(algorithm, root, nbytes)`` per
 communicator by running their generators against a recording context
 that exposes only ``rank``, ``size``, ``coll_send``, ``coll_post``,
@@ -77,6 +111,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from heapq import heappop, heappush
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
                     Set, Tuple)
@@ -225,16 +260,20 @@ def record(algorithm: Callable, size: int, seq: int, nbytes: int,
 
 class _Schedule:
     """A recorded algorithm compiled for one communicator: per rank,
-    its operations with every machine constant resolved, and how many
+    its operations with every machine constant resolved, how many
     jitter draws a complete replay makes on its node, without and with
-    the draw of the entry cost."""
+    the draw of the entry cost, every resource a replay may book or
+    request, and whether its calls are worth taping."""
 
-    __slots__ = ("ops", "draws", "entered_draws")
+    __slots__ = ("ops", "draws", "entered_draws", "resources", "taped")
 
-    def __init__(self, ops: List[List[tuple]], draws: List[int]):
+    def __init__(self, ops: List[List[tuple]], draws: List[int],
+                 resources: List[object], messages: int):
         self.ops = ops
         self.draws = draws
         self.entered_draws = [count + 1 for count in draws]
+        self.resources = resources
+        self.taped = messages <= _TAPED_MESSAGES_PER_RANK * len(ops)
 
 
 class _Send:
@@ -259,7 +298,7 @@ class _Message:
                  "sent_at", "tx_start", "rx_start", "delivered_at",
                  "unexpected", "queued_at", "hop", "arrived", "waits",
                  "granted_at", "released_at", "span", "link_spans",
-                 "ticket")
+                 "ticket", "slots", "wait_slots")
 
     def __init__(self, src: int, send: _Send, issued: float):
         self.src = src
@@ -304,6 +343,260 @@ class _Outcome:
                  "horizons")
 
 
+# -- the tape ---------------------------------------------------------------
+
+#: Tape instructions, each ``(code, a, b, c)`` over the value list ``v``.
+#: A guard requires ``v[a] < v[b]``.  The others append values: a
+#: booking appends its begin ``max(v[a], v[b])`` and its end, the begin
+#: plus ``c``; a wire end appends ``v[a] + b`` (the route's hold) and the
+#: latest of that and the engine horizons ``v[c[0]]`` and ``v[c[1]]``;
+#: the rest append ``v[a] + b * v[c]``, ``v[a] + b``,
+#: ``max(v[a], v[b])``, ``v[a] - v[b]`` or ``v[a] + v[b]``.
+_LT, _ADDMUL, _BOOK, _WIRE, _ADD, _MAX, _SUB, _SUM = range(8)
+
+#: Consecutive misses (a failed guard, or a recording with a tie) after
+#: which a communicator stops taping a shape in one entry mode: a shape
+#: whose dependency orders keep changing would pay for a recording and
+#: a wasted prefix on every call.  On the campaign a shape's tape holds
+#: for nearly every call or misses the first time, so one miss decides.
+_TAPE_MISSES = 1
+
+#: The most messages per rank a schedule may send for its calls to be
+#: taped.  Trees send about one; the exchanges (alltoall, allgather and
+#: allreduce phases, recursive-doubling scans) send from log p to p - 1
+#: messages per rank, keep many of them in flight at once, and the
+#: jitter reorders their bookings on the receiving engines and links
+#: from call to call: their tapes miss, and each miss wastes a recording
+#: that costs two to three heap replays.
+_TAPED_MESSAGES_PER_RANK = 2
+
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+class _Recording:
+    """The tape a heap replay writes as it runs.
+
+    Every value the replay computes gets a slot, in computation order,
+    after the inputs: the start time, one value per rank (its given
+    entry cost, or the first-touch cost its drawn entry cost adds),
+    every rank's peeked draws, and the booking horizon of every
+    resource of the schedule.  Every popped event keeps the slot of its
+    time; every slot, the event that computed it (-1 before the first
+    pop), which is an ancestor of any event scheduled at it.
+
+    ``touch`` records an event's access to a dependency: the booking
+    horizon and request queue of a resource more than one rank's events
+    use (a NIC engine, a route link), a receive channel
+    ``(dst, src, phase)`` or a posted receive; ``draw``, a draw from a
+    node's jitter stream.  Two events in a row on one dependency get a
+    guard that keeps their order, unless the order is fixed anyway: one
+    is an ancestor of the other, both share one time slot (a handler's
+    events scheduled at its own time), or both are steps of the node's
+    own rank, whose program runs them in sequence.  For that last
+    reason a resource only its own rank books (its DMA engine and
+    memory bus) needs no guard at all.  Independent events may pop in
+    any other order.  A guard the recording itself only meets with a
+    tie marks the tape ``tied``.
+    """
+
+    __slots__ = ("vals", "owner", "code", "base", "drawn", "drawer",
+                 "by_rank", "times", "ev", "now", "last", "tied", "inputs",
+                 "horizons", "entered", "finished", "phases", "copies",
+                 "log", "begin", "alias")
+
+    def __init__(self, vals: List[float], base: List[int],
+                 resources: List[object]):
+        #: resource -> slot of its booking horizon before the call.
+        self.inputs = {resource: len(vals) + index
+                       for index, resource in enumerate(resources)}
+        vals += [resource._busy_until for resource in resources]
+        self.vals = vals
+        self.owner = [-1] * len(vals)
+        self.code: List[tuple] = []
+        self.base = base
+        self.drawn = [0] * len(base)
+        #: Per node, the event of its last draw, and whether its own
+        #: rank made it.
+        self.drawer = [-1] * len(base)
+        self.by_rank = [True] * len(base)
+        self.times: List[int] = []
+        self.ev = -1
+        #: Slot of the current event's time.
+        self.now = 0
+        #: dependency -> the event of its last access.
+        self.last: Dict[object, int] = {}
+        self.tied = False
+        #: resource used so far -> slot of its booking horizon.
+        self.horizons: Dict[object, int] = {}
+        self.entered: List[Tuple[int, int]] = []
+        self.finished: List[Tuple[int, int]] = []
+        self.phases: List[Tuple[int, int]] = []
+        self.copies: List[Tuple[int, int, int, int]] = []
+        self.log: List[Tuple[int, int, _Message]] = []
+        #: Slot of the begin time of the last booking.
+        self.begin = 0
+        #: Wakeup slot -> the horizon slot it copies.
+        self.alias: Dict[int, int] = {}
+
+    def entry(self, value: float, code: int, a, b=None, c=None) -> int:
+        """Record that ``value`` was computed as instruction ``code``;
+        return its slot."""
+        self.code.append((code, a, b, c))
+        self.vals.append(value)
+        self.owner.append(self.ev)
+        return len(self.vals) - 1
+
+    def wakeup(self, horizon: int) -> int:
+        """The slot of a booking-expiry wakeup at ``horizon``: a copy
+        computed by the current event, so that the event owning it is
+        the wakeup's ancestor, and known equal to the horizon."""
+        slot = self.entry(self.vals[horizon], _ADD, horizon, 0.0)
+        self.alias[slot] = horizon
+        return slot
+
+    def guard(self, lo: int, hi: int) -> None:
+        """The replay found ``v[lo] < v[hi]``, or the two equal by
+        construction, where the branch taken is the one for equality; a
+        later call must find the same."""
+        alias = self.alias
+        if lo == hi or alias and alias.get(lo, lo) == alias.get(hi, hi):
+            return
+        if not self.vals[lo] < self.vals[hi]:
+            self.tied = True
+        self.code.append((_LT, lo, hi, None))
+
+    def touch(self, key) -> None:
+        """The current event reads or changes dependency ``key``."""
+        ev = self.ev
+        last = self.last
+        prev = last.get(key, -1)
+        last[key] = ev
+        if prev >= 0 and prev != ev:
+            self.follow(prev)
+
+    def follow(self, prev: int) -> None:
+        """Keep event ``prev`` before the current one, unless their
+        order is fixed anyway."""
+        times = self.times
+        first, then = times[prev], times[self.ev]
+        if first == then:
+            return
+        owner = self.owner
+        up = owner[then]
+        while up > prev:
+            up = owner[times[up]]
+        if up != prev:
+            self.guard(first, then)
+
+    def draw(self, rank: int, own: bool = True) -> int:
+        """The slot of the next draw from ``rank``'s node, made by the
+        rank itself (``own``) or by a message's delivery to it."""
+        prev = self.drawer[rank]
+        ev = self.ev
+        if prev >= 0 and prev != ev and not (own and self.by_rank[rank]):
+            self.follow(prev)
+        self.drawer[rank] = ev
+        self.by_rank[rank] = own
+        index = self.drawn[rank]
+        self.drawn[rank] = index + 1
+        return self.base[rank] + index
+
+    def book(self, resource, begin: float, duration: float) -> None:
+        """A booking of ``resource`` for ``duration`` now began at
+        ``begin``: slot ``self.begin``, its end the next."""
+        horizons = self.horizons
+        self.code.append((_BOOK, horizons[resource], self.now, duration))
+        vals = self.vals
+        vals.append(begin)
+        vals.append(begin + duration)
+        ev = self.ev
+        self.owner += (ev, ev)
+        self.begin = len(vals) - 2
+        horizons[resource] = len(vals) - 1
+
+    def check(self, resource, lane: Optional[_Lane], busy: bool) -> None:
+        """A message about to enter the wire now found route link
+        ``resource`` ``busy`` (its horizon later than now) or not."""
+        self.touch(resource)
+        if lane is None or lane.holder is None and not lane.waiting:
+            horizon = self.horizons[resource]
+            if busy:
+                self.guard(self.now, horizon)
+            else:
+                self.guard(horizon, self.now)
+
+    def wire(self, held: float, end: float, hold: float, tx_end: int,
+             rx_end: int) -> int:
+        """A message entered a free route now: the route is ``held`` to
+        now plus ``hold``, and the wire ends at ``end``, the latest of
+        that and the slots of the two engine bookings' ends.  Returns
+        the slot of ``held``; ``end``'s is the next."""
+        self.code.append((_WIRE, self.now, hold, (tx_end, rx_end)))
+        vals = self.vals
+        vals.append(held)
+        vals.append(end)
+        ev = self.ev
+        self.owner += (ev, ev)
+        return len(vals) - 2
+
+    def tape(self) -> Optional["_Tape"]:
+        """The finished tape, or ``None`` when a guard or two entries of
+        the outcome's lists only held with a tie."""
+        vals = self.vals
+        stamps = set(map(_second, self.entered))
+        stamps.update(map(_second, self.finished))
+        stamps.update(map(_first, self.phases))
+        stamps.update(map(_first, self.copies))
+        stamps.update(map(_first, self.log))
+        if self.tied or \
+                len(set(map(vals.__getitem__, stamps))) != len(stamps):
+            return None
+        tape = _Tape()
+        tape.resources = list(self.inputs)
+        tape.code = self.code
+        tape.stamps = tuple(stamps)
+        tape.entered = _columns(self.entered, 2)
+        tape.finished = _columns(self.finished, 2)
+        tape.phases = _columns(self.phases, 2)
+        tape.copies = self.copies
+        tape.horizons = _columns(self.horizons.items(), 2)
+        index: Dict[int, int] = {}
+        messages = []
+        log = []
+        for stamp, act, message in self.log:
+            if act == _WIRED:
+                index[id(message)] = len(messages)
+                slots = message.slots
+                waits = None
+                if message.queued_at is not None:
+                    waits = tuple(zip((hop for hop, _ in message.waits),
+                                      message.wait_slots))
+                messages.append((
+                    message.src, message.send, message.unexpected,
+                    slots.pop("issued"), slots.pop("sent_at"),
+                    slots.pop("tx_start"), slots.pop("rx_start"),
+                    slots.pop("delivered_at"),
+                    tuple(slots.items()), waits))
+            log.append((stamp, act, index[id(message)]))
+        tape.messages = messages
+        tape.log = _columns(log, 3)
+        return tape
+
+
+def _columns(rows, width: int) -> Tuple[tuple, ...]:
+    """``rows`` of ``width`` fields as ``width`` tuples of fields."""
+    return tuple(zip(*rows)) or ((),) * width
+
+
+class _Tape:
+    """A heap replay as straight-line code (:meth:`_Recording.tape`):
+    its instructions, and the outcome's lists and messages with a slot
+    in place of every time, each list as a tuple of columns."""
+
+    __slots__ = ("resources", "code", "stamps", "entered", "finished",
+                 "phases", "copies", "log", "messages", "horizons")
+
+
 class EpisodeEvaluator:
     """Decides, replays and commits the episodes of one communicator.
 
@@ -321,6 +614,10 @@ class EpisodeEvaluator:
         self._schedules: Dict[tuple, _Schedule] = {}
         #: Shapes never to try again: unrecordable, or aborted once.
         self._refused: Set[tuple] = set()
+        #: (algorithm, root, nbytes, costs drawn) -> the tape of its last
+        #: heap replay, and how many misses in a row it has had.
+        self._tapes: Dict[tuple, _Tape] = {}
+        self._misses: Dict[tuple, int] = {}
 
     # -- eligibility ------------------------------------------------------
     def register(self, rank: int, seq: int, cost: float, shape: tuple,
@@ -394,8 +691,14 @@ class EpisodeEvaluator:
         finishes: List[List[float]] = [[] for _ in range(comm.size)]
         finished = None
         for index, shape in enumerate(calls):
+            # Whether a later call will be in this call's shape and entry
+            # mode: a drawn call's shape comes again in this fold, or a
+            # fold of one call (a ``repeat`` iteration) is followed by
+            # the next iteration.
+            again = shape in calls[index + 1:] if index else \
+                len(calls) == 1
             replayed = self._replay_call(shape, seq + index, order, costs,
-                                         start)
+                                         start, again)
             if replayed is None:
                 break
             if index:
@@ -416,12 +719,19 @@ class EpisodeEvaluator:
         return finished, finishes
 
     def _replay_call(self, shape: tuple, seq: int, order: List[int],
-                     costs: Optional[List[float]], start: float
+                     costs: Optional[List[float]], start: float,
+                     again: bool = False
                      ) -> Optional[Tuple[_Outcome, List[int]]]:
         """Replay collective ``seq`` of ``shape``, whose ranks enter in
         ``order`` at ``start`` plus their entry ``costs`` (``None``:
         drawn in the replay); return the outcome and the jitter draws it
-        made per rank, or ``None`` to leave the call to the engine."""
+        made per rank, or ``None`` to leave the call to the engine.
+
+        The call is played from the tape of the shape in this entry mode
+        when there is one and it holds.  Otherwise the heap replays it,
+        and records a new tape when a later call will be in this shape
+        and mode (``again``).
+        """
         op, algorithm, root, nbytes = shape
         key = (algorithm, root, nbytes)
         if key in self._refused:
@@ -436,17 +746,36 @@ class EpisodeEvaluator:
             schedule = self._schedules[key] = self._compile(recorded)
         draws = schedule.draws if costs is not None else \
             schedule.entered_draws
+        mode = key + (costs is None,)
+        misses = self._misses.get(mode, 0)
+        tape = self._tapes.pop(mode, None)
+        if tape is not None:
+            outcome = self._play(tape, draws, order, costs, start, op,
+                                 nbytes)
+            if outcome is not None:
+                if again:
+                    self._tapes[mode] = tape
+                self._misses[mode] = 0
+                return outcome, draws
+            misses += 1
+        taping = again and schedule.taped and misses < _TAPE_MISSES
         try:
-            outcome = self._replay(schedule, draws, order, costs, start,
-                                   op, nbytes)
+            replayed = self._replay(schedule, draws, order, costs, start,
+                                    op, nbytes, taping)
         except _Abort:
-            outcome = None
-        if outcome is None:
+            replayed = None
+        if replayed is None:
             self._refused.add(key)
             work = self.comm.machine.env.work
             if work is not None:
                 work.episodes_aborted += 1
             return None
+        outcome, tape = replayed
+        if tape is not None:
+            self._tapes[mode] = tape
+        elif taping:
+            misses += 1
+        self._misses[mode] = misses
         return outcome, draws
 
     # -- compiling a recorded schedule --------------------------------------
@@ -543,17 +872,54 @@ class EpisodeEvaluator:
                 else:
                     out.append(entry)
             compiled.append(out)
-        return _Schedule(compiled, draws)
+        resources: Dict[object, None] = {}
+        for rank, ops in enumerate(compiled):
+            for entry in ops:
+                if entry[0] == _SEND:
+                    send = entry[1]
+                    resources.update(dict.fromkeys(
+                        (send.tx, send.rx, *send.links)))
+                    if send.dma is not None:
+                        resources[send.dma.engine] = None
+                    if send.copy:
+                        resources[send.bus] = None
+                elif entry[0] == _WAIT and any(entry[4]):
+                    resources[nodes[rank].memory.bus] = None
+        messages = sum(entry[0] == _SEND for ops in compiled for entry in ops)
+        return _Schedule(compiled, draws, list(resources), messages)
 
     # -- the private heap ---------------------------------------------------
+    def _inputs(self, draws: List[int], order: List[int],
+                costs: Optional[List[float]], op: str, nbytes: int
+                ) -> Tuple[List[List[float]], List[float]]:
+        """The values a call is replayed from: each rank's next
+        ``draws`` jitter factors, and each rank's given entry cost or,
+        when ``costs`` is ``None``, the first-touch cost of the call's
+        working set that its drawn entry cost adds."""
+        machine = self.comm.machine
+        world_ranks = self.comm.world_ranks
+        peeked = [machine.peek_jitter(world_ranks[rank], count)
+                  for rank, count in enumerate(draws)]
+        if costs is None:
+            nodes = machine.nodes
+            working_set = (op, nbytes)
+            return peeked, [nodes[node].memory.first_touch_cost(
+                working_set, nbytes) for node in world_ranks]
+        per_rank = [0.0] * len(draws)
+        for rank, cost in zip(order, costs):
+            per_rank[rank] = cost
+        return peeked, per_rank
+
     def _replay(self, compiled: _Schedule, draws: List[int],
                 order: List[int], costs: Optional[List[float]],
-                start: float, op: str, nbytes: int) -> Optional[_Outcome]:
+                start: float, op: str, nbytes: int, taping: bool = False
+                ) -> Optional[Tuple[_Outcome, Optional[_Tape]]]:
         """Run the episode in a private heap mirroring the engine's:
         the ranks enter in ``order``, each at ``start`` plus its entry
         cost, given in ``costs`` or, when ``None``, drawn here as the
         rank's first of its ``draws`` jitter factors, plus the
-        first-touch penalty of the call's working set.
+        first-touch penalty of the call's working set.  With ``taping``,
+        also record the replay's tape (``None`` when it holds a tie).
 
         Raises :class:`_Abort` (or returns ``None`` for an episode that
         does not finish cleanly) without touching any shared state.
@@ -562,20 +928,24 @@ class EpisodeEvaluator:
         machine = comm.machine
         software = machine.spec.software
         deliver_us = software.deliver_us
-        world_ranks = comm.world_ranks
-        nodes = [machine.nodes[node] for node in world_ranks]
+        nodes = [machine.nodes[node] for node in comm.world_ranks]
         schedule = compiled.ops
         size = len(schedule)
+        peeked, per_rank = self._inputs(draws, order, costs, op, nbytes)
         # Each rank's jitter factors, in the order its node draws them.
-        draw = [iter(machine.peek_jitter(world_ranks[rank], count)).__next__
-                for rank, count in enumerate(draws)]
-        if costs is None:
+        draw = [iter(values).__next__ for values in peeked]
+        rec: Optional[_Recording] = None
+        if taping:
+            vals = [start, *per_rank]
+            base = []
+            for values in peeked:
+                base.append(len(vals))
+                vals += values
+            rec = _Recording(vals, base, compiled.resources)
+        drawn = costs is None
+        if drawn:
             setup = call_setup_us(software, op)
-            working_set = (op, nbytes)
-            costs = [setup * draw[rank]() +
-                     nodes[rank].memory.first_touch_cost(working_set,
-                                                         nbytes)
-                     for rank in order]
+            costs = [setup * draw[rank]() + per_rank[rank] for rank in order]
 
         heap: List[tuple] = []
         tick = itertools.count().__next__
@@ -593,12 +963,17 @@ class EpisodeEvaluator:
         copies: List[Tuple[int, int, float]] = []
         phases: List[Tuple[float, int]] = []
 
+        # The tape's slots travel beside the times: every heap entry
+        # carries the slot of its time, and ``now_s`` is the slot of the
+        # current event's (``None`` when not taping).
         def first_use(resource) -> float:
             """A resource's booking horizon when the replay first uses
             it: the machine's, unless it is held through the protocol."""
             if resource._users or resource._waiting:
                 raise _Abort("resource held through the protocol")
             busy = horizons[resource] = resource._busy_until
+            if rec is not None:
+                rec.horizons[resource] = rec.inputs[resource]
             return busy
 
         def book(resource, duration: float, now: float) -> float:
@@ -607,27 +982,45 @@ class EpisodeEvaluator:
                 busy = first_use(resource)
             begin = busy if busy > now else now
             horizons[resource] = begin + duration
+            if rec is not None:
+                rec.book(resource, begin, duration)
             return begin
 
         def wire(message: _Message, now: float) -> None:
             send = message.send
             message.sent_at = now
             message.tx_start = tx_start = book(send.tx, send.tx_us, now)
+            if rec is not None:
+                slots = message.slots
+                slots["sent_at"] = now_s
+                slots["tx_start"] = rec.begin
             message.rx_start = rx_start = book(send.rx, send.rx_us, now)
             log.append((_WIRED, message))
+            if rec is not None:
+                # Other ranks' messages book the receive engine too, and
+                # a half-duplex NIC's one engine is both.
+                rec.touch(send.tx)
+                rec.touch(send.rx)
+                slots["rx_start"] = rec.begin
+                rec.log.append((now_s, _WIRED, message))
             links = send.links
             for resource in links:
                 busy = horizons.get(resource)
                 if busy is None:
                     busy = first_use(resource)
                 lane = lanes.get(resource) if lanes else None
+                if rec is not None:
+                    rec.check(resource, lane, busy > now)
                 if busy > now or lane is not None and \
                         (lane.holder is not None or lane.waiting):
                     # Route contended: the engine bookings stand and the
                     # contended wire process starts, urgent, at this
                     # instant.
                     message.queued_at = now
-                    heappush(heap, (now, URGENT, tick(), _START, message))
+                    if rec is not None:
+                        slots["queued_at"] = now_s
+                    heappush(heap, (now, URGENT, tick(), _START, message,
+                                    now_s))
                     return
             hold = send.hold
             for resource in links:
@@ -638,7 +1031,15 @@ class EpisodeEvaluator:
             rx_end = rx_start + send.rx_us
             if rx_end > end:
                 end = rx_end
-            heappush(heap, (end, NORMAL, tick(), _LAND, message))
+            slot = None
+            if rec is not None:
+                # Each engine's end is its booking's end.
+                held = rec.wire(now + hold, end, hold, slots["tx_start"] + 1,
+                                slots["rx_start"] + 1)
+                for resource in links:
+                    rec.horizons[resource] = held
+                slot = held + 1
+            heappush(heap, (end, NORMAL, tick(), _LAND, message, slot))
 
         def request(message: _Message, now: float) -> None:
             """``Resource.request`` for the message's current hop."""
@@ -647,26 +1048,38 @@ class EpisodeEvaluator:
             lane = lanes.get(resource)
             if lane is None:
                 lane = lanes[resource] = _Lane(resource)
+            if rec is not None:
+                message.wait_slots.append(now_s)
+                rec.touch(resource)
             if lane.holder is not None:
                 lane.waiting.append(message)
                 return
             busy = horizons.get(resource)
             if busy is None:
                 busy = first_use(resource)
+            if rec is not None:
+                horizon = rec.horizons[resource]
+                if busy > now:
+                    rec.guard(now_s, horizon)
+                else:
+                    rec.guard(horizon, now_s)
             if busy > now:
                 # Queued behind a booking, whose expiry wakeup plays the
                 # holder's release; one wakeup per queue.
                 if not lane.waiting:
-                    heappush(heap, (busy, NORMAL, tick(), _WAKE, lane))
+                    # The wakeup's own slot: its time was computed by an
+                    # event that is not its ancestor.
+                    slot = None if rec is None else rec.wakeup(horizon)
+                    heappush(heap, (busy, NORMAL, tick(), _WAKE, lane, slot))
                 lane.waiting.append(message)
                 return
             lane.holder = message
-            heappush(heap, (now, NORMAL, tick(), _GRANT, message))
+            heappush(heap, (now, NORMAL, tick(), _GRANT, message, now_s))
 
         def grant(lane: _Lane, now: float) -> None:
             message = lane.waiting.popleft()
             lane.holder = message
-            heappush(heap, (now, NORMAL, tick(), _GRANT, message))
+            heappush(heap, (now, NORMAL, tick(), _GRANT, message, now_s))
 
         def run(rank: int, now: float) -> None:
             """Advance ``rank`` at ``now`` until it waits again."""
@@ -679,15 +1092,28 @@ class EpisodeEvaluator:
                     begin = book(send.dma.engine, send.dma_us, now)
                     message.dma_start = begin
                     state[rank] = _STREAMED
-                    heappush(heap, (begin + send.dma_us, NORMAL, tick(),
-                                    _RESUME, rank))
+                    at = begin + send.dma_us
+                    slot = None
+                    if rec is not None:
+                        slots = message.slots
+                        slots["dma_asked"] = now_s
+                        slots["dma_start"] = rec.begin
+                        slot = rec.begin + 1
+                    heappush(heap, (at, NORMAL, tick(), _RESUME, rank,
+                                    slot))
                     return
                 if send.copy:
                     begin = book(send.bus, send.copy_us, now)
                     copies.append((rank, send.copy, begin - now))
                     state[rank] = _STREAMED
-                    heappush(heap, (begin + send.copy_us, NORMAL, tick(),
-                                    _RESUME, rank))
+                    at = begin + send.copy_us
+                    slot = None
+                    if rec is not None:
+                        rec.copies.append((now_s, rank, send.copy, rec.entry(
+                            begin - now, _SUB, rec.begin, now_s)))
+                        slot = rec.begin + 1
+                    heappush(heap, (at, NORMAL, tick(), _RESUME, rank,
+                                    slot))
                     return
                 wire(message, now)
             elif step == _STREAMED:
@@ -696,8 +1122,10 @@ class EpisodeEvaluator:
                 receive = current[rank]
                 cost = receive.wait[3][receive.unexpected]
                 state[rank] = _RECEIVED
-                heappush(heap, (now + cost * draw[rank](), NORMAL, tick(),
-                                _RESUME, rank))
+                at = now + cost * draw[rank]()
+                slot = None if rec is None else \
+                    rec.entry(at, _ADDMUL, now_s, cost, rec.draw(rank))
+                heappush(heap, (at, NORMAL, tick(), _RESUME, rank, slot))
                 return
             elif step == _RECEIVED:
                 receive = current[rank]
@@ -713,11 +1141,19 @@ class EpisodeEvaluator:
                     begin = book(memory.bus, duration, now)
                     copies.append((rank, nbytes, begin - now))
                     state[rank] = _RUNNING
-                    heappush(heap, (begin + duration, NORMAL, tick(),
-                                    _RESUME, rank))
+                    at = begin + duration
+                    slot = None
+                    if rec is not None:
+                        rec.copies.append((now_s, rank, nbytes, rec.entry(
+                            begin - now, _SUB, rec.begin, now_s)))
+                        slot = rec.begin + 1
+                    heappush(heap, (at, NORMAL, tick(), _RESUME, rank,
+                                    slot))
                     return
             elif step == _ENTERING:
                 entered.append((rank, now))
+                if rec is not None:
+                    rec.entered.append((rank, now_s))
             ops = schedule[rank]
             index = pc[rank]
             while index < len(ops):
@@ -727,15 +1163,25 @@ class EpisodeEvaluator:
                 if kind == _SEND:
                     send = entry[1]
                     phases.append((now, send.phase))
-                    current[rank] = _Message(rank, send, now)
+                    message = current[rank] = _Message(rank, send, now)
                     state[rank] = _SENT
                     pc[rank] = index
-                    heappush(heap, (now + send.cost * draw[rank](), NORMAL,
-                                    tick(), _RESUME, rank))
+                    at = now + send.cost * draw[rank]()
+                    slot = None
+                    if rec is not None:
+                        rec.phases.append((now_s, send.phase))
+                        message.slots = {"issued": now_s}
+                        slot = rec.entry(at, _ADDMUL, now_s, send.cost,
+                                         rec.draw(rank))
+                    heappush(heap, (at, NORMAL, tick(), _RESUME, rank,
+                                    slot))
                     return
                 if kind == _POST:
                     _, src, phase = entry
                     phases.append((now, phase))
+                    if rec is not None:
+                        rec.phases.append((now_s, phase))
+                        rec.touch((rank, src, phase))
                     receive = _Receive(rank, src, phase)
                     posts[rank].append(receive)
                     queue = unexpected[rank]
@@ -747,7 +1193,7 @@ class EpisodeEvaluator:
                             receive.unexpected = True
                             receive.state = _SCHEDULED
                             heappush(heap, (now, NORMAL, tick(), _FIRE,
-                                            receive))
+                                            receive, now_s))
                             break
                     else:
                         posted[rank].append(receive)
@@ -758,32 +1204,62 @@ class EpisodeEvaluator:
                     current[rank] = receive
                     state[rank] = _RECEIVING
                     pc[rank] = index
+                    if rec is not None:
+                        rec.touch(receive)
                     if receive.state == _FIRED:
                         heappush(heap, (now, URGENT, tick(), _RESUME,
-                                        rank))
+                                        rank, now_s))
                     else:
                         receive.waiting = True
                     return
                 state[rank] = _RUNNING
                 pc[rank] = index
-                heappush(heap, (now + entry[1] * draw[rank](), NORMAL,
-                                tick(), _RESUME, rank))
+                at = now + entry[1] * draw[rank]()
+                slot = None if rec is None else \
+                    rec.entry(at, _ADDMUL, now_s, entry[1], rec.draw(rank))
+                heappush(heap, (at, NORMAL, tick(), _RESUME, rank, slot))
                 return
             pc[rank] = index
             finished.append((rank, now))
+            if rec is not None:
+                rec.finished.append((rank, now_s))
 
         for rank, cost in zip(order, costs):
-            heappush(heap, (start + cost, NORMAL, tick(), _RESUME, rank))
+            slot = None
+            if rec is not None:
+                cost_s = 1 + rank
+                if drawn:
+                    cost_s = rec.entry(cost, _ADDMUL, cost_s, setup,
+                                       rec.draw(rank))
+                slot = rec.entry(start + cost, _SUM, 0, cost_s)
+            heappush(heap, (start + cost, NORMAL, tick(), _RESUME, rank,
+                            slot))
         while heap:
-            now, _, _, kind, item = heappop(heap)
+            now, _, _, kind, item, now_s = heappop(heap)
+            if rec is not None:
+                if rec.tied:
+                    # The tape could not be played: replay the rest
+                    # without it.
+                    rec = None
+                else:
+                    rec.ev = len(rec.times)
+                    rec.times.append(now_s)
+                    rec.now = now_s
             if kind == _RESUME:
                 run(item, now)
             elif kind == _LAND:
-                heappush(heap, (now + deliver_us * draw[item.send.dst](),
-                                NORMAL, tick(), _DELIVER, item))
+                dst = item.send.dst
+                at = now + deliver_us * draw[dst]()
+                slot = None if rec is None else \
+                    rec.entry(at, _ADDMUL, now_s, deliver_us,
+                              rec.draw(dst, False))
+                heappush(heap, (at, NORMAL, tick(), _DELIVER, item, slot))
             elif kind == _DELIVER:
                 item.delivered_at = now
                 dst = item.send.dst
+                if rec is not None:
+                    item.slots["delivered_at"] = now_s
+                    rec.touch((dst, item.src, item.send.phase))
                 queue = posted[dst]
                 for position, receive in enumerate(queue):
                     if receive.src == item.src and \
@@ -792,13 +1268,15 @@ class EpisodeEvaluator:
                         receive.message = item
                         receive.state = _SCHEDULED
                         heappush(heap, (now, NORMAL, tick(), _FIRE,
-                                        receive))
+                                        receive, now_s))
                         break
                 else:
                     item.unexpected = True
                     unexpected[dst].append(item)
             elif kind == _FIRE:
                 item.state = _FIRED
+                if rec is not None:
+                    rec.touch(item)
                 if item.waiting:
                     run(item.rank, now)
             elif kind == _START:
@@ -809,29 +1287,58 @@ class EpisodeEvaluator:
                 # So the per-hop protocol takes over.
                 item.hop = 0
                 item.waits = []
+                if rec is not None:
+                    item.wait_slots = []
                 item.ticket = tick()
                 request(item, now)
             elif kind == _GRANT:
                 wait = now - item.arrived
+                if rec is not None:
+                    # The request's slot gives way to the wait's, if any.
+                    arrived = item.wait_slots.pop()
+                    rec.guard(arrived, now_s)
                 if wait > 0:
                     item.waits.append((item.hop, wait))
+                    if rec is not None:
+                        item.wait_slots.append(
+                            rec.entry(wait, _SUB, now_s, arrived))
                 item.hop += 1
                 if item.hop < len(item.send.links):
                     request(item, now)
                 else:
                     item.granted_at = now
                     log.append((_ACQUIRED, item))
-                    heappush(heap, (now + item.send.hold, NORMAL, tick(),
-                                    _RELEASE, item))
+                    at = now + item.send.hold
+                    slot = None
+                    if rec is not None:
+                        item.slots["granted_at"] = now_s
+                        rec.log.append((now_s, _ACQUIRED, item))
+                        slot = rec.entry(at, _ADD, now_s, item.send.hold)
+                    heappush(heap, (at, NORMAL, tick(), _RELEASE, item,
+                                    slot))
             elif kind == _WAKE:
-                if item.waiting and item.holder is None and \
-                        horizons[item.resource] <= now:
-                    grant(item, now)
+                if rec is not None:
+                    rec.touch(item.resource)
+                if item.waiting and item.holder is None:
+                    busy = horizons[item.resource]
+                    if rec is not None:
+                        horizon = rec.horizons[item.resource]
+                        if busy <= now:
+                            rec.guard(horizon, now_s)
+                        else:
+                            rec.guard(now_s, horizon)
+                    if busy <= now:
+                        grant(item, now)
             else:
                 item.released_at = now
                 log.append((_RELEASED, item))
+                if rec is not None:
+                    item.slots["released_at"] = now_s
+                    rec.log.append((now_s, _RELEASED, item))
                 send = item.send
                 for resource in send.links:
+                    if rec is not None:
+                        rec.touch(resource)
                     lane = lanes[resource]
                     lane.holder = None
                     if lane.waiting:
@@ -840,11 +1347,24 @@ class EpisodeEvaluator:
                 tx_end = item.tx_start + send.tx_us
                 rx_end = item.rx_start + send.rx_us
                 end = tx_end if tx_end > rx_end else rx_end
+                if rec is not None:
+                    slots = item.slots
+                    end_s = rec.entry(end, _MAX, slots["tx_start"] + 1,
+                                      slots["rx_start"] + 1)
+                    if end > now:
+                        rec.guard(now_s, end_s)
+                    else:
+                        rec.guard(end_s, now_s)
                 if end > now:
-                    heappush(heap, (end, NORMAL, item.ticket, _LAND, item))
+                    heappush(heap, (end, NORMAL, item.ticket, _LAND, item,
+                                    None if rec is None else end_s))
                 else:
-                    heappush(heap, (now + deliver_us * draw[send.dst](),
-                                    NORMAL, tick(), _DELIVER, item))
+                    dst = send.dst
+                    at = now + deliver_us * draw[dst]()
+                    slot = None if rec is None else rec.entry(
+                        at, _ADDMUL, now_s, deliver_us, rec.draw(dst, False))
+                    heappush(heap, (at, NORMAL, tick(), _DELIVER, item,
+                                    slot))
         if len(finished) != size or any(posted) or any(unexpected):
             return None
         outcome = _Outcome()
@@ -854,6 +1374,97 @@ class EpisodeEvaluator:
         outcome.copies = copies
         outcome.phases = phases
         outcome.horizons = horizons
+        return outcome, None if rec is None else rec.tape()
+
+    # -- the tape -----------------------------------------------------------
+    def _play(self, tape: _Tape, draws: List[int], order: List[int],
+              costs: Optional[List[float]], start: float, op: str,
+              nbytes: int) -> Optional[_Outcome]:
+        """Evaluate ``tape`` for a call the heap would replay from these
+        arguments: the outcome :meth:`_replay` would return, or ``None``
+        as soon as a guard fails, a resource is held through the
+        protocol at its first use, or two entries of the outcome's lists
+        tie."""
+        peeked, per_rank = self._inputs(draws, order, costs, op, nbytes)
+        v = [start, *per_rank]
+        for values in peeked:
+            v += values
+        append = v.append
+        for resource in tape.resources:
+            if resource._users or resource._waiting:
+                return None
+            append(resource._busy_until)
+        for code, a, b, c in tape.code:
+            if code == _LT:
+                if not v[a] < v[b]:
+                    return None
+            elif code == _ADDMUL:
+                append(v[a] + b * v[c])
+            elif code == _BOOK:
+                x = v[a]
+                y = v[b]
+                if y > x:
+                    x = y
+                append(x)
+                append(x + c)
+            elif code == _WIRE:
+                held = v[a] + b
+                x = v[c[0]]
+                end = held if held > x else x
+                x = v[c[1]]
+                append(held)
+                append(x if x > end else end)
+            elif code == _ADD:
+                append(v[a] + b)
+            elif code == _MAX:
+                x = v[a]
+                y = v[b]
+                append(x if x > y else y)
+            elif code == _SUB:
+                append(v[a] - v[b])
+            else:
+                append(v[a] + v[b])
+        get = v.__getitem__
+        stamps = tape.stamps
+        if len(set(map(get, stamps))) != len(stamps):
+            return None
+        # Each list in time order; entries of one slot keep the order
+        # the recording produced them in.
+        messages = []
+        for (src, send, unexpected, issued, sent_at, tx_start, rx_start,
+             delivered_at, extra, waits) in tape.messages:
+            message = _Message(src, send, v[issued])
+            message.unexpected = unexpected
+            message.sent_at = v[sent_at]
+            message.tx_start = v[tx_start]
+            message.rx_start = v[rx_start]
+            message.delivered_at = v[delivered_at]
+            for name, slot in extra:
+                setattr(message, name, v[slot])
+            if waits is not None:
+                message.waits = [(hop, v[slot]) for hop, slot in waits]
+            messages.append(message)
+        outcome = _Outcome()
+        ranks, slots = tape.entered
+        outcome.entered = entered = list(zip(ranks, map(get, slots)))
+        entered.sort(key=_second)
+        ranks, slots = tape.finished
+        outcome.finished = finished = list(zip(ranks, map(get, slots)))
+        finished.sort(key=_second)
+        slots, phase_ids = tape.phases
+        outcome.phases = phases = list(zip(map(get, slots), phase_ids))
+        phases.sort(key=_first)
+        copies = [(v[stamp], (rank, size, v[slot]))
+                  for stamp, rank, size, slot in tape.copies]
+        copies.sort(key=_first)
+        outcome.copies = [entry for _, entry in copies]
+        stamps, acts, indices = tape.log
+        times = list(map(get, stamps))
+        log = list(zip(acts, map(messages.__getitem__, indices)))
+        outcome.log = [log[entry] for entry in
+                       sorted(range(len(log)), key=times.__getitem__)]
+        resources, slots = tape.horizons
+        outcome.horizons = dict(zip(resources, map(get, slots)))
         return outcome
 
     # -- commit ---------------------------------------------------------------

@@ -105,6 +105,15 @@ class MpiWorld:
                     f"small at t={self.env.now:.1f} us)")
         return [process.value for process in processes]
 
+    def close(self) -> None:
+        """Release the world once nothing is to run on it: break the
+        reference cycles from the communicator to its rank contexts and
+        its episode evaluator, so that the world is freed as soon as
+        nothing refers to it, not at the cyclic garbage collector's next
+        full pass."""
+        self.comm.contexts = []
+        self.comm.episodes = None
+
     def run_collective(self, op: str, nbytes: int = 0, root: int = 0,
                        iterations: int = 1) -> float:
         """Convenience: run ``op`` ``iterations`` times, return the

@@ -1,5 +1,8 @@
 """Tests for the RankContext public API surface."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.mpi import MpiWorld, RankError
@@ -218,3 +221,19 @@ def test_completion_fence_keeps_at_most_one_stale_entry():
     assert len(comm._completions) <= 1
     assert comm._completions.keys() == comm._completion_counts.keys()
     assert all(event.triggered for event in comm._completions.values())
+
+
+def test_a_closed_world_is_freed_without_the_cyclic_collector():
+    """``close`` breaks the communicator's cycles (its rank contexts and
+    its episode evaluator), so the machine goes as soon as the world
+    does; ``measure_collective`` closes every world it runs."""
+    gc.disable()
+    try:
+        world = MpiWorld("sp2", 4, seed=1)
+        world.run_collective("broadcast", 4, iterations=3)
+        machine = weakref.ref(world.machine)
+        world.close()
+        del world
+        assert machine() is None
+    finally:
+        gc.enable()

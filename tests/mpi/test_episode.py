@@ -9,9 +9,12 @@ algorithms record, and that an aborted or refused replay leaves the
 engine to produce the same results.  The paper's timing block, whose
 fenced calls the evaluator folds into one evaluation, is checked
 against the same block written as plain calls, the oracle, and where
-each fold breaks.
+each fold breaks.  Every call played from a tape under :func:`taped` is
+replayed in the heap as well, and the two outcomes must be equal.
 """
 
+import contextlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -44,6 +47,75 @@ PARITY_CASES = (
     ("alltoall", 1024, 16),
     ("gather", 4, 32),
 )
+
+
+def _message_fields(message):
+    """What the commit reads of a replayed message."""
+    fields = [message.src, message.send, message.issued, message.sent_at,
+              message.tx_start, message.rx_start, message.delivered_at,
+              message.unexpected, message.queued_at]
+    if message.send.dma is not None:
+        fields += [message.dma_asked, message.dma_start]
+    if message.queued_at is not None:
+        fields += [message.waits, message.granted_at, message.released_at]
+    return fields
+
+
+def _outcome_fields(outcome):
+    return (outcome.entered, outcome.finished, outcome.phases,
+            outcome.copies, outcome.horizons,
+            [(act, _message_fields(message)) for act, message in outcome.log])
+
+
+@contextlib.contextmanager
+def taped():
+    """Count the calls played from a tape, and replay each one the tape
+    took in the heap as well: the two outcomes, field by field, and the
+    draws per rank must be equal.  Yields the counts ``plays``, ``hits``,
+    ``recorded`` (tapes recorded) and ``tied`` (recordings with a tie).
+    """
+    counts = Counter()
+    play = EpisodeEvaluator._play
+    replay = EpisodeEvaluator._replay
+    replay_call = EpisodeEvaluator._replay_call
+
+    def counted_play(self, *args):
+        outcome = play(self, *args)
+        counts["plays"] += 1
+        counts["hits"] += outcome is not None
+        return outcome
+
+    def counted_replay(self, *args):
+        replayed = replay(self, *args)
+        if args[7:] == (True,) and replayed is not None:
+            counts["recorded"] += 1
+            counts["tied"] += replayed[1] is None
+        return replayed
+
+    def checked_call(self, shape, seq, order, costs, start, again=False):
+        hits = counts["hits"]
+        result = replay_call(self, shape, seq, order, costs, start, again)
+        if counts["hits"] > hits:
+            op, algorithm, root, nbytes = shape
+            schedule = self._schedules[(algorithm, root, nbytes)]
+            outcome, draws = result
+            heap, _ = replay(self, schedule, draws, order, costs, start, op,
+                             nbytes)
+            assert _outcome_fields(outcome) == _outcome_fields(heap)
+            assert draws == (schedule.entered_draws if costs is None
+                             else schedule.draws)
+        return result
+
+    patched = {"_play": counted_play, "_replay": counted_replay,
+               "_replay_call": checked_call}
+    originals = {name: getattr(EpisodeEvaluator, name) for name in patched}
+    for name, method in patched.items():
+        setattr(EpisodeEvaluator, name, method)
+    try:
+        yield counts
+    finally:
+        for name, method in originals.items():
+            setattr(EpisodeEvaluator, name, method)
 
 
 def _world(machine, p, **kwargs):
@@ -103,7 +175,15 @@ def test_evaluated_episodes_do_the_engines_work(monkeypatch, machine, op,
     """Every work counter but the engine's own is what the engine
     counts running the same calls: each message, transfer, stall, link
     acquisition, resource request, grant, release and occupancy."""
-    evaluated = _counters(machine, op, nbytes, p)
+    with taped() as counts:
+        evaluated = _counters(machine, op, nbytes, p)
+    # The tree collectives keep their dependency orders from call to
+    # call: the second fenced call records a tape, the third and fourth
+    # are played from it.  The T3D's barrier wire records nothing.
+    if op in ("broadcast", "scatter"):
+        assert counts["hits"] == counts["plays"] == 2
+    if (machine, op) == ("t3d", "barrier"):
+        assert counts["plays"] == 0
     monkeypatch.setattr(EpisodeEvaluator, "register",
                         lambda *args, **kwargs: None)
     engine = _counters(machine, op, nbytes, p)
@@ -327,13 +407,19 @@ PAPER_OPS = (("barrier", 0), ("broadcast", 4096), ("gather", 4),
 def test_time_block_matches_the_plain_program(machine, op, nbytes):
     """Folding the block's fenced calls into evaluator calls changes no
     local time, hardware counter or work counter, for any warm-up and
-    iteration count."""
-    for p in (2, 12, 16):
-        for warmup in (0, 1, 2):
-            for iterations in (1, 2, 5):
-                work = _assert_block_matches_reference(
-                    machine, p, (op, nbytes, iterations, warmup))
-                assert work.episodes_aborted == 0
+    iteration count.  Broadcast and scatter play every call after the
+    first timed one from a tape, the T3D's barrier wire none."""
+    with taped() as counts:
+        for p in (2, 12, 16):
+            for warmup in (0, 1, 2):
+                for iterations in (1, 2, 5):
+                    work = _assert_block_matches_reference(
+                        machine, p, (op, nbytes, iterations, warmup))
+                    assert work.episodes_aborted == 0
+    if op in ("broadcast", "scatter"):
+        assert counts["hits"] == counts["plays"] > 0
+    if (machine, op) == ("t3d", "barrier"):
+        assert counts["plays"] == 0
 
 
 @given(st.sampled_from(PAPER_OPS), st.sampled_from([4, 1024, 65536]),
@@ -352,10 +438,15 @@ def test_time_block_matches_full_simulation(paper_op, nbytes, warmup,
     spec = replace(spec, software=replace(spec.software,
                                           jitter_sigma=sigma))
     program = _time_block(op, nbytes, iterations, warmup)
-    fast = _block_run(spec, p, program)
+    with taped() as counts:
+        fast = _block_run(spec, p, program)
     full = _block_run(spec, p, program, fast_wire=False)
     assert fast[:3] == full[:3]
     assert full[3].episodes_evaluated == 0
+    if sigma == 0.0:
+        # Without jitter the ranks enter at one instant: every recording
+        # ties.
+        assert counts["hits"] == 0
 
 
 def test_time_block_folds_every_fenced_call():
@@ -638,6 +729,174 @@ def test_random_programs_replay_exactly(program, machine, sigma):
     assert fast[:3] == full[:3]
     work = fast[3]
     assert work.episodes_evaluated + work.episodes_aborted > 0
+
+
+# -- the tape ----------------------------------------------------------------
+
+@given(random_algorithms(), st.sampled_from(MACHINES),
+       st.sampled_from([0.0, 0.03, 0.3]), st.integers(0, 2),
+       st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_played_calls_equal_their_heap_replay(program, machine, sigma,
+                                              warmup, iterations):
+    """Random programs in the paper's timing block, with the jitter off,
+    on and large: every call played from a tape has the heap replay's
+    outcome, field by field, and the block ends as in the full
+    simulation.  Without jitter every recording ties."""
+    size, programs = program
+    spec = get_machine_spec(machine)
+    spec = replace(spec, software=replace(spec.software,
+                                          jitter_sigma=sigma),
+                   algorithms={**spec.algorithms,
+                               "broadcast": "test_random_program"})
+    registry._ALGORITHMS["test_random_program"] = \
+        _program_algorithm(programs)
+    block = _time_block("broadcast", 0, iterations, warmup)
+    try:
+        with taped() as counts:
+            fast = _block_run(spec, size, block)
+        full = _block_run(spec, size, block, fast_wire=False)
+    finally:
+        del registry._ALGORITHMS["test_random_program"]
+    assert fast[:3] == full[:3]
+    if sigma == 0.0:
+        assert counts["hits"] == 0
+
+
+def test_jitter_free_ties_never_play_a_tape():
+    """Without jitter, ranks enter and messages land at equal times:
+    every recording of the equivalence harness's tie cases ties, no call
+    is played from a tape, and every block ends as in the full
+    simulation."""
+    from tests.sim.test_shortcircuit_equivalence import STILL_TIE_CASES
+    tied = 0
+    for spec, op, nbytes, p in STILL_TIE_CASES:
+        block = _time_block(op, nbytes, 3, 1)
+        with taped() as counts:
+            fast = _block_run(spec, p, block)
+        assert fast[:3] == _block_run(spec, p, block, fast_wire=False)[:3]
+        assert counts["hits"] == 0
+        assert counts["tied"] == counts["recorded"]
+        tied += counts["tied"]
+    assert tied > 0
+
+
+def _jittered(machine, sigma):
+    spec = get_machine_spec(machine)
+    return replace(spec, software=replace(spec.software,
+                                          jitter_sigma=sigma))
+
+
+def test_reordered_receive_engine_bookings_miss_exactly():
+    """With a large jitter, a gather's messages reach the root's NIC
+    receive engine in another order from call to call: the tape misses,
+    the heap replays the call, and the block ends as in the full
+    simulation."""
+    spec = _jittered("sp2", 0.3)
+    block = _time_block("gather", 4, 6, 2)
+    with taped() as counts:
+        fast = _block_run(spec, 16, block)
+    assert fast[:3] == _block_run(spec, 16, block, fast_wire=False)[:3]
+    assert counts["recorded"] > 0
+    assert counts["plays"] > counts["hits"]
+
+
+def test_reordered_draws_on_a_node_miss_exactly():
+    """With a large jitter, the delivery of rank 0's message draws from
+    rank 1's node before or after rank 1's own combines: the order of
+    the node's draws changes, the tape misses, and the block ends as in
+    the full simulation."""
+    programs = [[(0, "send", 1, 0, 4), (1, "combine", 4)],
+                [(0, "post", 0, 0, 0), (1, "combine", 4),
+                 (2, "combine", 4096), (3, "wait", 0)]]
+    spec = _jittered("t3d", 0.3)
+    spec = replace(spec, algorithms={**spec.algorithms,
+                                     "broadcast": "test_random_program"})
+    registry._ALGORITHMS["test_random_program"] = \
+        _program_algorithm(programs)
+    block = _time_block("broadcast", 0, 8, 1)
+    try:
+        with taped() as counts:
+            fast = _block_run(spec, 2, block)
+        full = _block_run(spec, 2, block, fast_wire=False)
+    finally:
+        del registry._ALGORITHMS["test_random_program"]
+    assert fast[:3] == full[:3]
+    assert counts["plays"] > counts["hits"]
+
+
+@pytest.mark.parametrize("machine,op,nbytes,p,sigma,hits", [
+    # Queued transfers book the NIC engines in another order from call
+    # to call: the tape misses.
+    ("paragon", "alltoall", 65536, 3, 0.03, False),
+    # Transfers reach a busy route link in another order: the tape
+    # misses on the link.
+    ("paragon", "gather", 1024, 8, 0.1, False),
+    # A scatter's queues keep their order: the tape plays its contended
+    # calls.
+    ("sp2", "scatter", 65536, 16, 0.03, True),
+])
+def test_contended_calls_play_or_miss_exactly(machine, op, nbytes, p, sigma,
+                                              hits):
+    """Contended calls, whose messages queue behind busy links, end
+    their blocks as in the full simulation, whether the tape plays them
+    or misses."""
+    spec = _jittered(machine, sigma)
+    block = _time_block(op, nbytes, 6, 2)
+    with taped() as counts:
+        fast = _block_run(spec, p, block)
+    assert fast[:3] == _block_run(spec, p, block, fast_wire=False)[:3]
+    assert fast[3].transfers_stalled > 0
+    assert counts["plays"] > 0
+    assert (counts["hits"] == counts["plays"]) is hits
+
+
+def test_exchanges_are_not_taped():
+    """An alltoall sends p - 1 messages per rank, more than a tape is
+    kept for: its calls go to the heap without a recording, exactly."""
+    block = _time_block("alltoall", 65536, 4, 2)
+    with taped() as counts:
+        fast = _block_run("paragon", 8, block)
+    assert fast[:3] == _block_run("paragon", 8, block, fast_wire=False)[:3]
+    assert fast[3].episodes_evaluated > 0
+    assert counts["recorded"] == counts["plays"] == 0
+
+
+def test_a_shape_that_misses_is_no_longer_taped():
+    """After a miss, the communicator stops taping that shape: the rest
+    of the block goes to the heap without a recording."""
+    block = _time_block("gather", 4, 8, 2)
+    with taped() as counts:
+        _block_run(_jittered("sp2", 0.3), 16, block)
+    assert counts["plays"] - counts["hits"] == 1
+    assert counts["recorded"] == 1
+
+
+def test_a_resource_held_at_play_time_falls_back_to_the_heap():
+    """A resource held through the request protocol when a tape is
+    played sends the call to the heap replay: the first-use check still
+    runs."""
+    world = _world("sp2", 8)
+    evaluator = world.comm.episodes
+    play = EpisodeEvaluator._play
+    played = []
+
+    def hold_then_play(self, tape, *args):
+        resource = tape.resources[0]
+        resource._users.add(object())
+        try:
+            played.append(play(self, tape, *args))
+        finally:
+            resource._users.clear()
+        return played[-1]
+
+    EpisodeEvaluator._play = hold_then_play
+    try:
+        world.run(_time_block("broadcast", 4, 4, 1))
+    finally:
+        EpisodeEvaluator._play = play
+    assert played and played[0] is None
+    assert evaluator._refused == set()
 
 
 # -- recording ---------------------------------------------------------------

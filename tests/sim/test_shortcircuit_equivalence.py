@@ -46,6 +46,7 @@ from repro.mpi import MpiWorld
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf import WorkMeter
 from repro.sim import Environment, Resource, Tracer
+from tests.mpi.test_episode import taped
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -500,12 +501,17 @@ def observe_timing_block(machine, op, nbytes, p, folded):
 def test_a_folded_timing_block_records_the_plain_spans(workload):
     """Folded calls enter, complete and account their messages at
     explicit times: the folded block records the spans and metrics of
-    the plain program, collectives and phases included."""
-    folded = observe_timing_block(*workload, folded=True)
+    the plain program, collectives and phases included.  The broadcasts
+    and the scatter play their later timed calls from a tape, with the
+    observers attached."""
+    with taped() as counts:
+        folded = observe_timing_block(*workload, folded=True)
     plain = observe_timing_block(*workload, folded=False)
     assert folded[0] == plain[0], workload
     assert folded[1] == plain[1], workload
     assert_metrics_match(folded[2], plain[2])
+    if workload[1] in ("broadcast", "scatter"):
+        assert counts["hits"] == counts["plays"] > 0, workload
 
 
 def run_two_calls(machine, op, nbytes, p, attach):

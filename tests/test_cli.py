@@ -64,6 +64,10 @@ def test_sweep_rejects_the_retired_analytic_mode(capsys):
     ["sensitivity", "sp2", "broadcast", "--nodes", "1"],
     ["sensitivity", "t3d", "broadcast", "--nodes", "9999"],
     ["sweep", "--grid", "smoke", "--iterations", "0", "--no-cache"],
+    ["sweep", "--grid", "smoke", "--mode", "predict", "--faults", "chaos",
+     "--no-cache"],
+    ["sweep", "--grid", "smoke", "--mode", "model", "--faults", "chaos",
+     "--no-cache"],
 ], ids=" ".join)
 def test_usage_errors_exit_2_with_one_line(argv, capsys, monkeypatch,
                                            tmp_path):
