@@ -139,16 +139,18 @@ def run_chaos(machine: str, op: str, plan: FaultPlan,
     clean_world = MpiWorld(machine, num_nodes, seed=seed)
     clean_us = clean_world.run_collective(op, nbytes,
                                           iterations=iterations)
+    clean_world.close()
     fault_world = MpiWorld(machine, num_nodes, seed=seed, faults=plan,
                            metrics=metrics)
     faulty_us = fault_world.run_collective(op, nbytes,
                                            iterations=iterations)
     snapshot = fault_world.env.metrics.snapshot() if metrics else {}
+    counters = fault_counters(fault_world)
+    fault_world.close()
     return ChaosRun(
         machine=machine, op=op, plan=plan, nbytes=nbytes,
         num_nodes=num_nodes, iterations=iterations, seed=seed,
-        clean_us=clean_us, faulty_us=faulty_us,
-        counters=fault_counters(fault_world),
+        clean_us=clean_us, faulty_us=faulty_us, counters=counters,
         metrics_snapshot=snapshot)
 
 

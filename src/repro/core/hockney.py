@@ -79,7 +79,9 @@ def measure_pingpong(machine: Union[str, MachineSpec], nbytes: int,
             yield from ctx.send(0, nbytes, tag="pong")
         return None
 
-    return world.run(program)[0]
+    one_way = world.run(program)[0]
+    world.close()
+    return one_way
 
 
 def fit_hockney(machine: Union[str, MachineSpec],

@@ -157,6 +157,7 @@ def predict_collective(machine: Union[str, MachineSpec], op: str,
         return released, ctx.env.now
 
     finishes = world.run(program)
+    world.close()
     return max(end for _, end in finishes) - \
         max(released for released, _ in finishes)
 

@@ -5,9 +5,9 @@ The :class:`FaultInjector` turns a declarative
 
 * it resolves each link-shaped fault to a concrete link id (the first
   hop of the topology's route between the named nodes);
-* it answers point queries from the instrumented layers — dead links
-  and degradation factors for the fabric, stall delays for the NICs,
-  CPU factors for the software-cost path;
+* it answers point queries from the instrumented layers — dead links,
+  degradation factors and outage windows for the fabric, stall delays
+  for the NICs, CPU factors for the software-cost path;
 * it draws per-message fates (ok / lost / corrupt) from the run's
   seeded ``faults.message`` stream, so the same master seed reproduces
   the same fault sequence;
@@ -117,12 +117,30 @@ class FaultInjector:
         return max((self.degrade_factor(link, now) for link in route),
                    default=1.0)
 
-    def nic_delay(self, node: int, now: float) -> float:
-        """Stall delay a NIC engine grant on ``node`` suffers at ``now``."""
+    def route_outage(self, route, start: float, end: float) -> bool:
+        """Whether an outage touches ``route`` over ``[start, end]``: a
+        route link is dead at ``start``, or dies by ``end`` (at ``end``
+        itself the watchdog still finds the transfer holding it)."""
+        for link, outage in self._outages:
+            if outage.start_us <= end and \
+                    (outage.end_us is None or start < outage.end_us) and \
+                    link in route:
+                return True
+        return False
+
+    def nic_stall(self, node: int, now: float) -> float:
+        """Stall delay a NIC engine grant on ``node`` would suffer at
+        ``now``, without recording it."""
         delay = 0.0
         for stall in self.plan.nic_stalls:
             if stall.node == node:
                 delay = max(delay, stall.delay_at(now))
+        return delay
+
+    def nic_delay(self, node: int, now: float) -> float:
+        """Stall delay a NIC engine grant on ``node`` suffers at ``now``,
+        recorded as one stall when nonzero."""
+        delay = self.nic_stall(node, now)
         if delay > 0:
             self.nic_stall_total_us += delay
             metrics = self.env.metrics

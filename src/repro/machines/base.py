@@ -283,10 +283,12 @@ class Machine:
         #: Allow the transport's analytic short-circuit (see
         #: :meth:`repro.mpi.transport.Transport._wire_fast`) and the
         #: whole-collective one built on it (:mod:`repro.mpi.episode`).
-        #: Both additionally require no fault injector; tracing and
-        #: metrics do not affect them.  ``False`` forces full
-        #: simulation of every message (the equivalence suite runs both
-        #: ways and asserts identical times, spans and metrics).
+        #: Under a fault plan the first is decided per message, and
+        #: only the messages a fault touches are simulated in full; the
+        #: second requires no fault injector.  Tracing and metrics do
+        #: not affect either.  ``False`` forces full simulation of
+        #: every message (the equivalence suite runs both ways and
+        #: asserts identical times, spans and metrics).
         self.fast_wire = fast_wire
         self.topology = spec.network.build_topology(num_nodes)
         # A fault-free plan builds no injector at all, which keeps the

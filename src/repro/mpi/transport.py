@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional
 
+from ..faults.injector import FATE_OK, FaultInjector
 from ..machines import Machine
 from ..network import TransferAborted
 from ..node import TransferMode
@@ -164,16 +165,17 @@ class Transport:
     def _wire_fast(self, envelope: Envelope, op: str, fast: bool) -> bool:
         """Try to carry one message analytically, without wire processes.
 
-        Eligibility is checked explicitly: no fault injector (a
-        :class:`~repro.faults.FaultPlan` must see every hop simulated)
-        and the machine's ``fast_wire`` switch on.  Tracing and metrics
-        play no part: the engine and route commits record the same
-        spans and metrics the full pipeline would, so an observed run
-        executes the same events as an unobserved one.  Even then the
-        message only takes this path when the transmit engine, every
-        route link *at this instant*, and the receive engine can all be
-        timestamp-booked — any contention rolls the bookings back and
-        returns ``False``, and the caller runs the full wire pipeline.
+        Eligibility is checked explicitly, per message.  The machine's
+        ``fast_wire`` switch must be on; under a fault plan
+        :meth:`_wire_faulted` decides instead (and always carries the
+        message itself).  Tracing and metrics play no part: the engine
+        and route commits record the same spans and metrics the full
+        pipeline would, so an observed run executes the same events as
+        an unobserved one.  Even then the message only takes this path
+        when the transmit engine, every route link *at this instant*,
+        and the receive engine can all be timestamp-booked — any
+        contention rolls the bookings back and returns ``False``, and
+        the caller runs the full wire pipeline.
 
         When it succeeds, the wire end is the max of the three booked
         leg ends — exactly when ``all_of`` over the three concurrent
@@ -184,8 +186,11 @@ class Transport:
         *deliver* event after the kernel dispatch latency.
         """
         machine = self.machine
-        if machine.injector is not None or not machine.fast_wire:
+        if not machine.fast_wire:
             return False
+        if machine.injector is not None:
+            self._wire_faulted(envelope, op, fast, machine.injector)
+            return True
         src, dst, nbytes = envelope.src, envelope.dst, envelope.nbytes
         env = self.env
         src_node = machine.nodes[src]
@@ -233,6 +238,79 @@ class Transport:
         env._schedule(landing, wire_end, NORMAL)
         return True
 
+    def _wire_faulted(self, envelope: Envelope, op: str, fast: bool,
+                      injector: FaultInjector) -> None:
+        """Carry one message under a fault plan: analytically when no
+        fault touches it (:meth:`_carry_faulted`), else by the full
+        pipeline.
+
+        The fate is drawn first, at the send instant: the wire process
+        would draw it when it starts, and that start is an urgent event
+        at this same instant, so the ``faults.message`` stream is drawn
+        in the same order either way.  A refused ``ok`` fate, like a
+        ``lost`` or ``corrupt`` one, becomes the first attempt's fate
+        of :meth:`_wire`.
+        """
+        fate = injector.message_fate(envelope.src, envelope.dst)
+        if fate != FATE_OK or \
+                not self._carry_faulted(envelope, op, fast, injector):
+            self.env.process(self._wire(envelope, op, fast, fate),
+                             name=f"wire-{envelope.src}-{envelope.dst}")
+
+    def _carry_faulted(self, envelope: Envelope, op: str, fast: bool,
+                       injector: FaultInjector) -> bool:
+        """The analytic wire for one ``ok`` message under a fault plan.
+
+        On top of :meth:`_wire_fast`'s bookings, neither engine booking
+        may start in a NIC stall, and no link outage may touch the
+        route while the message is in the network (see
+        :meth:`NetworkFabric.try_book_faulted_route`).  A busy route
+        keeps the engine bookings and queues on the links
+        (:meth:`_wire_contended`) only when the plan has no outages:
+        then nothing can abort the queued transfer.  Any refusal rolls
+        the bookings back and returns ``False``.
+        """
+        env = self.env
+        # The full path acquires a route hop by hop, in successive
+        # same-time events: another event due now could start a
+        # transfer that takes a later link of this route first.  (A
+        # send pays a positive software cost before its wire starts,
+        # so only an event already due can start one at this instant.)
+        if env.peek() <= env._now:
+            return False
+        machine = self.machine
+        src, dst, nbytes = envelope.src, envelope.dst, envelope.nbytes
+        src_nic = machine.nodes[src].nic
+        dst_node = machine.nodes[dst]
+        tx = src_nic.try_book_transmit(nbytes, fast=fast)
+        if tx is None:
+            return False
+        fast_rx = dst_node.payload_mode(self.spec.uses_dma_for(op),
+                                        nbytes) is not TransferMode.HOST
+        rx = dst_node.nic.try_book_receive(nbytes, fast=fast_rx)
+        if rx is None:
+            tx[1].undo_occupy(tx[2])
+            return False
+        routed = machine.fabric.try_book_faulted_route(src, dst, nbytes)
+        if routed is None and injector.plan.link_outages:
+            rx[1].undo_occupy(rx[2])
+            tx[1].undo_occupy(tx[2])
+            return False
+        src_nic.commit_transmit(nbytes, fast, tx[3])
+        dst_node.nic.commit_receive(nbytes, fast_rx, rx[3])
+        if routed is None:
+            env.process(self._wire_contended(envelope, tx[0], rx[0]))
+            return True
+        hold, links = routed
+        machine.fabric.commit_route(links, nbytes, hold, src, dst,
+                                    envelope.span)
+        landing = Event(env)
+        landing._ok = True
+        landing._value = envelope
+        landing.callbacks.append(self._wire_faulted_landed)
+        env._schedule(landing, max(tx[0], env._now + hold, rx[0]), NORMAL)
+        return True
+
     def _wire_contended(self, envelope: Envelope, tx_end: float,
                         rx_end: float) -> Generator[Event, None, None]:
         """Wire pipeline for a short-circuit-eligible message whose
@@ -251,9 +329,23 @@ class Transport:
         wire_end = tx_end if tx_end > rx_end else rx_end
         if wire_end > env._now:
             yield env.sleep_until(wire_end, ticket)
+        injector = self.machine.injector
+        if injector is not None:
+            self._check_ack(injector, envelope.src, envelope.dst,
+                            env._now - envelope.sent_at, 0)
         yield env.sleep(self.spec.software.deliver_us *
                         self.machine.jitter(envelope.dst))
         self._delivered(envelope)
+
+    def _check_ack(self, injector: FaultInjector, src: int, dst: int,
+                   wire_us: float, attempt: int) -> None:
+        """A delivered attempt: if its wire time plus the ack's return
+        exceeded the attempt's RTO, the real protocol would have
+        retransmitted needlessly — count it (nothing is re-run)."""
+        retry = injector.plan.retry
+        ack_us = self.machine.fabric.transfer_time(dst, src, retry.ack_bytes)
+        if wire_us + ack_us > retry.timeout_for_attempt(attempt):
+            injector.record_spurious_retransmit()
 
     def _wire_fast_landed(self, event: Event) -> None:
         """The message's tail has left the network: draw the delivery
@@ -269,6 +361,14 @@ class Transport:
             self.machine.jitter(envelope.dst)
         env._schedule(deliver, env._now + delay, NORMAL)
 
+    def _wire_faulted_landed(self, event: Event) -> None:
+        """:meth:`_wire_fast_landed` under a fault plan: the attempt's
+        ack check comes first, as on the full path."""
+        envelope = event._value
+        self._check_ack(self.machine.injector, envelope.src, envelope.dst,
+                        self.env._now - envelope.sent_at, 0)
+        self._wire_fast_landed(event)
+
     def _deliver_fast(self, event: Event) -> None:
         self._delivered(event._value)
 
@@ -278,8 +378,8 @@ class Transport:
         envelope.delivered_at = self.env._now
         self._deliver(envelope)
 
-    def _wire(self, envelope: Envelope, op: str, fast: bool
-              ) -> Generator[Event, None, None]:
+    def _wire(self, envelope: Envelope, op: str, fast: bool,
+              fate: Optional[str] = None) -> Generator[Event, None, None]:
         """The simulated wire pipeline, as an ack/timeout/retransmit
         attempt loop.
 
@@ -291,12 +391,13 @@ class Transport:
 
         Without a fault injector there is exactly one attempt, its fate
         is ``"ok"``, and no stream draw is made.  With one, each attempt
-        draws a fate from the plan's seeded stream.  A lost, corrupted,
-        or aborted attempt delivers nothing: the sender learns of the
-        failure only when the attempt's retransmission timeout
-        (exponential backoff, bounded) expires, then retransmits —
-        possibly over a detour if a link died meanwhile.  After
-        ``max_retries`` retransmissions the message fails with
+        draws a fate from the plan's seeded stream; a ``fate`` already
+        drawn for this message is its first attempt's.  A lost,
+        corrupted, or aborted attempt delivers nothing: the sender
+        learns of the failure only when the attempt's retransmission
+        timeout (exponential backoff, bounded) expires, then
+        retransmits — possibly over a detour if a link died meanwhile.
+        After ``max_retries`` retransmissions the message fails with
         :class:`DeliveryError`.
         """
         env = self.env
@@ -314,8 +415,10 @@ class Transport:
             injector.plan.retry.max_retries + 1
         for attempt in range(attempts):
             started = env.now
-            fate = "ok" if injector is None else \
-                injector.message_fate(src, dst)
+            if injector is None:
+                fate = FATE_OK
+            elif attempt or fate is None:
+                fate = injector.message_fate(src, dst)
             aborted: List[TransferAborted] = []
             carry = machine.fabric.transfer(src, dst, nbytes,
                                             parent_span=span)
@@ -331,14 +434,8 @@ class Transport:
             retry = injector.plan.retry
             wire_us = env.now - started
             rto = retry.timeout_for_attempt(attempt)
-            if not aborted and fate == "ok":
-                # Delivered.  If wire + ack return exceeded the RTO the
-                # real protocol would have retransmitted needlessly;
-                # count it, but don't re-run the delivery.
-                ack_us = machine.fabric.transfer_time(dst, src,
-                                                      retry.ack_bytes)
-                if wire_us + ack_us > rto:
-                    injector.record_spurious_retransmit()
+            if not aborted and fate == FATE_OK:
+                self._check_ack(injector, src, dst, wire_us, attempt)
                 break
             # Failed attempt: the fate is only known now, so the
             # recovery span is opened retroactively over the wasted

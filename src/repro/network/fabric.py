@@ -128,7 +128,8 @@ class NetworkFabric:
 
         Synchronous counterpart of :meth:`transfer` for the analytic
         short-circuit: only callable with no fault injector attached
-        (the caller checks), and only succeeds when every link on the
+        (the caller checks; see :meth:`try_book_faulted_route` for the
+        other case), and only succeeds when every link on the
         route is idle at the current instant — any busy or booked link
         books nothing and returns ``None``, forcing the full simulation
         path (which is where contention waits and stall counters live).
@@ -141,6 +142,31 @@ class NetworkFabric:
         if not route:
             return 0.0, route
         hold = self.hold_us(len(route), nbytes)
+        if not self.contention:
+            return hold, []
+        return (hold, route) if self._book_links(route, hold) else None
+
+    def try_book_faulted_route(self, src: int, dst: int, nbytes: int
+                               ) -> Optional[Tuple[float, List[Link]]]:
+        """:meth:`try_book_route` with a fault injector attached.
+
+        The hold stretches by the route's worst degradation now, in the
+        float expression :meth:`transfer` uses, so degraded routes book
+        bit for bit.  A route that a link outage touches over
+        ``[now, now + hold]`` books nothing: there the full path
+        detours, or its transfer is aborted mid-flight.
+        """
+        route = self.route_links(src, dst)
+        if not route:
+            return 0.0, route
+        injector = self.injector
+        now = self.env._now
+        static = self._route(src, dst)
+        factor = injector.route_degrade_factor(static, now)
+        hold = len(route) * self.params.hop_latency_us + \
+            nbytes * self.params.us_per_byte * factor
+        if injector.route_outage(static, now, now + hold):
+            return None
         if not self.contention:
             return hold, []
         return (hold, route) if self._book_links(route, hold) else None

@@ -84,7 +84,9 @@ class Nic:
         The booking may start at the end of an earlier booking (the
         engine stays contiguously busy), exactly where a queued request
         would have been granted, so the end time is unchanged from full
-        simulation.  Commit with :meth:`commit_transmit`.
+        simulation.  Under a fault injector, a booking whose start falls
+        in a NIC stall window is refused too.  Commit with
+        :meth:`commit_transmit`.
         """
         return self._try_book(self.tx_engine, nbytes, fast)
 
@@ -100,8 +102,6 @@ class Nic:
 
     def _try_book(self, engine: Resource, nbytes: int, fast: bool
                   ) -> Optional[Booking]:
-        if self.injector is not None:
-            return None
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
         duration = self.occupancy_us(nbytes, fast)
@@ -109,6 +109,13 @@ class Nic:
         if booking is None:
             return None
         start, previous = booking
+        injector = self.injector
+        if injector is not None and \
+                injector.nic_stall(self.node_index, start) > 0:
+            # A grant at ``start`` would stall first: only the protocol
+            # path (:meth:`_occupy`) holds the engine over the stall.
+            engine.undo_occupy(previous)
+            return None
         return start + duration, engine, previous, start
 
     def commit_transmit(self, nbytes: int, fast: bool, start: float,

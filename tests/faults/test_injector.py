@@ -74,9 +74,22 @@ def test_point_queries():
     assert injector.route_degrade_factor([dead_link, degraded],
                                          10.0) == 3.0
 
+    # The stall query records nothing; the grant-time delay does.
+    assert injector.nic_stall(2, 60.0) == pytest.approx(15.0)
+    assert injector.nic_stall_total_us == 0.0
     assert injector.nic_delay(2, 60.0) == pytest.approx(15.0)
+    assert injector.nic_stall_total_us == pytest.approx(15.0)
     assert injector.nic_delay(2, 80.0) == 0.0
     assert injector.nic_delay(0, 60.0) == 0.0
+
+    # An outage touches a route over [start, end] when the link is dead
+    # at start or dies by end, the closing instant included.
+    route = [degraded, dead_link]
+    assert injector.route_outage(route, 150.0, 160.0)
+    assert injector.route_outage(route, 50.0, 100.0)
+    assert not injector.route_outage(route, 50.0, 99.9)
+    assert not injector.route_outage(route, 200.0, 300.0)
+    assert not injector.route_outage([degraded], 150.0, 160.0)
 
     assert injector.cpu_factor(3, 100.0) == 2.0
     assert injector.cpu_factor(3, 600.0) == 1.0

@@ -1,57 +1,124 @@
-"""The analytic short-circuit must never be taken where a fault could
-observe the difference.
+"""The analytic short-circuit under a fault plan is taken per message,
+and only where no fault can observe the difference.
 
 The fast path books transfers with timestamp arithmetic instead of
-simulating engines and links, which is only sound when nothing can
-perturb the transfer mid-flight.  Any attached
-:class:`~repro.faults.FaultPlan` therefore disables it wholesale —
-these tests pin that guard and prove faulted runs behave identically
-whether or not the fast path was *offered*.
+simulating engines and links.  Under a :class:`~repro.faults.FaultPlan`
+a message takes it only when its fate draw is ``ok``, neither NIC
+engine booking starts in a stall, and no link outage touches its route
+while it is in the network.  These tests pin that rule and prove that
+faulted runs recover identically whether or not the fast path was
+offered.
 """
 
-from repro.faults import FaultPlan, LinkOutage, RetryConfig
+from repro.faults import FaultPlan, LinkOutage, RetryConfig, fault_preset
 from repro.mpi import MpiWorld
 from repro.obs.perf import WorkMeter
 
+#: Work counters of the recovery that must not depend on the wire path.
+RECOVERY_WORK = ("messages_sent", "messages_delivered", "retransmissions",
+                 "transfers_rerouted", "transfers_aborted")
 
-def _run(machine, p, op, nbytes, faults=None, fast_wire=True, seed=5):
+#: The injector's own counts of the faults it resolved.
+INJECTOR_COUNTERS = ("messages_lost", "messages_corrupted",
+                     "transfers_aborted", "reroutes", "unroutable",
+                     "retransmits", "spurious_retransmits",
+                     "nic_stall_total_us")
+
+
+def _build(machine, p, faults=None, fast_wire=True, seed=5):
     world = MpiWorld(machine, p, seed=seed, faults=faults,
                      fast_wire=fast_wire)
-    meter = WorkMeter()
-    world.env.work = meter
-    elapsed = world.run_collective(op, nbytes)
+    world.env.work = WorkMeter()
+    return world
+
+
+def _run(machine, p, op, nbytes, faults=None, fast_wire=True, seed=5,
+         iterations=1):
+    """One run: its finish time, work counters and injector counters
+    (empty without an injector)."""
+    world = _build(machine, p, faults, fast_wire, seed)
+    return _outcome(world, world.run_collective(op, nbytes,
+                                                iterations=iterations))
+
+
+def _outcome(world, elapsed):
     injector = world.machine.injector
-    return elapsed, meter.snapshot(), injector
+    counters = {} if injector is None else \
+        {name: getattr(injector, name) for name in INJECTOR_COUNTERS}
+    return elapsed, world.env.work.snapshot(), counters
+
+
+def _assert_same_recovery(fast, slow):
+    assert fast[0] == slow[0]          # same simulated finish time
+    assert fast[2] == slow[2]          # same faults, resolved alike
+    for name in RECOVERY_WORK:
+        assert fast[1][name] == slow[1][name], name
 
 
 def test_clean_run_takes_the_short_circuit():
-    _elapsed, work, injector = _run("t3d", 16, "broadcast", 4096)
-    assert injector is None
+    _elapsed, work, counters = _run("t3d", 16, "broadcast", 4096)
+    assert counters == {}
     assert work["transfers_shortcircuited"] > 0
 
 
-def test_fault_plan_disables_short_circuit_entirely():
-    # Both a payload-level plan (loss) and a topology-level plan (link
-    # outage) must force every transfer onto the simulated path.
-    plans = [
-        FaultPlan(name="lossy", loss_probability=0.3),
-        FaultPlan(name="outage",
-                  link_outages=(LinkOutage(src=0, dst=1, start_us=0.0,
-                                           end_us=500.0),)),
-    ]
-    for plan in plans:
-        _elapsed, work, injector = _run("t3d", 16, "broadcast", 4096,
-                                        faults=plan)
-        assert injector is not None, plan.name
-        assert work["transfers_shortcircuited"] == 0, plan.name
-        assert work["transfers_booked"] > 0, plan.name
+def test_lossy_plan_short_circuits_per_message():
+    """Under loss and corruption, the ``ok`` messages short-circuit and
+    the others retransmit exactly as in the full simulation."""
+    plan = fault_preset("lossy")
+    fast = _run("sp2", 16, "alltoall", 1024, faults=plan, iterations=2)
+    slow = _run("sp2", 16, "alltoall", 1024, faults=plan, iterations=2,
+                fast_wire=False)
+    _assert_same_recovery(fast, slow)
+    assert fast[2]["retransmits"] > 0
+    assert 0 < fast[1]["transfers_shortcircuited"] < \
+        fast[1]["messages_sent"]
+    assert slow[1]["transfers_shortcircuited"] == 0
+
+
+def test_no_message_crossing_a_dying_link_short_circuits():
+    """A link dies while an alltoall crosses it: no route booked
+    analytically meets the outage within its hold, the transfer in
+    flight is aborted as in the full simulation, and the link carries
+    analytic transfers before and after the window."""
+    start, end = 600.0, 900.0
+    plan = FaultPlan(name="dying-link", link_outages=(
+        LinkOutage(src=0, dst=1, start_us=start, end_us=end),))
+    world = _build("sp2", 16, faults=plan)
+    fabric = world.machine.fabric
+    dying = world.machine.topology.route(0, 1)[0]
+    book = fabric.try_book_faulted_route
+    booked, refused = [], []
+
+    def spy(src, dst, nbytes):
+        routed = book(src, dst, nbytes)
+        if dying in fabric.topology.route(src, dst):
+            now = world.env.now
+            if routed is None:
+                refused.append(now)
+            else:
+                booked.append((now, now + routed[0]))
+        return routed
+
+    fabric.try_book_faulted_route = spy
+    elapsed = world.run_collective("alltoall", 1024, iterations=2)
+    for first, last in booked:
+        assert last < start or first >= end, (first, last)
+    assert any(last < start for _, last in booked)
+    assert any(first >= end for first, _ in booked)
+    # Refused while clear of the window's start, because its tail
+    # would still be in the network when the link dies.
+    assert any(first < start for first in refused)
+    fast = _outcome(world, elapsed)
+    slow = _run("sp2", 16, "alltoall", 1024, faults=plan, iterations=2,
+                fast_wire=False)
+    _assert_same_recovery(fast, slow)
+    assert fast[2]["transfers_aborted"] > 0
 
 
 def test_midflight_outage_identical_with_and_without_fast_wire():
-    """A link dies while traffic is in flight: with faults attached the
-    fast path is ineligible, so offering it (fast_wire=True) must not
-    change a single counter or microsecond — the recovery (reroutes,
-    retransmissions, RTO spans) replays exactly."""
+    """A link dies while traffic is in flight: the messages it touches
+    take the full pipeline, the rest short-circuit, and the recovery
+    (reroutes, aborts, retransmissions) replays exactly."""
     plan = FaultPlan(
         name="midflight",
         loss_probability=0.2,
@@ -61,17 +128,16 @@ def test_midflight_outage_identical_with_and_without_fast_wire():
     fast = _run("sp2", 8, "allreduce", 4096, faults=plan)
     slow = _run("sp2", 8, "allreduce", 4096, faults=plan,
                 fast_wire=False)
-    assert fast[0] == slow[0]          # same simulated finish time
-    assert fast[1] == slow[1]          # same work, byte for byte
-    assert fast[1]["transfers_shortcircuited"] == 0
+    _assert_same_recovery(fast, slow)
+    assert fast[1]["transfers_shortcircuited"] > 0
     # The run actually exercised the recovery machinery.
-    assert fast[2].retransmits == slow[2].retransmits
-    assert fast[2].retransmits > 0 or fast[1]["transfers_rerouted"] > 0
+    assert fast[2]["retransmits"] > 0
+    assert fast[1]["transfers_rerouted"] > 0
 
 
 def test_faulted_time_differs_from_clean_time():
-    # Sanity anchor: the guard matters because faults DO change what
-    # the short-circuit would have precomputed.
+    # Sanity anchor: the per-message rule matters because faults DO
+    # change what the short-circuit would have precomputed.
     clean, _, _ = _run("sp2", 8, "allreduce", 4096)
     plan = FaultPlan(name="lossy", loss_probability=0.4,
                      retry=RetryConfig(timeout_us=1000.0))

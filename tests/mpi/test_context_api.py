@@ -5,6 +5,9 @@ import weakref
 
 import pytest
 
+from repro.bench import degradation
+from repro.core import hockney, measurement
+from repro.faults import fault_preset
 from repro.mpi import MpiWorld, RankError
 from repro.mpi.collectives import base as registry
 from repro.tuner import DecisionEntry, DecisionRule, DecisionTable
@@ -235,5 +238,33 @@ def test_a_closed_world_is_freed_without_the_cyclic_collector():
         world.close()
         del world
         assert machine() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("module, call", [
+    (measurement, lambda: measurement.predict_collective(
+        "sp2", "broadcast", 4, 4)),
+    (degradation, lambda: degradation.run_chaos(
+        "sp2", "broadcast", fault_preset("lossy"), num_nodes=4)),
+    (hockney, lambda: hockney.measure_pingpong("sp2", 64)),
+], ids=["predict_collective", "run_chaos", "measure_pingpong"])
+def test_worlds_that_do_not_escape_are_freed_on_return(monkeypatch, module,
+                                                       call):
+    """Helpers that build worlds only to read a result off them close
+    those worlds: with the cyclic collector off, the machine of every
+    world they built is gone once they return."""
+    machines = []
+
+    class Tracked(MpiWorld):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            machines.append(weakref.ref(self.machine))
+
+    monkeypatch.setattr(module, "MpiWorld", Tracked)
+    gc.disable()
+    try:
+        call()
+        assert machines and all(machine() is None for machine in machines)
     finally:
         gc.enable()

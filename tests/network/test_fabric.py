@@ -2,6 +2,12 @@
 
 import pytest
 
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    LinkDegradation,
+    LinkOutage,
+)
 from repro.network import (
     LinkParameters,
     Mesh2D,
@@ -10,7 +16,7 @@ from repro.network import (
     Torus3D,
     bandwidth_to_us_per_byte,
 )
-from repro.sim import Environment, Tracer
+from repro.sim import Environment, RandomStreams, Tracer
 
 PARAMS = LinkParameters(hop_latency_us=0.1, bandwidth_mbs=100.0)
 
@@ -166,3 +172,41 @@ def test_transfer_time_zero_bytes():
     env = Environment()
     fabric = NetworkFabric(env, Mesh2D(2, 2), PARAMS)
     assert fabric.transfer_time(0, 1, 0) == pytest.approx(0.1)
+
+
+def _faulted_fabric(plan):
+    env = Environment()
+    topology = Mesh2D(4, 1)
+    injector = FaultInjector(env, plan, RandomStreams(0), topology)
+    return env, NetworkFabric(env, topology, PARAMS, injector=injector)
+
+
+def test_faulted_booking_holds_a_degraded_route_like_a_transfer():
+    """The booked hold carries the route's degradation factor in the
+    float expression ``transfer`` uses, so it ends bit for bit where the
+    simulated transfer does."""
+    plan = FaultPlan(link_degradations=(
+        LinkDegradation(src=0, dst=1, factor=3.0),))
+    env, fabric = _faulted_fabric(plan)
+    done = run_transfer(fabric, env, 0, 3, 777)
+    env.run()
+    env, fabric = _faulted_fabric(plan)
+    hold, links = fabric.try_book_faulted_route(0, 3, 777)
+    assert hold == done["elapsed"]
+    assert hold > fabric.transfer_time(0, 3, 777)
+    assert len(links) == 3
+
+
+def test_faulted_booking_refuses_a_route_an_outage_touches():
+    """Dead now, or dying before the tail leaves: nothing is booked."""
+    hold = NetworkFabric(Environment(), Mesh2D(4, 1),
+                         PARAMS).transfer_time(0, 3, 777)
+    for start in (0.0, hold):
+        env, fabric = _faulted_fabric(FaultPlan(link_outages=(
+            LinkOutage(src=1, dst=2, start_us=start, end_us=50.0),)))
+        assert fabric.try_book_faulted_route(0, 3, 777) is None
+        assert all(fabric.link(link).resource.idle
+                   for link in fabric.topology.route(0, 3))
+    env, fabric = _faulted_fabric(FaultPlan(link_outages=(
+        LinkOutage(src=1, dst=2, start_us=hold + 1.0, end_us=50.0),)))
+    assert fabric.try_book_faulted_route(0, 3, 777)[0] == hold

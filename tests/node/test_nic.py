@@ -96,6 +96,31 @@ def test_wait_recorded_alike_when_booked_processed_or_committed():
     assert "nic.rx.wait_us" not in snapshot
 
 
+class _StallOver:
+    """An injector stand-in whose NIC stalls span ``[start, end)``."""
+
+    def __init__(self, start, end):
+        self.start, self.end = start, end
+
+    def nic_stall(self, node, now):
+        return self.end - now if self.start <= now < self.end else 0.0
+
+
+def test_a_booking_that_would_start_in_a_stall_is_refused():
+    """Under a fault plan a booking starting inside a NIC stall is
+    rolled back: only the protocol path holds the engine over a stall.
+    A back-to-back booking is checked at its own start."""
+    env = Environment()
+    nic = Nic(env, per_message_us=1.0, bandwidth_mbs=100.0,
+              injector=_StallOver(1.0, 5.0))
+    first = nic.try_book_transmit(0)
+    assert first[3] == 0.0 and first[0] == 1.0
+    assert nic.try_book_transmit(0) is None    # would start at 1.0
+    assert nic.tx_engine.booked_until == 1.0   # rolled back
+    env.run(until=6.0)
+    assert nic.try_book_transmit(0)[3] == 6.0
+
+
 def test_message_counters():
     env = Environment()
     nic = Nic(env, per_message_us=0.0, bandwidth_mbs=100.0)

@@ -19,6 +19,9 @@ workloads and asserts
   the full simulation (``fast_wire=False``) does:
   the sorted per-message ``(src, dst, nbytes, sent_at, delivered_at)``
   logs compare equal with ``==``, and end times agree to 1e-12 s;
+* under every fault preset and random fault plans, where messages
+  short-circuit one by one, the delivery logs, finish times, injector
+  counters and the ``faults.message`` stream's next draw are equal;
 * observation is not an input: a run with tracing and metrics on pops
   the same event log and does the same work as the plain run, with or
   without a fault plan, and a traced short-circuited run records the
@@ -37,10 +40,20 @@ from typing import NamedTuple, Optional
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.faults import fault_preset
+from repro.faults import (
+    FAULT_PRESETS,
+    FaultPlan,
+    LinkDegradation,
+    LinkOutage,
+    NicStall,
+    NodeSlowdown,
+    RetryConfig,
+    fault_preset,
+)
+from repro.faults.injector import MESSAGE_STREAM
 from repro.machines import get_machine_spec
 from repro.mpi import MpiWorld
 from repro.obs.metrics import MetricsRegistry
@@ -352,6 +365,22 @@ def assert_metrics_match(left, right):
         assert snapshot == other, name
 
 
+def spy_deliveries(world):
+    """The list every message ``world`` delivers is appended to, as a
+    ``(src, dst, nbytes, sent_at, delivered_at)`` tuple."""
+    transport = world.comm.transport
+    record_delivery = transport.record_delivery
+    deliveries = []
+
+    def spy(envelope, unexpected):
+        deliveries.append((envelope.src, envelope.dst, envelope.nbytes,
+                           envelope.sent_at, envelope.delivered_at))
+        record_delivery(envelope, unexpected)
+
+    transport.record_delivery = spy
+    return deliveries
+
+
 def run_collective(machine, op, nbytes, p, fast_wire=True, observed=False,
                    faults=None, iterations=ITERATIONS):
     """``iterations`` back-to-back calls of one collective, with the
@@ -371,16 +400,7 @@ def run_collective(machine, op, nbytes, p, fast_wire=True, observed=False,
     meter = WorkMeter()
     world.env.work = meter
     pops = record_pops(world.env)
-    transport = world.comm.transport
-    record_delivery = transport.record_delivery
-    deliveries = []
-
-    def spy(envelope, unexpected):
-        deliveries.append((envelope.src, envelope.dst, envelope.nbytes,
-                           envelope.sent_at, envelope.delivered_at))
-        record_delivery(envelope, unexpected)
-
-    transport.record_delivery = spy
+    deliveries = spy_deliveries(world)
     elapsed = world.run_collective(op, nbytes, iterations=iterations)
     spans = metrics = None
     if observed:
@@ -451,6 +471,145 @@ def test_short_circuit_exact_on_fixed_cases():
                              *case[2:]))))
 def test_short_circuit_exact_on_jitter_free_ties(workload):
     assert_short_circuit_exact(workload)
+
+
+# -- the short-circuit under fault plans ----------------------------------
+
+#: Everything the injector counts: the faults it resolved.
+INJECTOR_COUNTERS = ("messages_lost", "messages_corrupted",
+                     "transfers_aborted", "reroutes", "unroutable",
+                     "retransmits", "spurious_retransmits",
+                     "nic_stall_total_us")
+
+
+class FaultedRun(NamedTuple):
+    elapsed: float
+    deliveries: list
+    counters: dict
+    next_draw: float
+    work: dict
+
+
+def run_under_plan(machine, op, nbytes, p, plan, fast_wire,
+                   iterations=ITERATIONS):
+    """``iterations`` calls of one collective under ``plan``.  The
+    fields that must not depend on ``fast_wire`` are the finish time,
+    the sorted delivery log, the injector's counters and the next draw
+    of the ``faults.message`` stream.  Every run must also quiesce
+    clean: no receive left posted, no message left unexpected, and
+    every message sent delivered."""
+    world = MpiWorld(machine, p, seed=0, fast_wire=fast_wire, faults=plan)
+    meter = WorkMeter()
+    world.env.work = meter
+    deliveries = spy_deliveries(world)
+    elapsed = world.run_collective(op, nbytes, iterations=iterations)
+    transport = world.comm.transport
+    for rank in range(p):
+        assert transport.pending_posted(rank) == 0, rank
+        assert transport.pending_unexpected(rank) == 0, rank
+    work = meter.snapshot()
+    assert work["messages_delivered"] == work["messages_sent"] == \
+        len(deliveries)
+    injector = world.machine.injector
+    counters = {} if injector is None else \
+        {name: getattr(injector, name) for name in INJECTOR_COUNTERS}
+    return FaultedRun(elapsed, sorted(deliveries), counters,
+                      world.machine.streams.uniform(MESSAGE_STREAM, 0.0, 1.0),
+                      work)
+
+
+def assert_exact_under_plan(workload, plan, iterations=ITERATIONS):
+    fast = run_under_plan(*workload, plan, fast_wire=True,
+                          iterations=iterations)
+    slow = run_under_plan(*workload, plan, fast_wire=False,
+                          iterations=iterations)
+    assert fast.deliveries == slow.deliveries, workload
+    assert fast.elapsed == slow.elapsed, workload
+    assert fast.counters == slow.counters, workload
+    assert fast.next_draw == slow.next_draw, workload
+    assert slow.work["transfers_shortcircuited"] == 0
+    return fast
+
+
+@pytest.mark.parametrize("preset", sorted(FAULT_PRESETS))
+def test_short_circuit_exact_under_every_fault_preset(preset):
+    """Messages short-circuit one by one under a plan; the rest take
+    the full pipeline with the fate already drawn for them."""
+    shortcircuited = 0
+    for workload in MPI_CASES:
+        fast = assert_exact_under_plan(workload, fault_preset(preset))
+        shortcircuited += fast.work["transfers_shortcircuited"]
+    assert shortcircuited > 0, preset
+
+
+#: Times at which random fault windows open, and their lengths (µs).
+FAULT_STARTS = st.sampled_from([0.0, 40.0, 150.0, 600.0, 2500.0])
+FAULT_LENGTHS = st.sampled_from([25.0, 300.0, 2000.0])
+
+
+@st.composite
+def faulted_workloads(draw):
+    """A collective at a non-power-of-two p (or 6) under a random plan:
+    loss and corruption, outage and degradation windows on random
+    links, and stalls and slowdowns on random nodes."""
+    p = draw(st.sampled_from([3, 5, 6, 7, 11]))
+    machine = draw(st.sampled_from(["sp2", "t3d", "paragon"]))
+    op = draw(st.sampled_from(
+        ["broadcast", "scatter", "gather", "alltoall", "reduce", "scan",
+         "allreduce", "allgather"]))
+    nbytes = draw(st.sampled_from([4, 1024, 32768]))
+    nodes = st.integers(0, p - 1)
+
+    def pair():
+        src = draw(nodes)
+        return src, draw(nodes.filter(lambda dst: dst != src))
+
+    def window():
+        start = draw(FAULT_STARTS)
+        return start, start + draw(FAULT_LENGTHS)
+
+    outages, degradations, stalls, slowdowns = [], [], [], []
+    for _ in range(draw(st.integers(0, 2))):
+        (src, dst), (start, end) = pair(), window()
+        outages.append(LinkOutage(src, dst, start, end))
+    for _ in range(draw(st.integers(0, 2))):
+        (src, dst), (start, end) = pair(), window()
+        degradations.append(LinkDegradation(
+            src, dst, draw(st.sampled_from([1.5, 4.0])), start,
+            draw(st.sampled_from([end, None]))))
+    for _ in range(draw(st.integers(0, 2))):
+        start, end = window()
+        stalls.append(NicStall(draw(nodes), start, end - start))
+    for _ in range(draw(st.integers(0, 2))):
+        start, end = window()
+        slowdowns.append(NodeSlowdown(
+            draw(nodes), draw(st.sampled_from([1.5, 3.0])), start, end))
+    plan = FaultPlan(
+        name="fuzzed",
+        loss_probability=draw(st.sampled_from([0.0, 0.02, 0.1])),
+        corruption_probability=draw(st.sampled_from([0.0, 0.05])),
+        link_outages=tuple(outages), link_degradations=tuple(degradations),
+        nic_stalls=tuple(stalls), node_slowdowns=tuple(slowdowns),
+        retry=RetryConfig(timeout_us=draw(st.sampled_from([150.0,
+                                                           1000.0]))))
+    return (machine, op, nbytes, p), plan
+
+
+@given(faulted_workloads())
+@settings(max_examples=40, deadline=None)
+# A link dies under a transfer that found its route clear.
+@example((("sp2", "alltoall", 32768, 3), FaultPlan(
+    link_outages=(LinkOutage(0, 1, 2500.0, 2525.0),),
+    retry=RetryConfig(timeout_us=150.0))))
+# A dead link on a busy route: the queued transfer must detour.
+@example((("sp2", "gather", 4, 3), FaultPlan(
+    link_outages=(LinkOutage(1, 0, 0.0, 300.0),),
+    retry=RetryConfig(timeout_us=150.0))))
+def test_short_circuit_exact_under_random_fault_plans(case):
+    """Random plans at non-power-of-two p (and 6), checked against the
+    full simulation and for a clean quiescence."""
+    workload, plan = case
+    assert_exact_under_plan(workload, plan, iterations=2)
 
 
 def test_observation_is_not_an_input_on_fixed_cases():
