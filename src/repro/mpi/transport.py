@@ -25,14 +25,16 @@ effect behind the O(p) startup terms of Table 3.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Deque, Dict, Generator, List, Optional, Tuple
 
 from ..faults.injector import FATE_OK, FaultInjector
 from ..machines import Machine
 from ..network import TransferAborted
 from ..node import TransferMode
-from ..sim import Event, Span
+from ..sim import Event, Resource, Span
+from ..sim.resources import WAKE_PENDING
 from ..sim.engine import NORMAL
 from .errors import DeliveryError, RankError, TruncationError
 
@@ -76,6 +78,10 @@ class Transport:
             [[] for _ in range(machine.num_nodes)]
         self.messages_delivered = 0
         self.unexpected_arrivals = 0
+        #: Per NIC engine, the bookings made behind one whose end is
+        #: not placed yet (see :meth:`_follow`), in booking order.
+        self._behind: Dict[Resource, Deque[Tuple[float, Optional[
+            Tuple[Event, float]]]]] = {}
 
     # -- validation -------------------------------------------------------
     def _check_rank(self, rank: int) -> None:
@@ -273,10 +279,12 @@ class Transport:
         env = self.env
         # The full path acquires a route hop by hop, in successive
         # same-time events: another event due now could start a
-        # transfer that takes a later link of this route first.  (A
-        # send pays a positive software cost before its wire starts,
-        # so only an event already due can start one at this instant.)
-        if env.peek() <= env._now:
+        # transfer that takes a later link of this route first (a
+        # wire starts after its send's software cost, which ends in an
+        # event).  Without software jitter every rank's events tie, and
+        # a request made at the instant a booking ends would be granted
+        # before the release the full path runs then.
+        if env.peek() <= env._now or self.spec.software.jitter_sigma <= 0:
             return False
         machine = self.machine
         src, dst, nbytes = envelope.src, envelope.dst, envelope.nbytes
@@ -291,25 +299,116 @@ class Transport:
         if rx is None:
             tx[1].undo_occupy(tx[2])
             return False
-        routed = machine.fabric.try_book_faulted_route(src, dst, nbytes)
-        if routed is None and injector.plan.link_outages:
+        # An engine booked behind another booking is granted, on the
+        # full path, only when that one ends (see :meth:`_follow`); one
+        # such engine per message is placed.
+        now = env._now
+        routed = None if tx[3] > now < rx[3] else \
+            machine.fabric.try_book_faulted_route(src, dst, nbytes)
+        if routed is None and (tx[3] > now < rx[3] or
+                               injector.plan.link_outages):
             rx[1].undo_occupy(rx[2])
             tx[1].undo_occupy(tx[2])
             return False
         src_nic.commit_transmit(nbytes, fast, tx[3])
         dst_node.nic.commit_receive(nbytes, fast_rx, rx[3])
+        legs = [(tx[0], (tx[1],)), (rx[0], (rx[1],))]
+        ended = Event(env)
+        ended._ok = True
+        if routed is not None:
+            hold, links = routed
+            machine.fabric.commit_route(links, nbytes, hold, src, dst,
+                                        envelope.span)
+            # The order the full path schedules its leg ends in: a
+            # route without links is held from the carry leg's start, a
+            # one-hop route is granted in the same round as the
+            # engines, a longer one a round per hop later.
+            route = (now + hold, tuple(link.resource for link in links))
+            legs.insert(0 if not links else 1 if len(links) == 1 else 2,
+                        route)
+            ended._value = envelope, 2
+            ended.callbacks.append(self._wire_faulted_landed)
+        later = tx if tx[3] > now else rx if rx[3] > now else None
+        if later is not None:
+            legs.remove((later[0], (later[1],)))
+        wire_end, ticket = self._reserve_ends(legs)
+        if later is None:
+            env._schedule_ticket(ended, wire_end, ticket)
+        elif later[0] >= wire_end:
+            # The later-granted engine ends the wire.
+            wire_end = later[0]
+            self._follow(later[1], later[3], (ended, wire_end))
+        else:
+            self._follow(later[1], later[3], None)
+            env._schedule_ticket(ended, wire_end, ticket)
         if routed is None:
-            env.process(self._wire_contended(envelope, tx[0], rx[0]))
-            return True
-        hold, links = routed
-        machine.fabric.commit_route(links, nbytes, hold, src, dst,
-                                    envelope.span)
-        landing = Event(env)
-        landing._ok = True
-        landing._value = envelope
-        landing.callbacks.append(self._wire_faulted_landed)
-        env._schedule(landing, max(tx[0], env._now + hold, rx[0]), NORMAL)
+            env.process(self._wire_contended_faulted(envelope, wire_end,
+                                                     ended))
         return True
+
+    def _reserve_ends(self, legs) -> Tuple[float, int]:
+        """Reserve the places among same-time events where the full
+        path ends each booked leg: per leg, in the order the full path
+        schedules their ends, one event id for each resource the leg
+        releases (its wakeup grants a request queued meanwhile) and one
+        for the leg's end.  Returns the wire end and the end's event id
+        of the leg that ends the wire (the later-scheduled on a tie)."""
+        env = self.env
+        wire_end, last = float("-inf"), 0
+        for end, resources in legs:
+            for resource in resources:
+                resource.wake_ticket = env.ticket()
+            ticket = env.ticket()
+            if end >= wire_end:
+                wire_end, last = end, ticket
+        return wire_end, last
+
+    def _follow(self, engine: Resource, start: float,
+                ended: Optional[Tuple[Event, float]]) -> None:
+        """Place a booking made behind another on ``engine``.
+
+        The full path queues its request and is granted the engine one
+        same-time event after the booking ahead releases it, at
+        ``start``; only then does it schedule its own end.  A relay
+        event in the place of that release (:meth:`_follow_released`)
+        and one for the grant (:meth:`_follow_granted`) find that place.
+        Until then the booking's wakeup waits (:data:`WAKE_PENDING`),
+        and so does a booking made behind this one.  When this leg ends
+        the wire, ``ended`` is the event that ends it and the wire end,
+        and the grant schedules it in the leg's place.
+        """
+        ahead = engine.wake_ticket
+        engine.wake_ticket = WAKE_PENDING
+        if ahead == WAKE_PENDING:
+            self._behind.setdefault(engine, deque()).append(
+                (start, ended))
+            return
+        relay = Event(self.env)
+        relay._ok = True
+        relay._value = engine, ended
+        relay.callbacks.append(self._follow_released)
+        self.env._schedule_ticket(relay, start, ahead)
+
+    def _follow_released(self, event: Event) -> None:
+        # The grant is the next event anyway when no other is due now.
+        if self.env.peek() <= self.env._now:
+            self._then(event._value, self._follow_granted)
+        else:
+            self._follow_granted(event)
+
+    def _follow_granted(self, event: Event) -> None:
+        engine, ended = event._value
+        env = self.env
+        release, end = env.ticket(), env.ticket()
+        behind = self._behind.get(engine)
+        if behind:
+            start, next_ended = behind.popleft()
+            engine.wake_ticket = release
+            self._follow(engine, start, next_ended)
+        else:
+            engine.place_wakeup(release)
+        if ended is not None:
+            env._schedule_ticket(ended[0], ended[1], end)
 
     def _wire_contended(self, envelope: Envelope, tx_end: float,
                         rx_end: float) -> Generator[Event, None, None]:
@@ -329,10 +428,34 @@ class Transport:
         wire_end = tx_end if tx_end > rx_end else rx_end
         if wire_end > env._now:
             yield env.sleep_until(wire_end, ticket)
-        injector = self.machine.injector
-        if injector is not None:
-            self._check_ack(injector, envelope.src, envelope.dst,
-                            env._now - envelope.sent_at, 0)
+        yield env.sleep(self.spec.software.deliver_us *
+                        self.machine.jitter(envelope.dst))
+        self._delivered(envelope)
+
+    def _wire_contended_faulted(self, envelope: Envelope, wire_end: float,
+                                ended: Event) -> Generator[Event, None, None]:
+        """:meth:`_wire_contended` under a fault plan without outages.
+
+        The engines end by ``wire_end``, where ``ended`` fires in the
+        place of the later one (see :meth:`_reserve_ends`).  After it
+        and the fabric, the full path's attempt resumes two same-time
+        events later (the leg process ends, then its ``all_of`` fires),
+        and checks the ack before it draws the delivery jitter; as in
+        :meth:`_wire_faulted_landed`, a hop is mirrored only while
+        another event is due now.
+        """
+        env = self.env
+        yield from self.machine.fabric.transfer(
+            envelope.src, envelope.dst, envelope.nbytes,
+            parent_span=envelope.span)
+        if wire_end > env._now:
+            yield ended
+        for _ in range(2):
+            if env.peek() > env._now:
+                break
+            yield env.sleep(0.0)
+        self._check_ack(self.machine.injector, envelope.src, envelope.dst,
+                        env._now - envelope.sent_at, 0)
         yield env.sleep(self.spec.software.deliver_us *
                         self.machine.jitter(envelope.dst))
         self._delivered(envelope)
@@ -362,12 +485,39 @@ class Transport:
         env._schedule(deliver, env._now + delay, NORMAL)
 
     def _wire_faulted_landed(self, event: Event) -> None:
-        """:meth:`_wire_fast_landed` under a fault plan: the attempt's
-        ack check comes first, as on the full path."""
-        envelope = event._value
+        """:meth:`_wire_fast_landed` under a fault plan, for the event
+        valued ``(envelope, hops)`` in the place where the leg that ends
+        the wire ends.
+
+        The full path's attempt resumes two same-time events later (the
+        leg process ends, then the attempt's ``all_of`` fires), checks
+        the ack, and draws the delivery jitter.  Each of those ``hops``
+        is mirrored by an event only while another event is due now:
+        otherwise it would be the next event anyway.
+        """
+        envelope, hops = event._value
+        env = self.env
+        if hops and env.peek() <= env._now:
+            self._then((envelope, hops - 1), self._wire_faulted_landed)
+            return
         self._check_ack(self.machine.injector, envelope.src, envelope.dst,
-                        self.env._now - envelope.sent_at, 0)
-        self._wire_fast_landed(event)
+                        env._now - envelope.sent_at, 0)
+        deliver = Event(env)
+        deliver._ok = True
+        deliver._value = envelope
+        deliver.callbacks.append(self._deliver_fast)
+        delay = self.spec.software.deliver_us * \
+            self.machine.jitter(envelope.dst)
+        env._schedule(deliver, env._now + delay, NORMAL)
+
+    def _then(self, value: object, callback) -> None:
+        """Run ``callback`` on an event of ``value`` due now."""
+        env = self.env
+        event = Event(env)
+        event._ok = True
+        event._value = value
+        event.callbacks.append(callback)
+        env._schedule(event, env._now, NORMAL)
 
     def _deliver_fast(self, event: Event) -> None:
         self._delivered(event._value)

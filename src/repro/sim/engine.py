@@ -542,11 +542,16 @@ class Environment:
         if ticket is None:
             self._schedule(event, at, NORMAL)
         else:
-            # _schedule hands out the id after the counter's value.
-            counter, self._eid = self._eid, ticket - 1
-            self._schedule(event, at, NORMAL)
-            self._eid = counter
+            self._schedule_ticket(event, at, ticket)
         return event
+
+    def _schedule_ticket(self, event: Event, at: float, ticket: int) -> None:
+        """Schedule ``event`` at ``at`` with the event id reserved by
+        ``ticket`` (see :meth:`ticket`) instead of the next one."""
+        # _schedule hands out the id after the counter's value.
+        counter, self._eid = self._eid, ticket - 1
+        self._schedule(event, at, NORMAL)
+        self._eid = counter
 
     def process(self, generator: Generator,
                 name: Optional[str] = None) -> Process:

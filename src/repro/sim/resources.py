@@ -31,9 +31,14 @@ from typing import Any, Deque, Optional, Tuple
 
 from .engine import NORMAL, Environment, Event, SimulationError
 
-__all__ = ["Resource", "Request"]
+__all__ = ["Resource", "Request", "WAKE_PENDING"]
 
 _NEVER = float("-inf")
+
+#: :attr:`Resource.wake_ticket` while the booker does not yet know the
+#: place of the current booking's end: it calls
+#: :meth:`Resource.place_wakeup` once it does.
+WAKE_PENDING = -1
 
 
 class Request(Event):
@@ -64,7 +69,8 @@ class Resource:
     engine's deterministic event ordering.
     """
 
-    __slots__ = ("env", "capacity", "_waiting", "_users", "_busy_until")
+    __slots__ = ("env", "capacity", "_waiting", "_users", "_busy_until",
+                 "wake_ticket")
 
     def __init__(self, env: Environment, capacity: int = 1):
         if capacity < 1:
@@ -76,6 +82,12 @@ class Resource:
         #: End of the current timestamp booking (see :meth:`try_occupy`);
         #: the resource behaves as busy while ``_busy_until > now``.
         self._busy_until = _NEVER
+        #: The event id (see :meth:`Environment.ticket`) the wakeup of
+        #: the current booking takes, if its booker reserved one: the
+        #: place among same-time events where a request-holding process
+        #: would have released the resource.  ``None``: the next id;
+        #: :data:`WAKE_PENDING`: not known yet.
+        self.wake_ticket: Optional[int] = None
 
     @property
     def count(self) -> int:
@@ -133,11 +145,26 @@ class Resource:
 
     def _schedule_wakeup(self) -> None:
         """Grant the FIFO head when the active booking expires."""
+        ticket = self.wake_ticket
+        if ticket == WAKE_PENDING:
+            return
         event = Event(self.env)
         event._ok = True
         event._value = None
         event.callbacks.append(self._wake)
-        self.env._schedule(event, self._busy_until, NORMAL)
+        if ticket is None:
+            self.env._schedule(event, self._busy_until, NORMAL)
+        else:
+            self.wake_ticket = None
+            self.env._schedule_ticket(event, self._busy_until, ticket)
+
+    def place_wakeup(self, ticket: int) -> None:
+        """The current booking's end takes event id ``ticket``, which
+        was :data:`WAKE_PENDING`: schedule the wakeup of the requests
+        queued meanwhile there."""
+        self.wake_ticket = ticket
+        if self._waiting:
+            self._schedule_wakeup()
 
     def _wake(self, _event: Event) -> None:
         if self._waiting and len(self._users) < self.capacity and \

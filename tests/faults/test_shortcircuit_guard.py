@@ -10,7 +10,12 @@ faulted runs recover identically whether or not the fast path was
 offered.
 """
 
+from dataclasses import replace
+
+import pytest
+
 from repro.faults import FaultPlan, LinkOutage, RetryConfig, fault_preset
+from repro.machines import get_machine_spec
 from repro.mpi import MpiWorld
 from repro.obs.perf import WorkMeter
 
@@ -76,14 +81,14 @@ def test_lossy_plan_short_circuits_per_message():
 
 
 def test_no_message_crossing_a_dying_link_short_circuits():
-    """A link dies while an alltoall crosses it: no route booked
+    """A link out of a scatter's root dies mid-run: no route booked
     analytically meets the outage within its hold, the transfer in
     flight is aborted as in the full simulation, and the link carries
     analytic transfers before and after the window."""
-    start, end = 600.0, 900.0
+    start, end = 10050.0, 10100.0
     plan = FaultPlan(name="dying-link", link_outages=(
         LinkOutage(src=0, dst=1, start_us=start, end_us=end),))
-    world = _build("sp2", 16, faults=plan)
+    world = _build("t3d", 16, faults=plan)
     fabric = world.machine.fabric
     dying = world.machine.topology.route(0, 1)[0]
     book = fabric.try_book_faulted_route
@@ -100,7 +105,7 @@ def test_no_message_crossing_a_dying_link_short_circuits():
         return routed
 
     fabric.try_book_faulted_route = spy
-    elapsed = world.run_collective("alltoall", 1024, iterations=2)
+    elapsed = world.run_collective("scatter", 65536, iterations=3)
     for first, last in booked:
         assert last < start or first >= end, (first, last)
     assert any(last < start for _, last in booked)
@@ -109,7 +114,7 @@ def test_no_message_crossing_a_dying_link_short_circuits():
     # would still be in the network when the link dies.
     assert any(first < start for first in refused)
     fast = _outcome(world, elapsed)
-    slow = _run("sp2", 16, "alltoall", 1024, faults=plan, iterations=2,
+    slow = _run("t3d", 16, "scatter", 65536, faults=plan, iterations=3,
                 fast_wire=False)
     _assert_same_recovery(fast, slow)
     assert fast[2]["transfers_aborted"] > 0
@@ -143,3 +148,62 @@ def test_faulted_time_differs_from_clean_time():
                      retry=RetryConfig(timeout_us=1000.0))
     faulted, _, _ = _run("sp2", 8, "allreduce", 4096, faults=plan)
     assert faulted > clean
+
+
+def _ring_at_once(machine, p, shift, fast_wire):
+    """Every rank sends to ``rank + shift`` at zero software cost, so
+    all the wires of a round start at one instant, three rounds, under
+    loss.  Returns the delivery log and the finish times."""
+    world = _build(machine, p, fault_preset("lossy"), fast_wire, seed=0)
+    transport = world.comm.transport
+    deliveries = []
+    record = transport.record_delivery
+
+    def spy(envelope, unexpected):
+        deliveries.append((envelope.src, envelope.dst, envelope.sent_at,
+                           envelope.delivered_at))
+        record(envelope, unexpected)
+
+    transport.record_delivery = spy
+
+    def program(ctx):
+        for round_ in range(3):
+            tag = ("ring", round_)
+            yield from transport.send(ctx.rank, (ctx.rank + shift) % p, 4096,
+                                      tag, sw_cost_us=0.0)
+            receive = transport.post_receive(ctx.rank,
+                                             (ctx.rank - shift) % p, tag)
+            yield from transport.complete_receive(ctx.rank, receive,
+                                                  sw_cost_us=0.0)
+        return ctx.env.now
+
+    finished = world.run(program)
+    return sorted(deliveries), finished, world.env.work.snapshot()
+
+
+@pytest.mark.parametrize("machine, p, shift", [
+    ("paragon", 5, 3), ("paragon", 16, 2), ("t3d", 5, 2)])
+def test_wires_starting_at_one_instant_take_the_full_path(machine, p, shift):
+    """With another event due at its send instant a message takes the
+    full path: there routes are acquired hop by hop in same-time
+    events, and another wire starting then can take a later link of a
+    route first."""
+    fast = _ring_at_once(machine, p, shift, True)
+    slow = _ring_at_once(machine, p, shift, False)
+    assert fast[:2] == slow[:2]
+
+
+def test_no_short_circuit_under_faults_without_jitter():
+    """Without software jitter every rank's events tie; under a plan
+    every message then takes the full path, whose order the bookings
+    could not keep."""
+    spec = get_machine_spec("sp2")
+    still = replace(spec, software=replace(spec.software, jitter_sigma=0.0),
+                    algorithms={**dict(spec.algorithms),
+                                "allgather": "ring_allgather"})
+    fast = _run(still, 20, "allgather", 4, faults=fault_preset("lossy"),
+                iterations=2)
+    slow = _run(still, 20, "allgather", 4, faults=fault_preset("lossy"),
+                iterations=2, fast_wire=False)
+    _assert_same_recovery(fast, slow)
+    assert fast[1]["transfers_shortcircuited"] == 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs.perf import WorkMeter
 from repro.sim import Environment, Resource, SimulationError
+from repro.sim.resources import WAKE_PENDING
 
 
 def test_resource_grants_up_to_capacity():
@@ -214,3 +215,58 @@ def test_booking_counts_as_occupancy_not_grant():
     assert meter.resource_occupancies == 1
     assert meter.resource_requests == 0
     assert meter.resource_grants == 0
+
+
+def _grant_order(wake_ticket_at_booking):
+    """A booking until 6.0; ``queued`` requests at 1.0, behind it;
+    ``late`` schedules its request for 6.0 at 0.5.  Returns the order
+    the two are granted in.  With ``wake_ticket_at_booking`` the booker
+    reserves its wakeup's place when it books, before ``late`` does."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    order = []
+    resource.try_occupy(6.0)
+    if wake_ticket_at_booking:
+        resource.wake_ticket = env.ticket()
+
+    def user(name, wait, then):
+        yield env.timeout(wait)
+        yield env.timeout(then)
+        request = resource.request()
+        yield request
+        order.append(name)
+        yield env.timeout(1.0)
+        resource.release(request)
+
+    env.process(user("queued", 1.0, 0.0))
+    env.process(user("late", 0.5, 5.5))
+    env.run()
+    return order
+
+
+def test_a_wake_ticket_places_the_booking_expiry_among_same_time_events():
+    """Without a ticket the expiry wakeup is scheduled when the first
+    request queues, after ``late``'s timeout, which then finds the
+    resource free; with one it takes the place reserved at booking,
+    where a holder's release would have granted the queued request."""
+    assert _grant_order(False) == ["late", "queued"]
+    assert _grant_order(True) == ["queued", "late"]
+
+
+def test_a_pending_wake_ticket_defers_the_wakeup_until_placed():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    resource.try_occupy(6.0)
+    resource.wake_ticket = WAKE_PENDING
+    request = resource.request()
+    env.run(until=10.0)
+    assert not request.triggered      # no wakeup was scheduled
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    resource.try_occupy(6.0)
+    resource.wake_ticket = WAKE_PENDING
+    request = resource.request()
+    env.run(until=3.0)
+    resource.place_wakeup(env.ticket())
+    env.run()
+    assert request.triggered and env.now == 6.0

@@ -605,6 +605,11 @@ def faulted_workloads(draw):
 @example((("sp2", "gather", 4, 3), FaultPlan(
     link_outages=(LinkOutage(1, 0, 0.0, 300.0),),
     retry=RetryConfig(timeout_us=150.0))))
+# Half-duplex engines whose queues a message couples: two engine
+# chains end at the same instant, and their order must be the full
+# path's grant order.
+@example((("sp2", "alltoall", 32768, 11), FaultPlan(
+    corruption_probability=0.05, retry=RetryConfig(timeout_us=150.0))))
 def test_short_circuit_exact_under_random_fault_plans(case):
     """Random plans at non-power-of-two p (and 6), checked against the
     full simulation and for a clean quiescence."""
