@@ -312,7 +312,9 @@ class Transport:
             return False
         src_nic.commit_transmit(nbytes, fast, tx[3])
         dst_node.nic.commit_receive(nbytes, fast_rx, rx[3])
-        legs = [(tx[0], (tx[1],)), (rx[0], (rx[1],))]
+        later = tx if tx[3] > now else rx if rx[3] > now else None
+        legs = [(booking[0], (booking[1],)) for booking in (tx, rx)
+                if booking is not later]
         ended = Event(env)
         ended._ok = True
         if routed is not None:
@@ -322,15 +324,13 @@ class Transport:
             # The order the full path schedules its leg ends in: a
             # route without links is held from the carry leg's start, a
             # one-hop route is granted in the same round as the
-            # engines, a longer one a round per hop later.
-            route = (now + hold, tuple(link.resource for link in links))
-            legs.insert(0 if not links else 1 if len(links) == 1 else 2,
-                        route)
+            # engines (after transmit, before receive), a longer one a
+            # round per hop later.
+            legs.insert(0 if not links else len(legs) if len(links) > 1
+                        else int(later is not tx),
+                        (now + hold, [link.resource for link in links]))
             ended._value = envelope, 2
             ended.callbacks.append(self._wire_faulted_landed)
-        later = tx if tx[3] > now else rx if rx[3] > now else None
-        if later is not None:
-            legs.remove((later[0], (later[1],)))
         wire_end, ticket = self._reserve_ends(legs)
         if later is None:
             env._schedule_ticket(ended, wire_end, ticket)

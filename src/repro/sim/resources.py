@@ -146,7 +146,7 @@ class Resource:
     def _schedule_wakeup(self) -> None:
         """Grant the FIFO head when the active booking expires."""
         ticket = self.wake_ticket
-        if ticket == WAKE_PENDING:
+        if ticket is not None and ticket == WAKE_PENDING:
             return
         event = Event(self.env)
         event._ok = True
