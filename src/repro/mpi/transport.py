@@ -272,9 +272,15 @@ class Transport:
         route while the message is in the network (see
         :meth:`NetworkFabric.try_book_faulted_route`).  A busy route
         keeps the engine bookings and queues on the links
-        (:meth:`_wire_contended`) only when the plan has no outages:
-        then nothing can abort the queued transfer.  Any refusal rolls
-        the bookings back and returns ``False``.
+        (:meth:`_wire_contended_faulted`) only when the plan has no
+        outages: then nothing can abort the queued transfer.  Any
+        refusal rolls the bookings back and returns ``False``.
+
+        The full path holds its engines and links by request here, so
+        each booked leg's release and end take the places among
+        same-time events the request protocol would give them
+        (:meth:`_reserve_ends`, :meth:`_follow`), and the landing fires
+        in the place of the leg that ends the wire.
         """
         env = self.env
         # The full path acquires a route hop by hop, in successive

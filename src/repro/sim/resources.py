@@ -21,7 +21,10 @@ the interval a request-holding process would have kept it.  A classic
 process held the resource, and a wakeup event grants the FIFO head when
 the booking expires — at the same simulated time a real release would
 have.  The differential-equivalence suite asserts this produces
-identical times to the pure request/release protocol.
+identical times to the pure request/release protocol.  A booker that
+must also keep the protocol's order among same-time events reserves
+the wakeup's event id (:attr:`Resource.wake_ticket`): the place where
+the holder's release would have run.
 """
 
 from __future__ import annotations
