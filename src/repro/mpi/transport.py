@@ -279,8 +279,9 @@ class Transport:
         The full path holds its engines and links by request here, so
         each booked leg's release and end take the places among
         same-time events the request protocol would give them
-        (:meth:`_reserve_ends`, :meth:`_follow`), and the landing fires
-        in the place of the leg that ends the wire.
+        (:meth:`_reserve_ends`, :meth:`_follow`), and the landing
+        (:meth:`_wire_faulted_landed`) fires in the place of the leg
+        that ends the wire.
         """
         env = self.env
         # The full path acquires a route hop by hop, in successive
@@ -335,7 +336,7 @@ class Transport:
             legs.insert(0 if not links else len(legs) if len(links) > 1
                         else int(later is not tx),
                         (now + hold, [link.resource for link in links]))
-            ended._value = envelope, 2
+            ended._value = envelope
             ended.callbacks.append(self._wire_faulted_landed)
         wire_end, ticket = self._reserve_ends(legs)
         if later is None:
@@ -396,11 +397,16 @@ class Transport:
         self.env._schedule_ticket(relay, start, ahead)
 
     def _follow_released(self, event: Event) -> None:
+        env = self.env
         # The grant is the next event anyway when no other is due now.
-        if self.env.peek() <= self.env._now:
-            self._then(event._value, self._follow_granted)
-        else:
+        if env.peek() > env._now:
             self._follow_granted(event)
+            return
+        grant = Event(env)
+        grant._ok = True
+        grant._value = event._value
+        grant.callbacks.append(self._follow_granted)
+        env._schedule(grant, env._now, NORMAL)
 
     def _follow_granted(self, event: Event) -> None:
         engine, ended = event._value
@@ -444,11 +450,9 @@ class Transport:
 
         The engines end by ``wire_end``, where ``ended`` fires in the
         place of the later one (see :meth:`_reserve_ends`).  After it
-        and the fabric, the full path's attempt resumes two same-time
-        events later (the leg process ends, then its ``all_of`` fires),
-        and checks the ack before it draws the delivery jitter; as in
-        :meth:`_wire_faulted_landed`, a hop is mirrored only while
-        another event is due now.
+        and the fabric, the full path's attempt checks the ack, then
+        draws the delivery jitter, as :meth:`_wire_faulted_landed`
+        does.
         """
         env = self.env
         yield from self.machine.fabric.transfer(
@@ -456,10 +460,6 @@ class Transport:
             parent_span=envelope.span)
         if wire_end > env._now:
             yield ended
-        for _ in range(2):
-            if env.peek() > env._now:
-                break
-            yield env.sleep(0.0)
         self._check_ack(self.machine.injector, envelope.src, envelope.dst,
                         env._now - envelope.sent_at, 0)
         yield env.sleep(self.spec.software.deliver_us *
@@ -492,38 +492,12 @@ class Transport:
 
     def _wire_faulted_landed(self, event: Event) -> None:
         """:meth:`_wire_fast_landed` under a fault plan, for the event
-        valued ``(envelope, hops)`` in the place where the leg that ends
-        the wire ends.
-
-        The full path's attempt resumes two same-time events later (the
-        leg process ends, then the attempt's ``all_of`` fires), checks
-        the ack, and draws the delivery jitter.  Each of those ``hops``
-        is mirrored by an event only while another event is due now:
-        otherwise it would be the next event anyway.
-        """
-        envelope, hops = event._value
-        env = self.env
-        if hops and env.peek() <= env._now:
-            self._then((envelope, hops - 1), self._wire_faulted_landed)
-            return
+        in the place where the leg that ends the wire ends: the full
+        path's attempt checks the ack, then draws the delivery jitter."""
+        envelope = event._value
         self._check_ack(self.machine.injector, envelope.src, envelope.dst,
-                        env._now - envelope.sent_at, 0)
-        deliver = Event(env)
-        deliver._ok = True
-        deliver._value = envelope
-        deliver.callbacks.append(self._deliver_fast)
-        delay = self.spec.software.deliver_us * \
-            self.machine.jitter(envelope.dst)
-        env._schedule(deliver, env._now + delay, NORMAL)
-
-    def _then(self, value: object, callback) -> None:
-        """Run ``callback`` on an event of ``value`` due now."""
-        env = self.env
-        event = Event(env)
-        event._ok = True
-        event._value = value
-        event.callbacks.append(callback)
-        env._schedule(event, env._now, NORMAL)
+                        self.env._now - envelope.sent_at, 0)
+        self._wire_fast_landed(event)
 
     def _deliver_fast(self, event: Event) -> None:
         self._delivered(event._value)
