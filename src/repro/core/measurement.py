@@ -20,10 +20,12 @@ min/mean/max collected.
 Each rank runs the pseudocode, warm-up included, as one
 :meth:`RankContext.time_block <repro.mpi.context.RankContext.time_block>`
 call.  That hands the communicator's episode evaluator
-(:mod:`repro.mpi.episode`) the whole block, so every fenced call of it,
-from the warm-up's last one to the last timed one, is evaluated off the
+(:mod:`repro.mpi.episode`) the whole block, so every call of it, from
+the first warm-up call to the last timed one, is evaluated off the
 event loop in one fold, with the simulated times and counters the
-plain calls give.
+plain calls give.  The runs of one point make the same calls, so each
+run hands its episode tapes on to the next: the first run records one
+tape per call shape and entry mode, and the later runs play from them.
 
 :func:`predict_collective` answers the question Table 3 exists for,
 the time of one call at a given point, from the same simulator: one
@@ -40,6 +42,7 @@ from typing import Optional, Union
 from ..faults import FaultPlan
 from ..machines import MachineSpec, get_machine_spec
 from ..mpi import MpiWorld
+from ..mpi.episode import Shelf
 from .metrics import STARTUP_PROBE_BYTES, CollectiveSample
 
 __all__ = ["MeasurementConfig", "PAPER_CONFIG", "QUICK_CONFIG",
@@ -112,13 +115,17 @@ def measure_collective(machine: Union[str, MachineSpec], op: str,
         else machine
     run_times = []
     local_times = []
+    # Every run makes the same calls: each hands its tapes to the next.
+    shelf = Shelf()
     for run in range(config.runs):
         world = MpiWorld(spec, num_nodes,
                          seed=_run_seed(config, op, nbytes, num_nodes, run),
                          contention=config.contention,
                          faults=config.faults)
+        world.comm.episodes.share(shelf, later=run + 1 < config.runs)
         local_times = world.run(_timing_program(op, nbytes, config))
         world.close()
+        del world  # freed before the next run builds its own
         run_times.append(max(local_times))  # the paper's max-reduce
     return CollectiveSample(
         op=op,

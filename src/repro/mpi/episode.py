@@ -4,8 +4,13 @@
 The paper times a collective as ``k`` back-to-back calls, and the
 communicator's completion fence (:mod:`repro.mpi.communicator`) makes
 every call but the first start with all ranks released at one instant.
-When, in addition, the engine has nothing else pending and every rank
-follows the call with the next fence (a :meth:`RankContext.repeat
+The first call starts so too when every rank enters it as the world
+starts, in the one dispatch where :meth:`MpiWorld.run
+<repro.mpi.world.MpiWorld.run>` starts the rank processes; the entry
+timeouts of ranks that enter it there while another rank does
+something else first keep the event ids they would have had.  When, in
+addition, the engine has nothing else pending and every rank follows
+the call with the next fence (a :meth:`RankContext.repeat
 <repro.mpi.context.RankContext.repeat>` iteration other than the last)
 or with nothing at all (the last call of :meth:`RankContext.time_block
 <repro.mpi.context.RankContext.time_block>`), the call cannot interact
@@ -14,12 +19,12 @@ private event heap instead of the engine's.
 
 A ``repeat`` iteration is evaluated on its own, and its ranks resume
 on the engine at their finish times.  The paper's timing block hands
-the evaluator all of its calls at once: from the first eligible fenced
-call on, the evaluator *folds* the block, replaying and committing the
-warm-up's last call, the barrier and every timed call one after
-another.  Each next call is released at the previous one's last finish
-time, its ranks enter in the previous one's completion order, and
-their entry costs are drawn at the point of each node's ``sw.<i>``
+the evaluator all of its calls at once: from the first eligible call
+on, the first one included, the evaluator *folds* the block, replaying
+and committing the warm-up calls, the barrier and every timed call one
+after another.  Each next call is released at the previous one's last
+finish time, its ranks enter in the previous one's completion order,
+and their entry costs are drawn at the point of each node's ``sw.<i>``
 stream the engine would draw them at.  The ranks resume once, at their
 finish of the last folded call.  A call that cannot be evaluated (the
 T3D barrier wire, a composite, an abort) ends the fold before it draws
@@ -50,7 +55,8 @@ The replay is exact or it aborts.  A resource already held through the
 request protocol when the episode first uses it, or a message or
 receive left unmatched at the end, aborts it with no side effect: the
 ranks take their entry timeouts exactly as they would have, and the
-shape is not tried again on this communicator.  A successful replay is
+shape is not tried again on this communicator, nor on the later worlds
+of its measured cell.  A successful replay is
 committed at once: the jitter draws are consumed, every resource's
 booking horizon is set, and every message, queued transfer and copy is
 accounted, in the engine's order, through the same helpers the
@@ -62,8 +68,9 @@ scheduled to resume at its own finish time of the last evaluated call,
 in completion order.
 
 A call whose shape and entry mode (entry costs given, or drawn in the
-replay) will come again -- a later call of the fold, or the next
-``repeat`` iteration -- is replayed with a *tape* recorded as it runs:
+replay) will come again -- a later call of the fold, the next
+``repeat`` iteration, or the same call of a later world of the measured
+cell (:class:`Shelf`) -- is replayed with a *tape* recorded as it runs:
 every time the replay computes becomes an entry, the same
 floating-point expression over earlier entries, the peeked draws, the
 start time and the booking horizons the schedule's resources had
@@ -90,20 +97,28 @@ path.  A failed guard, a resource held through the request protocol,
 or an exact tie between two entries of the outcome's lists that one
 handler did not produce at one time sends the call to the heap, which
 records a new tape; a recording that itself meets a tie keeps none.
-After :data:`_TAPE_MISSES` misses in a row the communicator stops
-taping the shape, and it never tapes a schedule sending more than
-:data:`_TAPED_MESSAGES_PER_RANK` messages per rank, whose tapes rarely
-hold.
+After :data:`_TAPE_MISSES` misses in a row of its own tapes the
+communicator stops taping the shape, and it never tapes a schedule
+sending more than :data:`_TAPED_MESSAGES_PER_RANK` messages per rank,
+whose tapes rarely hold.  A tape names resources and sends by their
+position in the compiled schedule, so the worlds of one measured cell
+hand their tapes on to each other: the later worlds play the calls the
+first one recorded, and a handed-on tape that misses counts as no miss
+of the world that plays it, which records its own.
 
 Algorithms are recorded once per ``(algorithm, root, nbytes)`` per
-communicator by running their generators against a recording context
-that exposes only ``rank``, ``size``, ``coll_send``, ``coll_post``,
-``coll_wait``, ``coll_recv``, ``combine``, ``delay`` and the machine's
-name and software constants as ``comm.spec``, read at record time.
-Sends and receives may be ``buffered=`` or carry an offloaded
+communicator, or per measured cell when its worlds share a shelf, by
+running their generators against a recording context that exposes only
+``rank``, ``size``, ``coll_send``, ``coll_post``, ``coll_wait``,
+``coll_recv``, ``combine``, ``delay`` and the machine's name and
+software constants as ``comm.spec``, read at record time; each
+communicator compiles the recording against its own machine.  Sends
+and receives may be ``buffered=`` or carry an offloaded
 ``sw_cost_us=``.  Touching anything else (the hardware barrier, the
 machine, another algorithm looked up through the spec, ...) leaves the
-algorithm to the engine.
+algorithm to the engine.  One recording stands for every call of the
+shape, so an algorithm may use its call's ``seq`` only as the tag of
+its operations.
 """
 
 from __future__ import annotations
@@ -263,24 +278,28 @@ class _Schedule:
     its operations with every machine constant resolved, how many
     jitter draws a complete replay makes on its node, without and with
     the draw of the entry cost, every resource a replay may book or
-    request, and whether its calls are worth taping."""
+    request, every send in rank order, and whether its calls are worth
+    taping."""
 
-    __slots__ = ("ops", "draws", "entered_draws", "resources", "taped")
+    __slots__ = ("ops", "draws", "entered_draws", "resources", "sends",
+                 "taped")
 
     def __init__(self, ops: List[List[tuple]], draws: List[int],
-                 resources: List[object], messages: int):
+                 resources: List[object], sends: List["_Send"]):
         self.ops = ops
         self.draws = draws
         self.entered_draws = [count + 1 for count in draws]
         self.resources = resources
-        self.taped = messages <= _TAPED_MESSAGES_PER_RANK * len(ops)
+        self.sends = sends
+        self.taped = len(sends) <= _TAPED_MESSAGES_PER_RANK * len(ops)
 
 
 class _Send:
-    """A recorded send with every per-message constant resolved."""
+    """A recorded send with every per-message constant resolved, and
+    its position among its schedule's sends."""
 
-    __slots__ = ("dst", "nbytes", "op", "phase", "cost", "dma", "dma_us",
-                 "bus", "copy", "copy_us", "fast", "tx", "tx_us",
+    __slots__ = ("index", "dst", "nbytes", "op", "phase", "cost", "dma",
+                 "dma_us", "bus", "copy", "copy_us", "fast", "tx", "tx_us",
                  "fast_rx", "rx", "rx_us", "route", "links", "hold",
                  "src_nic", "dst_nic")
 
@@ -345,20 +364,22 @@ class _Outcome:
 
 # -- the tape ---------------------------------------------------------------
 
-#: Tape instructions, each ``(code, a, b, c)`` over the value list ``v``.
-#: A guard requires ``v[a] < v[b]``.  The others append values: a
-#: booking appends its begin ``max(v[a], v[b])`` and its end, the begin
-#: plus ``c``; a wire end appends ``v[a] + b`` (the route's hold) and the
-#: latest of that and the engine horizons ``v[c[0]]`` and ``v[c[1]]``;
-#: the rest append ``v[a] + b * v[c]``, ``v[a] + b``,
-#: ``max(v[a], v[b])``, ``v[a] - v[b]`` or ``v[a] + v[b]``.
+#: Tape instructions, each ``code, a, b, c`` over the value list ``v``,
+#: four entries in a row of one flat list.  A guard requires
+#: ``v[a] < v[b]``.  The others append values: a booking appends its
+#: begin ``max(v[a], v[b])`` and its end, the begin plus ``c``; a wire
+#: end appends ``v[a] + b`` (the route's hold) and the latest of that
+#: and the engine horizons ``v[c[0]]`` and ``v[c[1]]``; the rest append
+#: ``v[a] + b * v[c]``, ``v[a] + b``, ``max(v[a], v[b])``,
+#: ``v[a] - v[b]`` or ``v[a] + v[b]``.
 _LT, _ADDMUL, _BOOK, _WIRE, _ADD, _MAX, _SUB, _SUM = range(8)
 
-#: Consecutive misses (a failed guard, or a recording with a tie) after
-#: which a communicator stops taping a shape in one entry mode: a shape
-#: whose dependency orders keep changing would pay for a recording and
-#: a wasted prefix on every call.  On the campaign a shape's tape holds
-#: for nearly every call or misses the first time, so one miss decides.
+#: Consecutive misses (a failed guard of a tape the communicator
+#: recorded, or a recording with a tie) after which a communicator stops
+#: taping a shape in one entry mode: a shape whose dependency orders
+#: keep changing would pay for a recording and a wasted prefix on every
+#: call.  On the campaign a shape's tape holds for nearly every call or
+#: misses the first time, so one miss decides.
 _TAPE_MISSES = 1
 
 #: The most messages per rank a schedule may send for its calls to be
@@ -400,19 +421,21 @@ class _Recording:
     """
 
     __slots__ = ("vals", "owner", "code", "base", "drawn", "drawer",
-                 "by_rank", "times", "ev", "now", "last", "tied", "inputs",
-                 "horizons", "entered", "finished", "phases", "copies",
-                 "log", "begin", "alias")
+                 "by_rank", "times", "ev", "now", "last", "tied", "first",
+                 "inputs", "horizons", "entered", "finished", "phases",
+                 "copies", "log", "begin", "alias")
 
     def __init__(self, vals: List[float], base: List[int],
                  resources: List[object]):
-        #: resource -> slot of its booking horizon before the call.
+        #: resource -> the slot of its booking horizon before the call;
+        #: the first resource's is ``first``.
+        self.first = len(vals)
         self.inputs = {resource: len(vals) + index
                        for index, resource in enumerate(resources)}
         vals += [resource._busy_until for resource in resources]
         self.vals = vals
         self.owner = [-1] * len(vals)
-        self.code: List[tuple] = []
+        self.code: List[object] = []
         self.base = base
         self.drawn = [0] * len(base)
         #: Per node, the event of its last draw, and whether its own
@@ -441,7 +464,7 @@ class _Recording:
     def entry(self, value: float, code: int, a, b=None, c=None) -> int:
         """Record that ``value`` was computed as instruction ``code``;
         return its slot."""
-        self.code.append((code, a, b, c))
+        self.code += (code, a, b, c)
         self.vals.append(value)
         self.owner.append(self.ev)
         return len(self.vals) - 1
@@ -463,7 +486,7 @@ class _Recording:
             return
         if not self.vals[lo] < self.vals[hi]:
             self.tied = True
-        self.code.append((_LT, lo, hi, None))
+        self.code += (_LT, lo, hi, None)
 
     def touch(self, key) -> None:
         """The current event reads or changes dependency ``key``."""
@@ -505,7 +528,7 @@ class _Recording:
         """A booking of ``resource`` for ``duration`` now began at
         ``begin``: slot ``self.begin``, its end the next."""
         horizons = self.horizons
-        self.code.append((_BOOK, horizons[resource], self.now, duration))
+        self.code += (_BOOK, horizons[resource], self.now, duration)
         vals = self.vals
         vals.append(begin)
         vals.append(begin + duration)
@@ -531,7 +554,7 @@ class _Recording:
         now plus ``hold``, and the wire ends at ``end``, the latest of
         that and the slots of the two engine bookings' ends.  Returns
         the slot of ``held``; ``end``'s is the next."""
-        self.code.append((_WIRE, self.now, hold, (tx_end, rx_end)))
+        self.code += (_WIRE, self.now, hold, (tx_end, rx_end))
         vals = self.vals
         vals.append(held)
         vals.append(end)
@@ -552,14 +575,16 @@ class _Recording:
                 len(set(map(vals.__getitem__, stamps))) != len(stamps):
             return None
         tape = _Tape()
-        tape.resources = list(self.inputs)
         tape.code = self.code
         tape.stamps = tuple(stamps)
         tape.entered = _columns(self.entered, 2)
         tape.finished = _columns(self.finished, 2)
         tape.phases = _columns(self.phases, 2)
         tape.copies = self.copies
-        tape.horizons = _columns(self.horizons.items(), 2)
+        inputs = self.inputs
+        tape.horizons = _columns(
+            [(inputs[resource] - self.first, slot)
+             for resource, slot in self.horizons.items()], 2)
         index: Dict[int, int] = {}
         messages = []
         log = []
@@ -572,7 +597,7 @@ class _Recording:
                     waits = tuple(zip((hop for hop, _ in message.waits),
                                       message.wait_slots))
                 messages.append((
-                    message.src, message.send, message.unexpected,
+                    message.src, message.send.index, message.unexpected,
                     slots.pop("issued"), slots.pop("sent_at"),
                     slots.pop("tx_start"), slots.pop("rx_start"),
                     slots.pop("delivered_at"),
@@ -591,35 +616,93 @@ def _columns(rows, width: int) -> Tuple[tuple, ...]:
 class _Tape:
     """A heap replay as straight-line code (:meth:`_Recording.tape`):
     its instructions, and the outcome's lists and messages with a slot
-    in place of every time, each list as a tuple of columns."""
+    in place of every time, each list as a tuple of columns.  Resources
+    and sends are named by their position in the schedule's
+    ``resources`` and ``sends``, so a tape plays on the schedule of the
+    same shape compiled for another world of the same machine."""
 
-    __slots__ = ("resources", "code", "stamps", "entered", "finished",
-                 "phases", "copies", "log", "messages", "horizons")
+    __slots__ = ("code", "stamps", "entered", "finished", "phases",
+                 "copies", "log", "messages", "horizons")
+
+
+class Shelf:
+    """The recorded schedules, tapes and refused shapes that the worlds
+    of one measured cell hand on to each other
+    (:meth:`EpisodeEvaluator.share`).
+
+    Every key starts with the algorithm object, so a monkeypatched
+    algorithm never plays another's tape.  A recorded schedule holds
+    plain values, and a tape names the resources and sends of its
+    compiled schedule by position, so the shelf holds nothing of the
+    world that recorded them: each world compiles its own schedules.
+    """
+
+    __slots__ = ("recorded", "refused", "tapes")
+
+    def __init__(self):
+        #: (algorithm, root, nbytes) -> each rank's recorded operations.
+        self.recorded: Dict[tuple, List[List[tuple]]] = {}
+        #: Shapes never to try again: unrecordable, or aborted once.
+        self.refused: Set[tuple] = set()
+        #: (algorithm, root, nbytes, costs drawn) -> the tape of its last
+        #: heap replay.
+        self.tapes: Dict[tuple, _Tape] = {}
 
 
 class EpisodeEvaluator:
     """Decides, replays and commits the episodes of one communicator.
 
     Every rank of a fenced collective call registers here after its
-    fence (:meth:`register`); the last registration decides whether the
-    call is evaluated.  The per-shape caches live here, per
-    communicator, so a monkeypatched algorithm never leaks across
-    worlds.
+    fence, and of the first call as it enters it (:meth:`register`);
+    the last registration decides whether the call is evaluated.  The
+    compiled schedules and the misses live here, per communicator.  The
+    recorded schedules, tapes and refused shapes live on a
+    :class:`Shelf`, this communicator's own unless it shares one with
+    the other worlds of its cell (:meth:`share`).
     """
 
     def __init__(self, comm: "Communicator"):
         self.comm = comm
         self._pending: List[tuple] = []
+        #: Whether the world's ranks are taking their first steps.
+        self._opening = False
         #: (algorithm, root, nbytes) -> compiled schedule.
         self._schedules: Dict[tuple, _Schedule] = {}
-        #: Shapes never to try again: unrecordable, or aborted once.
-        self._refused: Set[tuple] = set()
-        #: (algorithm, root, nbytes, costs drawn) -> the tape of its last
-        #: heap replay, and how many misses in a row it has had.
-        self._tapes: Dict[tuple, _Tape] = {}
+        #: (algorithm, root, nbytes, costs drawn) -> how many misses in
+        #: a row its tape has had here.
         self._misses: Dict[tuple, int] = {}
+        #: The modes whose tape this communicator recorded.
+        self._own: Set[tuple] = set()
+        self.share(Shelf())
+
+    def share(self, shelf: Shelf, later: bool = False) -> None:
+        """Take the recorded schedules, tapes and refused shapes from
+        ``shelf`` and keep this communicator's there.  With ``later``,
+        other worlds of the same machine, size and program run after
+        this one, so every call worth a tape is taped.  A tape from
+        another world that misses does not count as a miss here: this
+        communicator then records its own, as it would have without the
+        shelf."""
+        self._recorded = shelf.recorded
+        self._refused = shelf.refused
+        self._tapes = shelf.tapes
+        self._later = later
 
     # -- eligibility ------------------------------------------------------
+    def open(self, start: Event) -> None:
+        """The world's rank processes take their first steps in
+        ``start``'s dispatch: a first call every rank enters there may
+        be evaluated too.  The entry timeouts of ranks that entered it
+        while the others did something else are scheduled at the end of
+        the dispatch."""
+        self._opening = True
+        start.callbacks.append(self._flush)
+
+    def _flush(self, _start: Event) -> None:
+        self._opening = False
+        pending, self._pending = self._pending, []
+        self._enter(pending)
+
     def register(self, rank: int, seq: int, cost: float, shape: tuple,
                  rest: Optional[tuple]) -> Optional[Event]:
         """Register ``rank``'s entry into collective ``seq``, an
@@ -638,32 +721,42 @@ class EpisodeEvaluator:
         """
         comm = self.comm
         machine = comm.machine
-        if comm.fence_waiters(seq - 1) != comm.size or \
-                machine.injector is not None or not machine.fast_wire:
+        if machine.injector is not None or not machine.fast_wire:
             return None
-        gate = machine.env.event()
-        # Every rank waited on the fence that released this one, so all
-        # register in this same dispatch, back to back: deferring the
-        # entry timeouts to the last registration schedules them in the
-        # order and at the times the ranks would have.
-        self._pending.append((rank, cost, gate, shape, rest))
+        if seq:
+            # Every rank waited on the fence that released this one, so
+            # all register in this same dispatch.
+            if comm.fence_waiters(seq - 1) != comm.size:
+                return None
+        elif not (self._opening and comm.spec.serialize_collectives):
+            return None
+        env = machine.env
+        gate = env.event()
+        # The entry timeout the rank would have taken keeps its event id
+        # should the engine run the call.
+        self._pending.append((rank, cost, gate, shape, rest, env.ticket()))
         if len(self._pending) == comm.size:
             self._decide(seq)
         return gate
 
+    def _enter(self, pending: List[tuple]) -> None:
+        """Leave the call to the engine: each rank's gate fires at the
+        end of its entry cost, as its entry timeout would have."""
+        now = self.comm.machine.env.now
+        for _, cost, gate, _, _, ticket in pending:
+            gate.succeed_at(now + cost, (), ticket)
+
     def _decide(self, seq: int) -> None:
         pending, self._pending = self._pending, []
         env = self.comm.machine.env
-        _, _, _, shape, rest = pending[0]
+        shape, rest = pending[0][3:5]
         folded = None
         if env.peek() == float("inf") and rest is not None and \
                 all(entry[3] == shape and entry[4] == rest
                     for entry in pending):
             folded = self._fold(seq, pending, (shape,) + rest)
         if folded is None:
-            now = env.now
-            for _, cost, gate, _, _ in pending:
-                gate.succeed_at(now + cost, ())
+            self._enter(pending)
             return
         order, finishes = folded
         gates = {entry[0]: entry[2] for entry in pending}
@@ -692,11 +785,11 @@ class EpisodeEvaluator:
         finished = None
         for index, shape in enumerate(calls):
             # Whether a later call will be in this call's shape and entry
-            # mode: a drawn call's shape comes again in this fold, or a
-            # fold of one call (a ``repeat`` iteration) is followed by
-            # the next iteration.
-            again = shape in calls[index + 1:] if index else \
-                len(calls) == 1
+            # mode: a drawn call's shape comes again in this fold, a fold
+            # of one call (a ``repeat`` iteration) is followed by the
+            # next iteration, or a later world runs the same calls.
+            again = self._later or (shape in calls[index + 1:] if index
+                                    else len(calls) == 1)
             replayed = self._replay_call(shape, seq + index, order, costs,
                                          start, again)
             if replayed is None:
@@ -738,11 +831,14 @@ class EpisodeEvaluator:
             return None
         schedule = self._schedules.get(key)
         if schedule is None:
-            recorded = record(algorithm, self.comm.size, seq, nbytes, root,
-                              self.comm.spec)
+            recorded = self._recorded.get(key)
             if recorded is None:
-                self._refused.add(key)
-                return None
+                recorded = record(algorithm, self.comm.size, seq, nbytes,
+                                  root, self.comm.spec)
+                if recorded is None:
+                    self._refused.add(key)
+                    return None
+                self._recorded[key] = recorded
             schedule = self._schedules[key] = self._compile(recorded)
         draws = schedule.draws if costs is not None else \
             schedule.entered_draws
@@ -750,14 +846,16 @@ class EpisodeEvaluator:
         misses = self._misses.get(mode, 0)
         tape = self._tapes.pop(mode, None)
         if tape is not None:
-            outcome = self._play(tape, draws, order, costs, start, op,
-                                 nbytes)
+            outcome = self._play(tape, schedule, draws, order, costs,
+                                 start, op, nbytes)
             if outcome is not None:
                 if again:
                     self._tapes[mode] = tape
                 self._misses[mode] = 0
                 return outcome, draws
-            misses += 1
+            if mode in self._own:
+                misses += 1
+            del tape  # not kept while the heap replay records another
         taping = again and schedule.taped and misses < _TAPE_MISSES
         try:
             replayed = self._replay(schedule, draws, order, costs, start,
@@ -773,6 +871,7 @@ class EpisodeEvaluator:
         outcome, tape = replayed
         if tape is not None:
             self._tapes[mode] = tape
+            self._own.add(mode)
         elif taping:
             misses += 1
         self._misses[mode] = misses
@@ -796,6 +895,7 @@ class EpisodeEvaluator:
         software = spec.software
         nodes = [machine.nodes[node] for node in comm.world_ranks]
         compiled = []
+        sends: List[_Send] = []
         draws = [len(ops) - sum(entry[0] == _POST for entry in ops)
                  for ops in recorded]
         for rank, ops in enumerate(recorded):
@@ -809,6 +909,8 @@ class EpisodeEvaluator:
                     dst_node = nodes[dst]
                     prefer_dma = spec.uses_dma_for(op)
                     send = _Send()
+                    send.index = len(sends)
+                    sends.append(send)
                     send.dst, send.nbytes, send.op, send.phase = \
                         dst, nbytes, op, phase
                     send.fast = src_node.payload_mode(
@@ -885,8 +987,7 @@ class EpisodeEvaluator:
                         resources[send.bus] = None
                 elif entry[0] == _WAIT and any(entry[4]):
                     resources[nodes[rank].memory.bus] = None
-        messages = sum(entry[0] == _SEND for ops in compiled for entry in ops)
-        return _Schedule(compiled, draws, list(resources), messages)
+        return _Schedule(compiled, draws, list(resources), sends)
 
     # -- the private heap ---------------------------------------------------
     def _inputs(self, draws: List[int], order: List[int],
@@ -1377,24 +1478,26 @@ class EpisodeEvaluator:
         return outcome, None if rec is None else rec.tape()
 
     # -- the tape -----------------------------------------------------------
-    def _play(self, tape: _Tape, draws: List[int], order: List[int],
-              costs: Optional[List[float]], start: float, op: str,
-              nbytes: int) -> Optional[_Outcome]:
-        """Evaluate ``tape`` for a call the heap would replay from these
-        arguments: the outcome :meth:`_replay` would return, or ``None``
-        as soon as a guard fails, a resource is held through the
-        protocol at its first use, or two entries of the outcome's lists
-        tie."""
+    def _play(self, tape: _Tape, schedule: _Schedule, draws: List[int],
+              order: List[int], costs: Optional[List[float]], start: float,
+              op: str, nbytes: int) -> Optional[_Outcome]:
+        """Evaluate ``tape`` on ``schedule`` for a call the heap would
+        replay from these arguments: the outcome :meth:`_replay` would
+        return, or ``None`` as soon as a guard fails, a resource is held
+        through the protocol at its first use, or two entries of the
+        outcome's lists tie."""
         peeked, per_rank = self._inputs(draws, order, costs, op, nbytes)
         v = [start, *per_rank]
         for values in peeked:
             v += values
         append = v.append
-        for resource in tape.resources:
+        resources = schedule.resources
+        for resource in resources:
             if resource._users or resource._waiting:
                 return None
             append(resource._busy_until)
-        for code, a, b, c in tape.code:
+        words = iter(tape.code)
+        for code, a, b, c in zip(words, words, words, words):
             if code == _LT:
                 if not v[a] < v[b]:
                     return None
@@ -1430,10 +1533,11 @@ class EpisodeEvaluator:
             return None
         # Each list in time order; entries of one slot keep the order
         # the recording produced them in.
+        sends = schedule.sends
         messages = []
         for (src, send, unexpected, issued, sent_at, tx_start, rx_start,
              delivered_at, extra, waits) in tape.messages:
-            message = _Message(src, send, v[issued])
+            message = _Message(src, sends[send], v[issued])
             message.unexpected = unexpected
             message.sent_at = v[sent_at]
             message.tx_start = v[tx_start]
@@ -1463,8 +1567,9 @@ class EpisodeEvaluator:
         log = list(zip(acts, map(messages.__getitem__, indices)))
         outcome.log = [log[entry] for entry in
                        sorted(range(len(log)), key=times.__getitem__)]
-        resources, slots = tape.horizons
-        outcome.horizons = dict(zip(resources, map(get, slots)))
+        positions, slots = tape.horizons
+        outcome.horizons = dict(zip(map(resources.__getitem__, positions),
+                                    map(get, slots)))
         return outcome
 
     # -- commit ---------------------------------------------------------------

@@ -23,6 +23,7 @@ from ..faults import FaultPlan
 from ..machines import Machine, MachineSpec, get_machine_spec
 from ..obs.metrics import MetricsRegistry
 from ..sim import Environment, RandomStreams, Tracer
+from ..sim.engine import URGENT
 from .communicator import Communicator
 from .context import RankContext
 from .errors import MpiError
@@ -84,15 +85,23 @@ class MpiWorld:
         Raises :class:`MpiError` if any rank's process failed or (when
         ``until`` is given) did not finish in time.
         """
+        env = self.env
+        # Every rank takes its first step in one dispatch, so that the
+        # episode evaluator sees whether all of them enter their first
+        # collective call there.
+        start = env.event()
         processes = [
-            self.env.process(program(ctx), name=f"rank-{ctx.rank}")
+            env.process(program(ctx), name=f"rank-{ctx.rank}", start=start)
             for ctx in self.comm.contexts
         ]
         for process in processes:
             # A rank failure must be reported as MpiError after the
             # run, not abort the event loop mid-flight.
             process.defused()
-        self.env.run(until=until)
+        if self.comm.episodes is not None:
+            self.comm.episodes.open(start)
+        start.succeed(priority=URGENT)
+        env.run(until=until)
         for rank, process in enumerate(processes):
             if process.triggered and not process.ok:
                 raise MpiError(

@@ -154,12 +154,18 @@ class Event:
         self.env._schedule(self, self.env._now, priority)
         return self
 
-    def succeed_at(self, at: float, value: Any = None) -> "Event":
+    def succeed_at(self, at: float, value: Any = None,
+                   ticket: Optional[int] = None) -> "Event":
         """Schedule this event to fire successfully at time ``at``,
-        which must not be in the past."""
+        which must not be in the past.  With a ``ticket`` from
+        :meth:`Environment.ticket` it takes the reserved event id
+        instead of the next one."""
         if self._ok is not None:
             raise SimulationError("event already triggered")
-        self.env._schedule(self, at, NORMAL)
+        if ticket is None:
+            self.env._schedule(self, at, NORMAL)
+        else:
+            self.env._schedule_ticket(self, at, ticket)
         self._ok = True
         self._value = value
         return self
@@ -242,19 +248,28 @@ class Process(Event):
     The process is itself an :class:`Event` that fires when the
     generator returns (with the return value / :class:`StopProcess`
     value), so processes can wait on each other by yielding a process.
+
+    It starts now, from an :class:`Initialize` event of its own, or
+    when the untriggered event ``start`` fires: processes sharing a
+    start event take their first steps in one dispatch, in creation
+    order, as they would from their own events scheduled back to back.
     """
 
     __slots__ = ("_generator", "name", "_target")
 
     def __init__(self, env: "Environment", generator: Generator,
-                 name: Optional[str] = None):
+                 name: Optional[str] = None,
+                 start: Optional[Event] = None):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
-        Initialize(env, self)
+        if start is None:
+            Initialize(env, self)
+        else:
+            start.callbacks.append(self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -553,10 +568,11 @@ class Environment:
         self._schedule(event, at, NORMAL)
         self._eid = counter
 
-    def process(self, generator: Generator,
-                name: Optional[str] = None) -> Process:
-        """Register ``generator`` as a new process starting now."""
-        return Process(self, generator, name=name)
+    def process(self, generator: Generator, name: Optional[str] = None,
+                start: Optional[Event] = None) -> Process:
+        """Register ``generator`` as a new process starting now, or
+        when the untriggered event ``start`` fires."""
+        return Process(self, generator, name=name, start=start)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires once every event in ``events`` has fired."""

@@ -268,3 +268,48 @@ def test_worlds_that_do_not_escape_are_freed_on_return(monkeypatch, module,
         assert machines and all(machine() is None for machine in machines)
     finally:
         gc.enable()
+
+
+def test_a_measured_cell_frees_each_world_and_drops_its_shelf(monkeypatch):
+    """``measure_collective`` hands tapes from run to run on a shelf
+    that holds no object of a world: with the cyclic collector off,
+    every earlier world is gone before a run builds its own, and the
+    shelf is gone once the cell returns."""
+    machines, shelves = [], []
+
+    def world_objects(root):
+        seen, stack, found = set(), [root], []
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or callable(obj):
+                continue  # an algorithm key: its globals are no world's
+            seen.add(id(obj))
+            if type(obj).__module__.startswith("repro.") and \
+                    type(obj).__name__ not in ("Shelf", "_Tape"):
+                found.append(obj)
+            stack.extend(gc.get_referents(obj))
+        return found
+
+    class Tracked(MpiWorld):
+        def __init__(self, *args, **kwargs):
+            assert all(machine() is None for machine in machines)
+            assert not shelves or not world_objects(shelves[0]())
+            super().__init__(*args, **kwargs)
+            machines.append(weakref.ref(self.machine))
+
+    class Shelf(measurement.Shelf):
+        def __init__(self):
+            super().__init__()
+            shelves.append(weakref.ref(self))
+
+    monkeypatch.setattr(measurement, "MpiWorld", Tracked)
+    monkeypatch.setattr(measurement, "Shelf", Shelf)
+    gc.disable()
+    try:
+        measurement.measure_collective("sp2", "broadcast", 4, 8,
+                                       measurement.PAPER_CONFIG)
+        assert len(machines) == measurement.PAPER_CONFIG.runs
+        assert all(machine() is None for machine in machines)
+        assert len(shelves) == 1 and shelves[0]() is None
+    finally:
+        gc.enable()

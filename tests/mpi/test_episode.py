@@ -22,6 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.diagnostics import collect_diagnostics
+from repro.core.measurement import (PAPER_CONFIG, MeasurementConfig,
+                                    _run_seed, _timing_program,
+                                    measure_collective)
 from repro.faults import fault_preset
 from repro.machines import get_machine_spec
 from repro.mpi import MpiError, MpiWorld, RankError
@@ -72,17 +75,21 @@ def taped():
     """Count the calls played from a tape, and replay each one the tape
     took in the heap as well: the two outcomes, field by field, and the
     draws per rank must be equal.  Yields the counts ``plays``, ``hits``,
-    ``recorded`` (tapes recorded) and ``tied`` (recordings with a tie).
+    ``carried`` (plays of a tape another world recorded), ``recorded``
+    (tapes recorded) and ``tied`` (recordings with a tie).
     """
     counts = Counter()
     play = EpisodeEvaluator._play
     replay = EpisodeEvaluator._replay
     replay_call = EpisodeEvaluator._replay_call
+    #: tape -> the id of the communicator that recorded it.
+    recorders = {}
 
-    def counted_play(self, *args):
-        outcome = play(self, *args)
+    def counted_play(self, tape, *args):
+        outcome = play(self, tape, *args)
         counts["plays"] += 1
         counts["hits"] += outcome is not None
+        counts["carried"] += recorders[tape] != self.comm.comm_id
         return outcome
 
     def counted_replay(self, *args):
@@ -90,6 +97,8 @@ def taped():
         if args[7:] == (True,) and replayed is not None:
             counts["recorded"] += 1
             counts["tied"] += replayed[1] is None
+            if replayed[1] is not None:
+                recorders[replayed[1]] = self.comm.comm_id
         return replayed
 
     def checked_call(self, shape, seq, order, costs, start, again=False):
@@ -146,8 +155,8 @@ def test_hardware_counters_match_full_simulation(machine, op, nbytes, p):
 
 
 def test_parity_cases_take_the_evaluator():
-    """Every parity case evaluates its three fenced calls, contended
-    and buffered ones included."""
+    """Every parity case evaluates its four calls before the last,
+    contended and buffered ones included."""
     evaluated = {(machine, op, nbytes, p): _counters(machine, op, nbytes,
                                                      p)[3]
                  for machine in MACHINES
@@ -156,7 +165,7 @@ def test_parity_cases_take_the_evaluator():
         assert work.episodes_aborted == 0
         # The T3D's barrier is its barrier wire, which no schedule
         # records.
-        expected = 0 if (machine, op) == ("t3d", "barrier") else 3
+        expected = 0 if (machine, op) == ("t3d", "barrier") else 4
         assert work.episodes_evaluated == expected, (machine, op)
     assert evaluated[("paragon", "alltoall", 65536, 8)].transfers_stalled
     assert evaluated[("t3d", "alltoall", 1024, 16)].transfers_stalled
@@ -178,10 +187,10 @@ def test_evaluated_episodes_do_the_engines_work(monkeypatch, machine, op,
     with taped() as counts:
         evaluated = _counters(machine, op, nbytes, p)
     # The tree collectives keep their dependency orders from call to
-    # call: the second fenced call records a tape, the third and fourth
-    # are played from it.  The T3D's barrier wire records nothing.
+    # call: the first call records a tape, the second to fourth are
+    # played from it.  The T3D's barrier wire records nothing.
     if op in ("broadcast", "scatter"):
-        assert counts["hits"] == counts["plays"] == 2
+        assert counts["hits"] == counts["plays"] == 3
     if (machine, op) == ("t3d", "barrier"):
         assert counts["plays"] == 0
     monkeypatch.setattr(EpisodeEvaluator, "register",
@@ -218,7 +227,7 @@ def test_repeat_matches_plain_calls():
     ends, work = _end_times("sp2", 12, repeated)
     plain_ends, plain_work = _end_times("sp2", 12, plain)
     assert ends == plain_ends
-    assert work.episodes_evaluated == 4
+    assert work.episodes_evaluated == 5
     assert plain_work.episodes_evaluated == 0
     assert work.events_fired < plain_work.events_fired
 
@@ -234,7 +243,7 @@ def test_machine_variants_replay_exactly(kwargs):
     full = _counters("paragon", "broadcast", 1024, 12, fast_wire=False,
                      **kwargs)
     assert fast[:3] == full[:3]
-    assert fast[3].episodes_evaluated == 3
+    assert fast[3].episodes_evaluated == 4
 
 
 @pytest.mark.parametrize("args,error", [
@@ -263,13 +272,134 @@ def test_repeat_rejects_a_root_outside_the_communicator():
 
 # -- eligibility -----------------------------------------------------------
 
-def test_first_and_last_calls_stay_on_the_engine():
-    """No fence precedes the first call, and a rank's program may do
-    anything after the last: five iterations evaluate three."""
-    *_, work = _counters("paragon", "scatter", 1024, 32, iterations=5)
-    assert work.episodes_evaluated == 3
-    *_, work = _counters("paragon", "scatter", 1024, 32, iterations=2)
-    assert work.episodes_evaluated == 0
+def test_only_the_last_call_stays_on_the_engine():
+    """The first call, which every rank enters as the world starts, is
+    evaluated too; a rank's program may do anything after the last:
+    five iterations evaluate four, two one, and one none."""
+    for iterations, evaluated in ((5, 4), (2, 1), (1, 0)):
+        *_, work = _counters("paragon", "scatter", 1024, 32,
+                             iterations=iterations)
+        assert work.episodes_evaluated == evaluated
+
+
+def _logged_run(machine, p, program, runs=1, **kwargs):
+    """Every rank's finish times over ``runs`` runs of ``program`` on
+    one world, and every message the world delivered, sorted."""
+    from tests.sim.test_shortcircuit_equivalence import spy_deliveries
+    world = _world(machine, p, **kwargs)
+    deliveries = spy_deliveries(world)
+    finishes = [world.run(program) for _ in range(runs)]
+    return finishes, sorted(deliveries), world.env.work
+
+
+def _finishing(prologue, block=("reduce", 4, 3, 2)):
+    """The timing block after ``prologue(ctx)``, returning the rank's
+    finish time."""
+    def program(ctx):
+        yield from prologue(ctx)
+        yield from ctx.time_block(*block)
+        return ctx.env.now
+
+    return program
+
+
+def _delayed(ctx):
+    if ctx.rank == 1:
+        yield from ctx.delay(3.0)
+
+
+def _point_to_point(ctx):
+    if ctx.rank == 0:
+        yield from ctx.send(1, 64)
+    elif ctx.rank == 1:
+        yield from ctx.recv(0)
+
+
+def _split(ctx):
+    yield from ctx.comm_split(0)
+
+
+def _posted(ctx):
+    # A receive nobody sends to: it schedules nothing.
+    if ctx.rank == 1:
+        ctx.irecv(0)
+    return
+    yield
+
+
+def _pending(ctx):
+    if ctx.rank == 2:
+        ctx.env.timeout(1.0)
+    return
+    yield
+
+
+@pytest.mark.parametrize("prologue,evaluated", [
+    (_delayed, 5), (_point_to_point, 5), (_split, 5), (_posted, 6),
+    (_pending, 5)], ids=["delay", "point-to-point", "split", "post",
+                         "pending-event"])
+def test_a_first_call_not_entered_together_falls_back_exactly(prologue,
+                                                              evaluated):
+    """A rank that delays, sends or receives, or calls another
+    operation before its first collective call, or leaves an event
+    pending: the ranks that entered the call take their entry timeouts
+    with the event ids they would have had, and every finish time and
+    delivery is the full simulation's.  Only the first call of the
+    block is the engine's, unless nothing but a posted receive came
+    first."""
+    fast = _logged_run("sp2", 6, _finishing(prologue))
+    full = _logged_run("sp2", 6, _finishing(prologue), fast_wire=False)
+    assert fast[:2] == full[:2]
+    assert fast[2].episodes_evaluated == evaluated
+
+
+@pytest.mark.parametrize("prologue", [
+    _delayed, _point_to_point, _posted, lambda ctx: iter(())],
+    ids=["delay", "point-to-point", "post", "none"])
+def test_entry_timeouts_keep_their_event_ids(monkeypatch, prologue):
+    """Calls the engine runs: the gates the ranks wait on, flushed after
+    the ranks' first steps or at the last registration, pop with the
+    times, priorities and event ids of the entry timeouts the ranks take
+    without the evaluator."""
+    from tests.sim.test_shortcircuit_equivalence import record_pops
+
+    def program(ctx):
+        yield from prologue(ctx)
+        for _ in range(3):
+            yield from ctx.collective("reduce", 4)
+        return ctx.env.now
+
+    def popped():
+        world = _world("sp2", 6)
+        pops = record_pops(world.env)
+        ends = world.run(program)
+        return ends, [entry[:3] for entry in pops]
+
+    gated = popped()
+    monkeypatch.setattr(EpisodeEvaluator, "register",
+                        lambda *args, **kwargs: None)
+    assert gated == popped()
+
+
+def test_unserialized_first_calls_stay_on_the_engine():
+    """Without the completion fence no call is an episode, the first
+    one included."""
+    spec = replace(get_machine_spec("paragon"), serialize_collectives=False)
+    program = _finishing(lambda ctx: iter(()))
+    fast = _logged_run(spec, 8, program)
+    assert fast[:2] == _logged_run(spec, 8, program, fast_wire=False)[:2]
+    assert fast[2].episodes_evaluated == 0
+
+
+def test_a_second_run_on_a_used_world_starts_on_the_engine():
+    """A world's second run continues its collective sequence: its first
+    call follows the last one of the first run, whose fence no rank
+    waited on, so the engine runs it; the rest of its block folds."""
+    program = _finishing(lambda ctx: iter(()))
+    fast = _logged_run("sp2", 8, program, runs=2)
+    assert fast[:2] == _logged_run("sp2", 8, program, runs=2,
+                                   fast_wire=False)[:2]
+    assert fast[2].episodes_evaluated == 6 + 5
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -308,7 +438,7 @@ def test_pending_engine_work_blocks_evaluation():
 
 def test_a_late_rank_keeps_its_call_on_the_engine():
     """A rank that reaches the fence after it fired resumes on its own:
-    that call is not an episode, the next ones are."""
+    that call is not an episode, the ones before and after it are."""
     def program(ctx):
         yield from ctx.repeat("broadcast", 1024, 2)
         if ctx.rank == 0:
@@ -319,7 +449,7 @@ def test_a_late_rank_keeps_its_call_on_the_engine():
     ends, work = _end_times("paragon", 12, program)
     full_ends, _ = _end_times("paragon", 12, program, fast_wire=False)
     assert ends == full_ends
-    assert work.episodes_evaluated == 2
+    assert work.episodes_evaluated == 3
 
 
 def test_ranks_mixing_repeat_and_plain_calls():
@@ -347,7 +477,7 @@ def test_contended_routes_replay_exactly():
     full = _counters("sp2", "broadcast", 4096, 16, iterations=6,
                      fast_wire=False)
     assert fast[3].episodes_aborted == 0
-    assert fast[3].episodes_evaluated == 4
+    assert fast[3].episodes_evaluated == 5
     assert fast[3].transfers_stalled > 0
     assert fast[:3] == full[:3]
 
@@ -405,10 +535,10 @@ PAPER_OPS = (("barrier", 0), ("broadcast", 4096), ("gather", 4),
 @pytest.mark.parametrize("machine", MACHINES)
 @pytest.mark.parametrize("op,nbytes", PAPER_OPS)
 def test_time_block_matches_the_plain_program(machine, op, nbytes):
-    """Folding the block's fenced calls into evaluator calls changes no
-    local time, hardware counter or work counter, for any warm-up and
-    iteration count.  Broadcast and scatter play every call after the
-    first timed one from a tape, the T3D's barrier wire none."""
+    """Folding the block's calls into evaluator calls changes no local
+    time, hardware counter or work counter, for any warm-up and
+    iteration count.  Broadcast and scatter play every drawn call after
+    the first of its shape from a tape, the T3D's barrier wire none."""
     with taped() as counts:
         for p in (2, 12, 16):
             for warmup in (0, 1, 2):
@@ -449,16 +579,15 @@ def test_time_block_matches_full_simulation(paper_op, nbytes, warmup,
         assert counts["hits"] == 0
 
 
-def test_time_block_folds_every_fenced_call():
-    """After the unfenced first call, the block's calls are evaluated in
-    one fold: the warm-up's last call, the barrier and all five timed
-    calls.  The T3D's barrier wire ends the fold; the timed calls then
-    start a new one."""
+def test_time_block_folds_every_call():
+    """Every call of the block is evaluated in one fold: both warm-up
+    calls, the barrier and all five timed calls.  The T3D's barrier wire
+    ends the fold; the timed calls then start a new one."""
     block = ("broadcast", 4, 5, 2)
     assert _assert_block_matches_reference(
-        "sp2", 16, block).episodes_evaluated == 7
+        "sp2", 16, block).episodes_evaluated == 8
     assert _assert_block_matches_reference(
-        "t3d", 16, block).episodes_evaluated == 6
+        "t3d", 16, block).episodes_evaluated == 7
 
 
 def test_blocks_back_to_back():
@@ -480,7 +609,7 @@ def test_blocks_back_to_back():
     plain = _block_run("paragon", 12, program(_reference_block))
     assert folded[:3] == plain[:3]
     assert _hardware_work(folded[3]) == _hardware_work(plain[3])
-    assert folded[3].episodes_evaluated == 4 + 3
+    assert folded[3].episodes_evaluated == 5 + 3
 
 
 def test_time_block_keeps_ties_in_completion_order():
@@ -493,7 +622,7 @@ def test_time_block_keeps_ties_in_completion_order():
                        ("alltoall", 1024)):
         work = _assert_block_matches_reference(spec, 12,
                                                (op, nbytes, 4, 2))
-        assert work.episodes_evaluated == 6
+        assert work.episodes_evaluated == 7
 
 
 def test_a_composite_breaks_every_fold():
@@ -592,12 +721,14 @@ def test_an_abort_mid_fold_hands_the_call_to_the_engine(monkeypatch):
                                      "barrier": "test_orphans"})
     work = _assert_block_matches_reference(spec, 6, ("reduce", 4, 5, 2))
     assert work.episodes_aborted == 1
-    assert work.episodes_evaluated == 6
+    assert work.episodes_evaluated == 7
 
 
 def test_deadlocked_replay_aborts_and_the_engine_reports_it(monkeypatch):
+    """Rank 1 waits for a message rank 0 never sends: the first call's
+    replay aborts, and the engine runs it into the deadlock."""
     def stuck(ctx, seq, nbytes, root=0):
-        if ctx.rank == 1 and seq > 0:
+        if ctx.rank == 1:
             yield from ctx.coll_recv(seq, 0, 0, op="broadcast")
 
     spec = _with_algorithm(monkeypatch, "test_stuck", stuck)
@@ -647,7 +778,7 @@ def test_a_receive_matched_before_its_wait(monkeypatch):
     full = _world(spec, 2, fast_wire=False)
     assert fast.run_collective("broadcast", 8, iterations=4) == \
         full.run_collective("broadcast", 8, iterations=4)
-    assert fast.env.work.episodes_evaluated == 2
+    assert fast.env.work.episodes_evaluated == 3
 
 
 # -- random programs -----------------------------------------------------------
@@ -729,6 +860,35 @@ def test_random_programs_replay_exactly(program, machine, sigma):
     assert fast[:3] == full[:3]
     work = fast[3]
     assert work.episodes_evaluated + work.episodes_aborted > 0
+
+
+@given(random_algorithms(), st.sampled_from(MACHINES),
+       st.lists(st.sampled_from([0.0, 0.0, 0.5, 40.0]), min_size=6,
+                max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_random_start_delays_fall_back_exactly(program, machine, delays):
+    """Random algorithms whose ranks wait a random time, often none,
+    before the timing block: the first call is evaluated only when no
+    rank waits, and every finish time and delivery is the full
+    simulation's."""
+    size, programs = program
+    spec = get_machine_spec(machine)
+    spec = replace(spec, algorithms={**spec.algorithms,
+                                     "broadcast": "test_random_program"})
+
+    def waited(ctx):
+        if delays[ctx.rank]:
+            yield ctx.env.timeout(delays[ctx.rank])
+
+    registry._ALGORITHMS["test_random_program"] = \
+        _program_algorithm(programs)
+    block = _finishing(waited, ("broadcast", 0, 2, 1))
+    try:
+        fast = _logged_run(spec, size, block)
+        full = _logged_run(spec, size, block, fast_wire=False)
+    finally:
+        del registry._ALGORITHMS["test_random_program"]
+    assert fast[:2] == full[:2]
 
 
 # -- the tape ----------------------------------------------------------------
@@ -881,11 +1041,11 @@ def test_a_resource_held_at_play_time_falls_back_to_the_heap():
     play = EpisodeEvaluator._play
     played = []
 
-    def hold_then_play(self, tape, *args):
-        resource = tape.resources[0]
+    def hold_then_play(self, tape, schedule, *args):
+        resource = schedule.resources[0]
         resource._users.add(object())
         try:
-            played.append(play(self, tape, *args))
+            played.append(play(self, tape, schedule, *args))
         finally:
             resource._users.clear()
         return played[-1]
@@ -897,6 +1057,90 @@ def test_a_resource_held_at_play_time_falls_back_to_the_heap():
         EpisodeEvaluator._play = play
     assert played and played[0] is None
     assert evaluator._refused == set()
+
+
+# -- tapes shared by a cell's runs -----------------------------------------
+
+def test_a_cells_later_runs_play_every_call():
+    """The paper's protocol on a tree collective: the first run records
+    the tapes of the warm-up's first call, of the drawn calls and of the
+    barrier, and plays the 20 timed calls; the four later runs play all
+    23 of their calls from those tapes.  Each play equals its heap
+    replay."""
+    with taped() as counts:
+        measure_collective("sp2", "broadcast", 4, 16, PAPER_CONFIG)
+    assert counts["recorded"] == 3
+    assert counts["carried"] == 4 * 23
+    assert counts["hits"] == counts["plays"] == 20 + 4 * 23
+
+
+def _separate_runs(spec, op, nbytes, p, config):
+    """Each run's time from a world of its own, on the full simulation."""
+    return tuple(
+        max(MpiWorld(spec, p, seed=_run_seed(config, op, nbytes, p, run),
+                     fast_wire=False).run(_timing_program(op, nbytes,
+                                                          config)))
+        for run in range(config.runs))
+
+
+@given(random_algorithms(), st.sampled_from(MACHINES),
+       st.sampled_from([0.0, 0.03, 0.3]))
+@settings(max_examples=25, deadline=None)
+def test_shared_tapes_give_the_run_times_of_separate_worlds(program, machine,
+                                                            sigma):
+    """Random algorithms, machines and jitter: the run times of a cell
+    whose runs hand their tapes on are those of worlds built one per
+    run, and every play equals its heap replay."""
+    size, programs = program
+    spec = replace(_jittered(machine, sigma),
+                   algorithms={**get_machine_spec(machine).algorithms,
+                               "broadcast": "test_random_program"})
+    config = MeasurementConfig(iterations=3, warmup_iterations=2, runs=3)
+    registry._ALGORITHMS["test_random_program"] = \
+        _program_algorithm(programs)
+    try:
+        with taped():
+            sample = measure_collective(spec, "broadcast", 0, size, config)
+        separate = _separate_runs(spec, "broadcast", 0, size, config)
+    finally:
+        del registry._ALGORITHMS["test_random_program"]
+    assert sample.run_times_us == separate
+
+
+def test_a_monkeypatched_algorithm_plays_none_of_the_earlier_tapes(
+        monkeypatch):
+    """Two cells under one algorithm name, monkeypatched in between:
+    the second cell plays its own tapes only, and its run times are the
+    full simulation's."""
+    recorded, played = set(), []
+    play = EpisodeEvaluator._play
+    replay = EpisodeEvaluator._replay
+
+    def keeping(self, *args):
+        replayed = replay(self, *args)
+        if replayed is not None and replayed[1] is not None:
+            recorded.add(replayed[1])
+        return replayed
+
+    def listing(self, tape, *args):
+        played.append(tape)
+        return play(self, tape, *args)
+
+    monkeypatch.setattr(EpisodeEvaluator, "_replay", keeping)
+    monkeypatch.setattr(EpisodeEvaluator, "_play", listing)
+    config = MeasurementConfig(iterations=4, warmup_iterations=2, runs=3)
+    spec = _with_algorithm(monkeypatch, "test_swapped",
+                           get_algorithm("binomial_broadcast"))
+    measure_collective(spec, "broadcast", 4, 8, config)
+    first, recorded = recorded, set()
+    monkeypatch.setitem(registry._ALGORITHMS, "test_swapped",
+                        get_algorithm("scatter_allgather_broadcast"))
+    played.clear()
+    sample = measure_collective(spec, "broadcast", 4, 8, config)
+    assert played and recorded
+    assert not first & set(played)
+    assert sample.run_times_us == _separate_runs(spec, "broadcast", 4, 8,
+                                                 config)
 
 
 # -- recording ---------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.sim import (
     Interrupt,
     SimulationError,
 )
+from repro.sim.engine import URGENT
 
 
 def test_condition_fails_if_member_fails():
@@ -436,6 +437,43 @@ def test_sleep_until_with_a_ticket_ties_where_it_was_reserved():
     eid = env._eid
     env.timeout(1.0)
     assert env._heap[0][2] == eid + 1
+
+
+def test_succeed_at_with_a_ticket_ties_where_it_was_reserved():
+    """An event triggered with a ticket pops before a same-time timeout
+    created after the ticket was taken."""
+    env = Environment()
+    order = []
+    ticket = env.ticket()
+    env.timeout(2.0).callbacks.append(lambda _: order.append("timeout"))
+    gate = env.event()
+    gate.callbacks.append(lambda _: order.append("gate"))
+    gate.succeed_at(2.0, "value", ticket)
+    env.run()
+    assert order == ["gate", "timeout"]
+    assert gate.value == "value"
+
+
+def test_processes_sharing_a_start_event_step_in_one_dispatch():
+    """Processes given one start event take their first steps when it
+    fires, in creation order, before any event their steps schedule."""
+    env = Environment()
+    start = env.event()
+    steps = []
+
+    def body(name):
+        steps.append((name, env.now))
+        yield env.timeout(0.0)
+        steps.append((name, env.now))
+
+    processes = [env.process(body(name), start=start) for name in "abc"]
+    env.run(until=3.0)
+    assert steps == []
+    start.succeed(priority=URGENT)
+    env.run()
+    assert steps == [("a", 3.0), ("b", 3.0), ("c", 3.0),
+                     ("a", 3.0), ("b", 3.0), ("c", 3.0)]
+    assert all(process.ok for process in processes)
 
 
 def test_run_until_already_processed_event_returns_value():

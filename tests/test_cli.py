@@ -180,7 +180,8 @@ def test_profile_work_counters_are_those_of_the_plain_run(capsys):
     world.env.work = meter
     world.run_collective("broadcast", 4096)
     assert block == meter.format_report()
-    assert meter.events_fired == 148
+    # The 16 ranks start from one event.
+    assert meter.events_fired == 133
     assert meter.transfers_shortcircuited == 11
 
 
