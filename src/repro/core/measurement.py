@@ -25,7 +25,7 @@ the first warm-up call to the last timed one, is evaluated off the
 event loop in one fold, with the simulated times and counters the
 plain calls give.  The runs of one point make the same calls, so each
 run hands its episode tapes on to the next: the first run records one
-tape per call shape and entry mode, and the later runs play from them.
+tape per call shape, and the later runs play from them.
 
 :func:`predict_collective` answers the question Table 3 exists for,
 the time of one call at a given point, from the same simulator: one

@@ -48,6 +48,15 @@ def call_setup_us(software, op: str) -> float:
     return software.call_setup_us
 
 
+def entry_cost(machine, node: int, op: str, nbytes: int) -> float:
+    """Draw node ``node``'s entry cost of a call of collective ``op``:
+    the jittered call setup plus the first-touch penalty of a cold
+    working set."""
+    cost = call_setup_us(machine.spec.software, op) * machine.jitter(node)
+    return cost + machine.nodes[node].memory.first_touch_penalty(
+        (op, nbytes), nbytes)
+
+
 class RankContext:
     """One process's view of the communicator."""
 
@@ -171,14 +180,6 @@ class RankContext:
             raise ValueError(f"negative message size {nbytes}")
         return self.comm.algorithm(op, nbytes)
 
-    def _entry_cost(self, op: str, nbytes: int) -> float:
-        """Per-call entry cost: the jittered call setup plus the
-        first-touch penalty of a cold working set."""
-        cost = call_setup_us(self.machine.spec.software, op) * \
-            self.machine.jitter(self.world_rank)
-        return cost + self.node.memory.first_touch_penalty((op, nbytes),
-                                                           nbytes)
-
     def _call(self, shape: tuple, rest: Optional[tuple]
               ) -> Generator[Event, None, tuple]:
         """One collective call of ``shape`` = ``(op, algorithm, root,
@@ -190,8 +191,9 @@ class RankContext:
         serves as the tag namespace for the operation's messages.
         ``rest`` is ``None`` when the rank may do anything after this
         call; otherwise it holds the shapes of the calls the rank makes
-        next, back to back, and nothing else follows them.  When every
-        rank's call comes with the same ``rest``, the communicator's
+        next, back to back, and nothing but a fenced call on this
+        communicator follows them.  When every rank's call comes with
+        the same ``rest``, the communicator's
         :class:`~repro.mpi.episode.EpisodeEvaluator` may evaluate this
         call and a prefix of ``rest`` off the event loop.  Returns this
         rank's finish time of each call made, resuming at the last one:
@@ -203,10 +205,10 @@ class RankContext:
         if seq > 0 and self.machine.spec.serialize_collectives:
             yield comm.fence(seq - 1)
         op, algorithm, root, nbytes = shape
-        cost = self._entry_cost(op, nbytes)
-        gate = comm.episodes.register(self.rank, seq, cost, shape, rest)
+        gate = comm.episodes.register(self.rank, seq, shape, rest)
         if gate is None:
-            yield self.env.timeout(cost)
+            yield self.env.timeout(entry_cost(self.machine, self.world_rank,
+                                              op, nbytes))
         else:
             finishes = yield gate
             if finishes:
@@ -225,6 +227,18 @@ class RankContext:
         shape = (op, self._algorithm(op, nbytes, root), root, nbytes)
         yield from self._call(shape, None)
 
+    def _block(self, calls: tuple) -> Generator[Event, None, list]:
+        """Make ``calls``, each an ``(op, algorithm, root, nbytes)``
+        shape, back to back, with nothing but a fenced call on this
+        communicator after them, which lets the evaluator fold them;
+        return this rank's finish time of each."""
+        finishes: list = []
+        while len(finishes) < len(calls):
+            index = len(finishes)
+            finishes += yield from self._call(calls[index],
+                                              calls[index + 1:])
+        return finishes
+
     def repeat(self, op: str, nbytes: int, count: int,
                root: int = 0) -> Generator[Event, None, None]:
         """Run collective ``op`` ``count`` times back to back: the
@@ -233,13 +247,12 @@ class RankContext:
         Same simulated behaviour as ``count`` calls of
         :meth:`collective`; every iteration but the last is followed by
         the next one's fence on this communicator, which is what lets
-        those iterations be evaluated off the event loop, one by one.
+        those iterations be evaluated off the event loop, in one fold.
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         shape = (op, self._algorithm(op, nbytes, root), root, nbytes)
-        for _ in range(count - 1):
-            yield from self._call(shape, ())
+        yield from self._block((shape,) * (count - 1))
         yield from self._call(shape, None)
 
     def time_block(self, op: str, nbytes: int, iterations: int,
@@ -271,17 +284,10 @@ class RankContext:
             raise ValueError(f"warmup must be >= 0, got {warmup}")
         call = (op, self._algorithm(op, nbytes, root), root, nbytes)
         barrier = ("barrier", self._algorithm("barrier", 0, 0), 0, 0)
-        calls = (call,) * warmup + (barrier,) + (call,) * iterations
+        finishes = yield from self._block(
+            (call,) * warmup + (barrier,) + (call,) * iterations)
         clock = self.node.clock
-        start = 0.0
-        index = 0
-        while index < len(calls):
-            finishes = yield from self._call(calls[index],
-                                             calls[index + 1:])
-            if index <= warmup < index + len(finishes):
-                start = clock.read(at=finishes[warmup - index])
-            index += len(finishes)
-        return (clock.read() - start) / iterations
+        return (clock.read() - clock.read(at=finishes[warmup])) / iterations
 
     def barrier(self) -> Generator[Event, None, None]:
         """``MPI_Barrier``: block until all ranks have entered."""

@@ -17,19 +17,24 @@ or with nothing at all (the last call of :meth:`RankContext.time_block
 with anything else: the :class:`EpisodeEvaluator` then runs it in a
 private event heap instead of the engine's.
 
-A ``repeat`` iteration is evaluated on its own, and its ranks resume
-on the engine at their finish times.  The paper's timing block hands
-the evaluator all of its calls at once: from the first eligible call
-on, the first one included, the evaluator *folds* the block, replaying
-and committing the warm-up calls, the barrier and every timed call one
-after another.  Each next call is released at the previous one's last
-finish time, its ranks enter in the previous one's completion order,
-and their entry costs are drawn at the point of each node's ``sw.<i>``
-stream the engine would draw them at.  The ranks resume once, at their
-finish of the last folded call.  A call that cannot be evaluated (the
-T3D barrier wire, a composite, an abort) ends the fold before it draws
-anything: the ranks resume at their finish of the previous call, the
-engine runs that call, and the next fenced call may start a new fold.
+The paper's timing block hands the evaluator all of its calls at
+once, and ``repeat`` all of its iterations but the last: from the first
+eligible call on, the evaluator *folds* them, replaying and committing
+one call after another (for the block: the warm-up calls, the barrier
+and every timed call).  The first call's ranks enter in the order they
+registered; each next call is released at the previous one's last
+finish time, and its ranks enter in the previous one's completion
+order.  Every rank draws its entry cost in the replay, at the point of
+its node's ``sw.<i>`` stream the engine would draw it at.  The ranks
+resume once, at their finish of the last folded call.  A call that
+cannot be evaluated (the T3D barrier wire, a composite, an abort) ends
+the fold before it draws anything: the ranks resume at their finish of
+the previous call, the engine runs that call, and the next fenced call
+may start a new fold.  When the engine runs a call whose ranks
+registered, each rank draws its entry cost as the evaluator hands the
+call back: since it registered only the other ranks ran, each drawing
+from its own node's stream alone, so the draw is the one it would have
+made as it entered.
 
 Exactness comes from mirroring, not from a closed form.  The private
 heap schedules, one for one and in the same order, the events the
@@ -56,8 +61,8 @@ request protocol when the episode first uses it, or a message or
 receive left unmatched at the end, aborts it with no side effect: the
 ranks take their entry timeouts exactly as they would have, and the
 shape is not tried again on this communicator, nor on the later worlds
-of its measured cell.  A successful replay is
-committed at once: the jitter draws are consumed, every resource's
+of its measured cell.  A successful replay is committed at once: the
+jitter draws are consumed, the working set is warmed, every resource's
 booking horizon is set, and every message, queued transfer and copy is
 accounted, in the engine's order, through the same helpers the
 short-circuit and the fabric's per-hop path use (counters, link
@@ -67,44 +72,43 @@ it, once the next call's replay has succeeded.  Each rank is then
 scheduled to resume at its own finish time of the last evaluated call,
 in completion order.
 
-A call whose shape and entry mode (entry costs given, or drawn in the
-replay) will come again -- a later call of the fold, the next
-``repeat`` iteration, or the same call of a later world of the measured
-cell (:class:`Shelf`) -- is replayed with a *tape* recorded as it runs:
-every time the replay computes becomes an entry, the same
-floating-point expression over earlier entries, the peeked draws, the
-start time and the booking horizons the schedule's resources had
-before the call (``begin = busy if busy > now else now`` stays a max).
-Every value-dependent choice becomes a guard ``a < b`` between two
-computed times, with the outcome the replay found: per resource (a NIC
-engine, a route link), the order of the events that book or request
-it; per node, the order of the events that draw its ``sw.<i>`` jitter;
-per receive channel, whether a message arrived before its receive was
-posted; per posted receive, whether it fired before its wait; per
-contended message, whether the route was busy, each hop request's and
-wakeup's outcome, whether a grant waited and whether the NIC engines
-outlast the release.  Two events in a row on a dependency need no guard
-when one is the other's ancestor, when both were scheduled at one
-computed time by one handler, or when both are steps of the node's own
-rank: a resource only its rank books (its DMA engine and memory bus) has
-none.  Independent events may swap, which a check of the global pop
-order would not allow.  A later call of that shape and mode is *played*
-from the tape instead: the entries are evaluated with the call's
-draws, start and horizons in the recorded pop order, each guard as soon
-as its later operand exists, and the lists the commit reads come out
-in time order, so :meth:`EpisodeEvaluator._commit` stays the one commit
-path.  A failed guard, a resource held through the request protocol,
-or an exact tie between two entries of the outcome's lists that one
-handler did not produce at one time sends the call to the heap, which
-records a new tape; a recording that itself meets a tie keeps none.
-After :data:`_TAPE_MISSES` misses in a row of its own tapes the
-communicator stops taping the shape, and it never tapes a schedule
-sending more than :data:`_TAPED_MESSAGES_PER_RANK` messages per rank,
-whose tapes rarely hold.  A tape names resources and sends by their
-position in the compiled schedule, so the worlds of one measured cell
-hand their tapes on to each other: the later worlds play the calls the
-first one recorded, and a handed-on tape that misses counts as no miss
-of the world that plays it, which records its own.
+A call whose shape will come again -- a later call of the fold, or the
+same call of a later world of the measured cell (:class:`Shelf`) -- is
+replayed with a *tape* recorded as it runs: every time the replay
+computes becomes an entry, the same floating-point expression over
+earlier entries, the peeked draws, the start time and the booking
+horizons the schedule's resources had before the call (``begin = busy
+if busy > now else now`` stays a max).  Every value-dependent choice
+becomes a guard ``a < b`` between two computed times, with the outcome
+the replay found: per resource (a NIC engine, a route link), the order
+of the events that book or request it; per node, the order of the
+events that draw its ``sw.<i>`` jitter; per receive channel, whether a
+message arrived before its receive was posted; per posted receive,
+whether it fired before its wait; per contended message, whether the
+route was busy, each hop request's and wakeup's outcome, whether a
+grant waited and whether the NIC engines outlast the release.  Two
+events in a row on a dependency need no guard when one is the other's
+ancestor, when both were scheduled at one computed time by one handler,
+or when both are steps of the node's own rank: a resource only its rank
+books (its DMA engine and memory bus) has none.  Independent events may
+swap, which a check of the global pop order would not allow.  A later
+call of that shape is *played* from the tape instead: the entries are
+evaluated with the call's draws, start and horizons in the recorded pop
+order, each guard as soon as its later operand exists, and the lists
+the commit reads come out in time order, so
+:meth:`EpisodeEvaluator._commit` stays the one commit path.  A failed
+guard, a resource held through the request protocol, or an exact tie
+between two entries of the outcome's lists that one handler did not
+produce at one time sends the call to the heap, which records a new
+tape; a recording that itself meets a tie keeps none.  Once its own
+tape misses, or its recording meets a tie, the communicator stops
+taping the shape, and it never tapes a schedule sending more than
+:data:`_TAPED_MESSAGES_PER_RANK` messages per rank, whose tapes rarely
+hold.  A tape names resources and sends by their position in the
+compiled schedule, so the worlds of one measured cell hand their tapes
+on to each other: the later worlds play the calls the first one
+recorded, and a handed-on tape that misses counts as no miss of the
+world that plays it, which records its own.
 
 Algorithms are recorded once per ``(algorithm, root, nbytes)`` per
 communicator, or per measured cell when its worlds share a shelf, by
@@ -134,7 +138,7 @@ from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
 from ..node import TransferMode
 from ..sim import Event
 from ..sim.engine import NORMAL, URGENT
-from .context import call_setup_us
+from .context import call_setup_us, entry_cost
 from .transport import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -276,19 +280,16 @@ def record(algorithm: Callable, size: int, seq: int, nbytes: int,
 class _Schedule:
     """A recorded algorithm compiled for one communicator: per rank,
     its operations with every machine constant resolved, how many
-    jitter draws a complete replay makes on its node, without and with
-    the draw of the entry cost, every resource a replay may book or
-    request, every send in rank order, and whether its calls are worth
-    taping."""
+    jitter draws a complete replay makes on its node, the entry cost's
+    included, every resource a replay may book or request, every send
+    in rank order, and whether its calls are worth taping."""
 
-    __slots__ = ("ops", "draws", "entered_draws", "resources", "sends",
-                 "taped")
+    __slots__ = ("ops", "draws", "resources", "sends", "taped")
 
     def __init__(self, ops: List[List[tuple]], draws: List[int],
                  resources: List[object], sends: List["_Send"]):
         self.ops = ops
         self.draws = draws
-        self.entered_draws = [count + 1 for count in draws]
         self.resources = resources
         self.sends = sends
         self.taped = len(sends) <= _TAPED_MESSAGES_PER_RANK * len(ops)
@@ -374,14 +375,6 @@ class _Outcome:
 #: ``v[a] - v[b]`` or ``v[a] + v[b]``.
 _LT, _ADDMUL, _BOOK, _WIRE, _ADD, _MAX, _SUB, _SUM = range(8)
 
-#: Consecutive misses (a failed guard of a tape the communicator
-#: recorded, or a recording with a tie) after which a communicator stops
-#: taping a shape in one entry mode: a shape whose dependency orders
-#: keep changing would pay for a recording and a wasted prefix on every
-#: call.  On the campaign a shape's tape holds for nearly every call or
-#: misses the first time, so one miss decides.
-_TAPE_MISSES = 1
-
 #: The most messages per rank a schedule may send for its calls to be
 #: taped.  Trees send about one; the exchanges (alltoall, allgather and
 #: allreduce phases, recursive-doubling scans) send from log p to p - 1
@@ -398,12 +391,12 @@ class _Recording:
     """The tape a heap replay writes as it runs.
 
     Every value the replay computes gets a slot, in computation order,
-    after the inputs: the start time, one value per rank (its given
-    entry cost, or the first-touch cost its drawn entry cost adds),
-    every rank's peeked draws, and the booking horizon of every
-    resource of the schedule.  Every popped event keeps the slot of its
-    time; every slot, the event that computed it (-1 before the first
-    pop), which is an ancestor of any event scheduled at it.
+    after the inputs: the start time, one value per rank (the
+    first-touch cost its entry cost adds), every rank's peeked draws,
+    and the booking horizon of every resource of the schedule.  Every
+    popped event keeps the slot of its time; every slot, the event that
+    computed it (-1 before the first pop), which is an ancestor of any
+    event scheduled at it.
 
     ``touch`` records an event's access to a dependency: the booking
     horizon and request queue of a resource more than one rank's events
@@ -644,8 +637,7 @@ class Shelf:
         self.recorded: Dict[tuple, List[List[tuple]]] = {}
         #: Shapes never to try again: unrecordable, or aborted once.
         self.refused: Set[tuple] = set()
-        #: (algorithm, root, nbytes, costs drawn) -> the tape of its last
-        #: heap replay.
+        #: (algorithm, root, nbytes) -> the tape of its last heap replay.
         self.tapes: Dict[tuple, _Tape] = {}
 
 
@@ -655,10 +647,10 @@ class EpisodeEvaluator:
     Every rank of a fenced collective call registers here after its
     fence, and of the first call as it enters it (:meth:`register`);
     the last registration decides whether the call is evaluated.  The
-    compiled schedules and the misses live here, per communicator.  The
-    recorded schedules, tapes and refused shapes live on a
-    :class:`Shelf`, this communicator's own unless it shares one with
-    the other worlds of its cell (:meth:`share`).
+    compiled schedules and the shapes no longer taped live here, per
+    communicator.  The recorded schedules, tapes and refused shapes
+    live on a :class:`Shelf`, this communicator's own unless it shares
+    one with the other worlds of its cell (:meth:`share`).
     """
 
     def __init__(self, comm: "Communicator"):
@@ -668,10 +660,10 @@ class EpisodeEvaluator:
         self._opening = False
         #: (algorithm, root, nbytes) -> compiled schedule.
         self._schedules: Dict[tuple, _Schedule] = {}
-        #: (algorithm, root, nbytes, costs drawn) -> how many misses in
-        #: a row its tape has had here.
-        self._misses: Dict[tuple, int] = {}
-        #: The modes whose tape this communicator recorded.
+        #: Shapes this communicator no longer tapes: their own tape
+        #: missed, or their recording met a tie.
+        self._untaped: Set[tuple] = set()
+        #: The shapes whose tape this communicator recorded.
         self._own: Set[tuple] = set()
         self.share(Shelf())
 
@@ -703,21 +695,22 @@ class EpisodeEvaluator:
         pending, self._pending = self._pending, []
         self._enter(pending)
 
-    def register(self, rank: int, seq: int, cost: float, shape: tuple,
+    def register(self, rank: int, seq: int, shape: tuple,
                  rest: Optional[tuple]) -> Optional[Event]:
         """Register ``rank``'s entry into collective ``seq``, an
-        ``(op, algorithm, root, nbytes)`` call whose entry costs
-        ``cost``; ``rest`` is ``None`` when the rank may do anything
-        after the call, else the shapes of the calls it makes next,
-        back to back, with nothing after them.
+        ``(op, algorithm, root, nbytes)`` call; ``rest`` is ``None``
+        when the rank may do anything after the call, else the shapes
+        of the calls it makes next, back to back, with nothing but a
+        fenced call after them.
 
         Returns ``None`` when the call cannot be an episode (the rank
-        then takes its entry timeout itself), or the event the rank
-        waits on instead: fired with ``()`` at the end of its entry
-        cost when the engine is to run the call, or at its finish time
-        of the last call evaluated, with its finish time of each call
-        evaluated from this one on.  Eligibility reads state only,
-        never the tracer, metrics or work meter.
+        then draws its entry cost and takes its entry timeout itself),
+        or the event the rank waits on instead: fired with ``()`` at
+        the end of its entry cost when the engine is to run the call,
+        or at its finish time of the last call evaluated, with its
+        finish time of each call evaluated from this one on.
+        Eligibility reads state only, never the tracer, metrics or work
+        meter.
         """
         comm = self.comm
         machine = comm.machine
@@ -734,32 +727,38 @@ class EpisodeEvaluator:
         gate = env.event()
         # The entry timeout the rank would have taken keeps its event id
         # should the engine run the call.
-        self._pending.append((rank, cost, gate, shape, rest, env.ticket()))
+        self._pending.append((rank, gate, shape, rest, env.ticket()))
         if len(self._pending) == comm.size:
             self._decide(seq)
         return gate
 
     def _enter(self, pending: List[tuple]) -> None:
-        """Leave the call to the engine: each rank's gate fires at the
-        end of its entry cost, as its entry timeout would have."""
-        now = self.comm.machine.env.now
-        for _, cost, gate, _, _, ticket in pending:
-            gate.succeed_at(now + cost, (), ticket)
+        """Leave the call to the engine: each rank draws its entry cost,
+        and its gate fires at the end of it, as its entry timeout would
+        have.  Since the rank registered, only other ranks ran, each
+        drawing from its own node's ``sw.<i>`` stream, so the draw is
+        the one the rank would have made as it entered."""
+        machine = self.comm.machine
+        world_ranks = self.comm.world_ranks
+        now = machine.env.now
+        for rank, gate, (op, _, _, nbytes), _, ticket in pending:
+            gate.succeed_at(now + entry_cost(machine, world_ranks[rank], op,
+                                             nbytes), (), ticket)
 
     def _decide(self, seq: int) -> None:
         pending, self._pending = self._pending, []
         env = self.comm.machine.env
-        shape, rest = pending[0][3:5]
+        shape, rest = pending[0][2:4]
         folded = None
         if env.peek() == float("inf") and rest is not None and \
-                all(entry[3] == shape and entry[4] == rest
+                all(entry[2] == shape and entry[3] == rest
                     for entry in pending):
             folded = self._fold(seq, pending, (shape,) + rest)
         if folded is None:
             self._enter(pending)
             return
         order, finishes = folded
-        gates = {entry[0]: entry[2] for entry in pending}
+        gates = {entry[0]: entry[1] for entry in pending}
         for rank, finish in order:
             gates[rank].succeed_at(finish, tuple(finishes[rank]))
 
@@ -770,28 +769,25 @@ class EpisodeEvaluator:
         call from the state the previous one committed, until one
         cannot be evaluated or the calls run out.
 
-        Each next call is released at the previous one's last finish,
-        its ranks register in the previous one's completion order, and
-        their entry costs are drawn at that point of each node's
-        ``sw.<i>`` stream.  Returns the last evaluated call's
-        completion order and every rank's finish time of each evaluated
-        call, or ``None`` when the engine is to run ``calls[0]``.
+        The first call's ranks enter in registration order, each next
+        call's in the previous one's completion order, released at its
+        last finish; every entry cost is drawn in the replay, at that
+        point of each node's ``sw.<i>`` stream.  Returns the last
+        evaluated call's completion order and every rank's finish time
+        of each evaluated call, or ``None`` when the engine is to run
+        ``calls[0]``.
         """
         comm = self.comm
         order = [entry[0] for entry in pending]
-        costs: Optional[List[float]] = [entry[1] for entry in pending]
         start = comm.machine.env.now
         finishes: List[List[float]] = [[] for _ in range(comm.size)]
         finished = None
         for index, shape in enumerate(calls):
-            # Whether a later call will be in this call's shape and entry
-            # mode: a drawn call's shape comes again in this fold, a fold
-            # of one call (a ``repeat`` iteration) is followed by the
-            # next iteration, or a later world runs the same calls.
-            again = self._later or (shape in calls[index + 1:] if index
-                                    else len(calls) == 1)
-            replayed = self._replay_call(shape, seq + index, order, costs,
-                                         start, again)
+            # Whether a later call will be in this call's shape: later in
+            # this fold, or in a later world running the same calls.
+            again = self._later or shape in calls[index + 1:]
+            replayed = self._replay_call(shape, seq + index, order, start,
+                                         again)
             if replayed is None:
                 break
             if index:
@@ -800,30 +796,27 @@ class EpisodeEvaluator:
                 # next call's entries.
                 comm.completed(seq + index - 1, start)
             outcome, draws = replayed
-            self._commit(outcome, draws, costs is None, seq + index, shape)
+            self._commit(outcome, draws, seq + index, shape)
             finished = outcome.finished
             for rank, finish in finished:
                 finishes[rank].append(finish)
             order = [rank for rank, _ in finished]
-            costs = None
             start = finished[-1][1]
         if finished is None:
             return None
         return finished, finishes
 
     def _replay_call(self, shape: tuple, seq: int, order: List[int],
-                     costs: Optional[List[float]], start: float,
-                     again: bool = False
+                     start: float, again: bool = False
                      ) -> Optional[Tuple[_Outcome, List[int]]]:
         """Replay collective ``seq`` of ``shape``, whose ranks enter in
-        ``order`` at ``start`` plus their entry ``costs`` (``None``:
-        drawn in the replay); return the outcome and the jitter draws it
-        made per rank, or ``None`` to leave the call to the engine.
+        ``order`` at ``start`` plus the entry costs the replay draws;
+        return the outcome and the jitter draws it made per rank, or
+        ``None`` to leave the call to the engine.
 
-        The call is played from the tape of the shape in this entry mode
-        when there is one and it holds.  Otherwise the heap replays it,
-        and records a new tape when a later call will be in this shape
-        and mode (``again``).
+        The call is played from the shape's tape when there is one and
+        it holds.  Otherwise the heap replays it, and records a new tape
+        when a later call will be in this shape (``again``).
         """
         op, algorithm, root, nbytes = shape
         key = (algorithm, root, nbytes)
@@ -840,26 +833,21 @@ class EpisodeEvaluator:
                     return None
                 self._recorded[key] = recorded
             schedule = self._schedules[key] = self._compile(recorded)
-        draws = schedule.draws if costs is not None else \
-            schedule.entered_draws
-        mode = key + (costs is None,)
-        misses = self._misses.get(mode, 0)
-        tape = self._tapes.pop(mode, None)
+        draws = schedule.draws
+        tape = self._tapes.pop(key, None)
         if tape is not None:
-            outcome = self._play(tape, schedule, draws, order, costs,
-                                 start, op, nbytes)
+            outcome = self._play(tape, schedule, start, op, nbytes)
             if outcome is not None:
                 if again:
-                    self._tapes[mode] = tape
-                self._misses[mode] = 0
+                    self._tapes[key] = tape
                 return outcome, draws
-            if mode in self._own:
-                misses += 1
+            if key in self._own:
+                self._untaped.add(key)
             del tape  # not kept while the heap replay records another
-        taping = again and schedule.taped and misses < _TAPE_MISSES
+        taping = again and schedule.taped and key not in self._untaped
         try:
-            replayed = self._replay(schedule, draws, order, costs, start,
-                                    op, nbytes, taping)
+            replayed = self._replay(schedule, order, start, op, nbytes,
+                                    taping)
         except _Abort:
             replayed = None
         if replayed is None:
@@ -870,11 +858,10 @@ class EpisodeEvaluator:
             return None
         outcome, tape = replayed
         if tape is not None:
-            self._tapes[mode] = tape
-            self._own.add(mode)
+            self._tapes[key] = tape
+            self._own.add(key)
         elif taping:
-            misses += 1
-        self._misses[mode] = misses
+            self._untaped.add(key)
         return outcome, draws
 
     # -- compiling a recorded schedule --------------------------------------
@@ -884,10 +871,10 @@ class EpisodeEvaluator:
         each computed by the expression the engine path computes it
         with.
 
-        A replay draws jitter once per send on the sender (its software
-        cost), once per message on the receiver (its delivery latency),
-        once per wait (the receive cost) and once per combine or
-        delay."""
+        A replay draws jitter once per rank for its entry cost, once per
+        send on the sender (its software cost), once per message on the
+        receiver (its delivery latency), once per wait (the receive
+        cost) and once per combine or delay."""
         comm = self.comm
         machine = comm.machine
         spec = machine.spec
@@ -896,7 +883,7 @@ class EpisodeEvaluator:
         nodes = [machine.nodes[node] for node in comm.world_ranks]
         compiled = []
         sends: List[_Send] = []
-        draws = [len(ops) - sum(entry[0] == _POST for entry in ops)
+        draws = [1 + len(ops) - sum(entry[0] == _POST for entry in ops)
                  for ops in recorded]
         for rank, ops in enumerate(recorded):
             src_node = nodes[rank]
@@ -990,35 +977,27 @@ class EpisodeEvaluator:
         return _Schedule(compiled, draws, list(resources), sends)
 
     # -- the private heap ---------------------------------------------------
-    def _inputs(self, draws: List[int], order: List[int],
-                costs: Optional[List[float]], op: str, nbytes: int
+    def _inputs(self, schedule: _Schedule, op: str, nbytes: int
                 ) -> Tuple[List[List[float]], List[float]]:
-        """The values a call is replayed from: each rank's next
-        ``draws`` jitter factors, and each rank's given entry cost or,
-        when ``costs`` is ``None``, the first-touch cost of the call's
-        working set that its drawn entry cost adds."""
+        """The values a call of ``schedule`` is replayed from: each
+        rank's next jitter factors, as many as the schedule draws, and
+        the first-touch cost of the call's working set that each rank's
+        entry cost adds."""
         machine = self.comm.machine
         world_ranks = self.comm.world_ranks
-        peeked = [machine.peek_jitter(world_ranks[rank], count)
-                  for rank, count in enumerate(draws)]
-        if costs is None:
-            nodes = machine.nodes
-            working_set = (op, nbytes)
-            return peeked, [nodes[node].memory.first_touch_cost(
-                working_set, nbytes) for node in world_ranks]
-        per_rank = [0.0] * len(draws)
-        for rank, cost in zip(order, costs):
-            per_rank[rank] = cost
-        return peeked, per_rank
+        nodes = machine.nodes
+        working_set = (op, nbytes)
+        return ([machine.peek_jitter(world_ranks[rank], count)
+                 for rank, count in enumerate(schedule.draws)],
+                [nodes[node].memory.first_touch_cost(working_set, nbytes)
+                 for node in world_ranks])
 
-    def _replay(self, compiled: _Schedule, draws: List[int],
-                order: List[int], costs: Optional[List[float]],
-                start: float, op: str, nbytes: int, taping: bool = False
+    def _replay(self, compiled: _Schedule, order: List[int], start: float,
+                op: str, nbytes: int, taping: bool = False
                 ) -> Optional[Tuple[_Outcome, Optional[_Tape]]]:
         """Run the episode in a private heap mirroring the engine's:
         the ranks enter in ``order``, each at ``start`` plus its entry
-        cost, given in ``costs`` or, when ``None``, drawn here as the
-        rank's first of its ``draws`` jitter factors, plus the
+        cost, drawn here as the rank's first jitter factor, plus the
         first-touch penalty of the call's working set.  With ``taping``,
         also record the replay's tape (``None`` when it holds a tie).
 
@@ -1032,7 +1011,7 @@ class EpisodeEvaluator:
         nodes = [machine.nodes[node] for node in comm.world_ranks]
         schedule = compiled.ops
         size = len(schedule)
-        peeked, per_rank = self._inputs(draws, order, costs, op, nbytes)
+        peeked, per_rank = self._inputs(compiled, op, nbytes)
         # Each rank's jitter factors, in the order its node draws them.
         draw = [iter(values).__next__ for values in peeked]
         rec: Optional[_Recording] = None
@@ -1043,10 +1022,8 @@ class EpisodeEvaluator:
                 base.append(len(vals))
                 vals += values
             rec = _Recording(vals, base, compiled.resources)
-        drawn = costs is None
-        if drawn:
-            setup = call_setup_us(software, op)
-            costs = [setup * draw[rank]() + per_rank[rank] for rank in order]
+        setup = call_setup_us(software, op)
+        costs = [setup * draw[rank]() + per_rank[rank] for rank in order]
 
         heap: List[tuple] = []
         tick = itertools.count().__next__
@@ -1328,10 +1305,8 @@ class EpisodeEvaluator:
         for rank, cost in zip(order, costs):
             slot = None
             if rec is not None:
-                cost_s = 1 + rank
-                if drawn:
-                    cost_s = rec.entry(cost, _ADDMUL, cost_s, setup,
-                                       rec.draw(rank))
+                cost_s = rec.entry(cost, _ADDMUL, 1 + rank, setup,
+                                   rec.draw(rank))
                 slot = rec.entry(start + cost, _SUM, 0, cost_s)
             heappush(heap, (start + cost, NORMAL, tick(), _RESUME, rank,
                             slot))
@@ -1478,15 +1453,14 @@ class EpisodeEvaluator:
         return outcome, None if rec is None else rec.tape()
 
     # -- the tape -----------------------------------------------------------
-    def _play(self, tape: _Tape, schedule: _Schedule, draws: List[int],
-              order: List[int], costs: Optional[List[float]], start: float,
-              op: str, nbytes: int) -> Optional[_Outcome]:
+    def _play(self, tape: _Tape, schedule: _Schedule, start: float, op: str,
+              nbytes: int) -> Optional[_Outcome]:
         """Evaluate ``tape`` on ``schedule`` for a call the heap would
         replay from these arguments: the outcome :meth:`_replay` would
         return, or ``None`` as soon as a guard fails, a resource is held
         through the protocol at its first use, or two entries of the
         outcome's lists tie."""
-        peeked, per_rank = self._inputs(draws, order, costs, op, nbytes)
+        peeked, per_rank = self._inputs(schedule, op, nbytes)
         v = [start, *per_rank]
         for values in peeked:
             v += values
@@ -1573,12 +1547,12 @@ class EpisodeEvaluator:
         return outcome
 
     # -- commit ---------------------------------------------------------------
-    def _commit(self, outcome: _Outcome, draws: List[int], entered: bool,
-                seq: int, shape: tuple) -> None:
+    def _commit(self, outcome: _Outcome, draws: List[int], seq: int,
+                shape: tuple) -> None:
         """Make the replayed episode the machine's state: consume the
-        jitter draws, warm the call's working set when the replay drew
-        the ``entered`` costs itself, set every booking horizon, and
-        account every message and copy as the engine would have.
+        jitter draws, warm the call's working set, set every booking
+        horizon, and account every message and copy as the engine would
+        have.
 
         The log is walked in the engine's order, so each link's
         statistics add up in the order its occupancies and waits
@@ -1595,11 +1569,10 @@ class EpisodeEvaluator:
         op, _, _, nbytes = shape
         for rank, count in enumerate(draws):
             machine.skip_jitter(world_ranks[rank], count)
-        if entered:
-            working_set = (op, nbytes)
-            for node in world_ranks:
-                machine.nodes[node].memory.first_touch_penalty(working_set,
-                                                               nbytes)
+        working_set = (op, nbytes)
+        for node in world_ranks:
+            machine.nodes[node].memory.first_touch_penalty(working_set,
+                                                           nbytes)
         for resource, busy in outcome.horizons.items():
             resource._busy_until = busy
         obs = comm.obs

@@ -71,20 +71,6 @@ class Topology(ABC):
         """
         raise NotImplementedError
 
-    def route_avoiding(self, src: int, dst: int,
-                       dead: AbstractSet[LinkId]
-                       ) -> Optional[List[LinkId]]:
-        """A route from ``src`` to ``dst`` using no link in ``dead``.
-
-        Returns the primary dimension-order route when it is clean, a
-        deterministic detour otherwise, or ``None`` when ``dead``
-        disconnects the pair.
-        """
-        route = self.route(src, dst)
-        if not any(link in dead for link in route):
-            return route
-        return self.reroute(src, dst, dead)
-
     def reroute(self, src: int, dst: int,
                 dead: AbstractSet[LinkId]) -> Optional[List[LinkId]]:
         """Shortest detour around ``dead``, or ``None`` if disconnected.

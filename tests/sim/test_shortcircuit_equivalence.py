@@ -37,8 +37,6 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -54,37 +52,17 @@ from repro.faults import (
     fault_preset,
 )
 from repro.faults.injector import MESSAGE_STREAM
-from repro.machines import get_machine_spec
 from repro.mpi import MpiWorld
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf import WorkMeter
 from repro.sim import Environment, Resource, Tracer
-from tests.mpi.test_episode import taped
+from tests.episode_harness import (STILL_TIE_CASES, record_pops,
+                                   spy_deliveries, still, taped)
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 #: 1e-12 seconds in this repo's microsecond time unit.
 TIME_TOLERANCE_US = 1e-6
-
-
-def record_pops(env):
-    """Log every entry ``env`` pops from its event queue.
-
-    The log is the complete observable behaviour of the queue: two runs
-    that pop the same ``(time, priority, eid, type)`` sequence cannot be
-    told apart by the simulation.
-    """
-    log = []
-    pop = env._pop
-
-    def logged_pop():
-        entry = pop()
-        log.append((entry[0], entry[1], entry[2],
-                    type(entry[3]).__name__))
-        return entry
-
-    env._pop = logged_pop
-    return log
 
 
 def run_logged(program_factory):
@@ -234,15 +212,6 @@ def test_random_timeout_batches_pop_in_time_order(delays):
 ITERATIONS = 4
 
 
-def _still(machine, **algorithms):
-    """``machine``'s spec without software jitter, running the given
-    ``op=algorithm`` overrides: at sigma 0 equal times are everywhere,
-    so only a mirrored event order survives."""
-    spec = get_machine_spec(machine)
-    return replace(spec, software=replace(spec.software, jitter_sigma=0.0),
-                   algorithms={**dict(spec.algorithms), **algorithms})
-
-
 MPI_CASES = [
     ("sp2", "broadcast", 4096, 16),
     ("t3d", "allreduce", 2048, 32),
@@ -257,8 +226,8 @@ MPI_CASES = [
     ("paragon", "broadcast", 1024, 12),
     ("sp2", "barrier", 0, 12),
     ("paragon", "scatter", 1024, 32),
-    (_still("t3d"), "scatter", 64, 16),
-    (_still("sp2"), "reduce", 4, 16),
+    (still("t3d"), "scatter", 64, 16),
+    (still("sp2"), "reduce", 4, 16),
     # Buffered sends, and transfers queued behind busy links.
     ("sp2", "alltoall", 65536, 8),
     ("t3d", "alltoall", 65536, 8),
@@ -266,27 +235,7 @@ MPI_CASES = [
     ("t3d", "reduce", 4, 64),
     ("sp2", "scan", 4, 16),
     ("paragon", "scan", 4, 16),
-    (_still("paragon"), "alltoall", 1024, 16),
-]
-
-#: Without jitter, messages sent at one instant tie everywhere.  Each
-#: case below once delivered in another order on the short-circuits:
-#: a contended wire's wait for its NIC engines was ordered among
-#: same-time events by when its fabric leg finished, where the full
-#: pipeline orders it by when the engine legs started.
-STILL_TIE_CASES = [
-    *[(_still("sp2", allgather="ring_allgather"), "allgather", nbytes, p)
-      for nbytes in (4, 65536) for p in (6, 20)],
-    *[(_still("sp2", reduce_scatter="ring_reduce_scatter"),
-       "reduce_scatter", nbytes, p)
-      for nbytes in (4, 65536) for p in (6, 20)],
-    *[(_still("sp2", broadcast="scatter_allgather_broadcast"), "broadcast",
-       65536, p) for p in (6, 12)],
-    (_still("sp2", alltoall="pairwise_exchange_alltoall"), "alltoall",
-     65536, 20),
-    (_still("sp2", reduce="binary_tree_reduce"), "reduce", 4, 20),
-    *[(_still("t3d"), "allreduce", nbytes, p)
-      for nbytes in (4, 65536) for p in (12, 20)],
+    (still("paragon"), "alltoall", 1024, 16),
 ]
 
 #: The cases whose fenced iterations are evaluated off the engine: all
@@ -363,22 +312,6 @@ def assert_metrics_match(left, right):
                 assert math.isclose(snapshot.pop(field), other.pop(field),
                                     rel_tol=1e-9), (name, field)
         assert snapshot == other, name
-
-
-def spy_deliveries(world):
-    """The list every message ``world`` delivers is appended to, as a
-    ``(src, dst, nbytes, sent_at, delivered_at)`` tuple."""
-    transport = world.comm.transport
-    record_delivery = transport.record_delivery
-    deliveries = []
-
-    def spy(envelope, unexpected):
-        deliveries.append((envelope.src, envelope.dst, envelope.nbytes,
-                           envelope.sent_at, envelope.delivered_at))
-        record_delivery(envelope, unexpected)
-
-    transport.record_delivery = spy
-    return deliveries
 
 
 def run_collective(machine, op, nbytes, p, fast_wire=True, observed=False,
