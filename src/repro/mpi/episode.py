@@ -61,12 +61,16 @@ request protocol when the episode first uses it, or a message or
 receive left unmatched at the end, aborts it with no side effect: the
 ranks take their entry timeouts exactly as they would have, and the
 shape is not tried again on this communicator, nor on the later worlds
-of its measured cell.  A successful replay is committed at once: the
-jitter draws are consumed, the working set is warmed, every resource's
-booking horizon is set, and every message, queued transfer and copy is
-accounted, in the engine's order, through the same helpers the
-short-circuit and the fabric's per-hop path use (counters, link
-statistics, metrics, spans).  In a fold, a call is closed at its last
+of its measured cell.  A successful replay is committed at once, in two
+walks of its log in the engine's order.  The state pass always runs:
+the jitter draws are consumed, the working set is warmed, every
+resource's booking horizon is set, and every message, queued transfer
+and copy is accounted in the NIC, link, DMA, memory and transport
+counters, through the same state helpers the short-circuit and the
+fabric's per-hop path use.  The observation pass runs only while a
+work meter, metrics registry or tracer is attached: it emits, through
+their observation helpers, the work counters, metrics, spans and marks
+the engine would have.  In a fold, a call is closed at its last
 finish time, as the last rank's completion report would have closed
 it, once the next call's replay has succeeded.  Each rank is then
 scheduled to resume at its own finish time of the last evaluated call,
@@ -1551,30 +1555,70 @@ class EpisodeEvaluator:
                 shape: tuple) -> None:
         """Make the replayed episode the machine's state: consume the
         jitter draws, warm the call's working set, set every booking
-        horizon, and account every message and copy as the engine would
-        have.
+        horizon, and account every message and copy in the hardware
+        and transport counters as the engine would have.  Only when an
+        observer is attached does :meth:`_observe` follow.
 
-        The log is walked in the engine's order, so each link's
-        statistics add up in the order its occupancies and waits
-        happened.  A message accounts its send, engine bookings and
-        delivery when it enters the wire; a queued transfer also counts
-        what ``fabric.transfer`` and the link resources count inline,
-        and its acquisition and release go through the fabric's per-hop
-        helpers at the times they happened."""
+        The log is walked in the engine's order, so each link's float
+        sums add up in the order its occupancies and waits happened: a
+        booked route's statistics when its message enters the wire, a
+        queued one's waits when it gets its last link and its
+        statistics when it releases them."""
         comm = self.comm
         machine = comm.machine
-        transport = comm.transport
-        fabric = machine.fabric
         world_ranks = comm.world_ranks
         op, _, _, nbytes = shape
         for rank, count in enumerate(draws):
             machine.skip_jitter(world_ranks[rank], count)
         working_set = (op, nbytes)
+        nodes = machine.nodes
         for node in world_ranks:
-            machine.nodes[node].memory.first_touch_penalty(working_set,
-                                                           nbytes)
+            nodes[node].memory.first_touch_penalty(working_set, nbytes)
         for resource, busy in outcome.horizons.items():
             resource._busy_until = busy
+        record_route = machine.fabric.record_route
+        delivered = unexpected = 0
+        for act, message in outcome.log:
+            send = message.send
+            if act == _WIRED:
+                delivered += 1
+                unexpected += message.unexpected
+                send.src_nic.record_transmit()
+                send.dst_nic.record_receive()
+                if send.dma is not None:
+                    send.dma.record_stream(send.nbytes)
+                if message.queued_at is None:
+                    record_route(send.route, send.nbytes, send.hold)
+            elif act == _ACQUIRED:
+                route = send.route
+                for hop, wait in message.waits:
+                    route[hop].record_wait(wait)
+            else:
+                record_route(send.route, send.nbytes, send.hold)
+        transport = comm.transport
+        transport.messages_delivered += delivered
+        transport.unexpected_arrivals += unexpected
+        for rank, size, _ in outcome.copies:
+            nodes[world_ranks[rank]].memory.record_copy(size)
+        env = machine.env
+        if env.work is not None or env.metrics is not None or \
+                env.tracer is not None:
+            self._observe(outcome, seq, op, nbytes)
+
+    def _observe(self, outcome: _Outcome, seq: int, op: str,
+                 nbytes: int) -> None:
+        """Emit what the engine's helpers would have observed of the
+        committed episode: rank entries and phase spans, every message
+        with its envelope, engine and route occupancies, every queued
+        transfer's acquisition and release at the times they happened,
+        and every copy, each through the helper the short-circuit and
+        the fabric's per-hop path observe it with (work counters,
+        metrics, spans and marks)."""
+        comm = self.comm
+        machine = comm.machine
+        transport = comm.transport
+        fabric = machine.fabric
+        world_ranks = comm.world_ranks
         obs = comm.obs
         env = machine.env
         work = env.work
@@ -1585,41 +1629,34 @@ class EpisodeEvaluator:
             for called_at, phase in outcome.phases:
                 phase_spans[phase] = obs.phase(seq, phase, called_at)
         tag = ("c", comm.comm_id, seq)
-        delivered = 0
         for act, message in outcome.log:
             send = message.send
             size = send.nbytes
             src = world_ranks[message.src]
             dst = world_ranks[send.dst]
-            if act != _WIRED:
-                if act == _ACQUIRED:
-                    route = send.route
-                    for hop, wait in message.waits:
-                        route[hop].record_wait(wait)
-                    at = message.granted_at
-                    message.link_spans = fabric.hop_acquired(
-                        route, size, at - message.queued_at, src, dst,
-                        message.span, at)
-                else:
-                    fabric.hop_released(send.route, size, send.hold,
-                                        message.link_spans,
-                                        message.released_at)
+            if act == _ACQUIRED:
+                at = message.granted_at
+                message.link_spans = fabric.hop_acquired(
+                    send.route, size, at - message.queued_at, src, dst,
+                    message.span, at)
                 continue
-            delivered += 1
+            if act == _RELEASED:
+                fabric.hop_released(message.link_spans, message.released_at)
+                continue
             parent = phase_spans.get(send.phase)
             span = message.span = transport.record_send(
                 src, dst, size, send.op, parent, message.issued)
             if send.dma is not None:
-                send.dma.record_booked(size,
-                                       message.dma_start - message.dma_asked)
+                send.dma.observe_booked(size,
+                                        message.dma_start - message.dma_asked)
             sent_at = message.sent_at
-            send.src_nic.commit_transmit(size, send.fast,
-                                         message.tx_start, sent_at)
-            send.dst_nic.commit_receive(size, send.fast_rx,
-                                        message.rx_start, sent_at)
+            send.src_nic.observe_transmit(size, send.fast, message.tx_start,
+                                          sent_at)
+            send.dst_nic.observe_receive(size, send.fast_rx,
+                                         message.rx_start, sent_at)
             if message.queued_at is None:
-                fabric.commit_route(send.route, size, send.hold, src,
-                                    dst, span, sent_at)
+                fabric.observe_route(send.route, size, send.hold, src, dst,
+                                     span, sent_at)
             elif work is not None:
                 hops = len(send.links)
                 work.transfers_booked += 1
@@ -1632,9 +1669,8 @@ class EpisodeEvaluator:
                          delivered_at=message.delivered_at, span=span,
                          phase_span=parent),
                 message.unexpected)
-        transport.messages_delivered += delivered
         nodes = machine.nodes
         for rank, size, wait in outcome.copies:
-            nodes[world_ranks[rank]].memory.record_booked(size, wait)
+            nodes[world_ranks[rank]].memory.observe_booked(size, wait)
         if work is not None:
             work.episodes_evaluated += 1

@@ -218,8 +218,10 @@ class Transport:
         if rx is None:
             tx[1].undo_occupy(tx[2])
             return False
-        src_node.nic.commit_transmit(nbytes, fast, tx[3])
-        dst_node.nic.commit_receive(nbytes, fast_rx, rx[3])
+        src_node.nic.record_transmit()
+        src_node.nic.observe_transmit(nbytes, fast, tx[3])
+        dst_node.nic.record_receive()
+        dst_node.nic.observe_receive(nbytes, fast_rx, rx[3])
         routed = machine.fabric.try_book_route(src, dst, nbytes)
         if routed is None:
             # Route contended: the engine bookings stand (the full
@@ -229,8 +231,9 @@ class Transport:
             env.process(self._wire_contended(envelope, tx[0], rx[0]))
             return True
         hold, links = routed
-        machine.fabric.commit_route(links, nbytes, hold, src, dst,
-                                    envelope.span)
+        machine.fabric.record_route(links, nbytes, hold)
+        machine.fabric.observe_route(links, nbytes, hold, src, dst,
+                                     envelope.span)
         now = env._now
         wire_end = tx[0]
         if now + hold > wire_end:
@@ -317,8 +320,10 @@ class Transport:
             rx[1].undo_occupy(rx[2])
             tx[1].undo_occupy(tx[2])
             return False
-        src_nic.commit_transmit(nbytes, fast, tx[3])
-        dst_node.nic.commit_receive(nbytes, fast_rx, rx[3])
+        src_nic.record_transmit()
+        src_nic.observe_transmit(nbytes, fast, tx[3])
+        dst_node.nic.record_receive()
+        dst_node.nic.observe_receive(nbytes, fast_rx, rx[3])
         later = tx if tx[3] > now else rx if rx[3] > now else None
         legs = [(booking[0], (booking[1],)) for booking in (tx, rx)
                 if booking is not later]
@@ -326,8 +331,9 @@ class Transport:
         ended._ok = True
         if routed is not None:
             hold, links = routed
-            machine.fabric.commit_route(links, nbytes, hold, src, dst,
-                                        envelope.span)
+            machine.fabric.record_route(links, nbytes, hold)
+            machine.fabric.observe_route(links, nbytes, hold, src, dst,
+                                         envelope.span)
             # The order the full path schedules its leg ends in: a
             # route without links is held from the carry leg's start, a
             # one-hop route is granted in the same round as the
@@ -623,15 +629,20 @@ class Transport:
                 self.record_delivery(envelope, False)
                 return
         self._unexpected[envelope.dst].append(envelope)
+        self.unexpected_arrivals += 1
         self.record_delivery(envelope, True)
 
     def record_delivery(self, envelope: Envelope, unexpected: bool) -> None:
-        """Account one message handed to matching at
+        """Observe one message handed to matching at
         ``envelope.delivered_at``: close its span, stretch its phase,
-        count it, and mark it when no receive was posted for it.
+        count it, and mark it when no receive was posted for it.  The
+        transport's own counts are kept by matching.
 
         Every delivered message passes through here exactly once,
-        whichever path carried it.
+        whichever path carried it; an evaluated episode's messages only
+        while an observer is attached (see
+        :meth:`EpisodeEvaluator._commit
+        <repro.mpi.episode.EpisodeEvaluator._commit>`).
         """
         now = envelope.delivered_at
         env = self.env
@@ -651,7 +662,6 @@ class Transport:
             metrics.histogram("mpi.delivery_latency_us").observe(
                 now - envelope.sent_at)
         if unexpected:
-            self.unexpected_arrivals += 1
             if metrics is not None:
                 metrics.counter("mpi.unexpected_arrivals").inc()
             if tracer is not None:

@@ -135,8 +135,8 @@ class NetworkFabric:
         path (which is where contention waits and stall counters live).
         Returns ``(hold, links)``, the links booked (none on a fabric
         without contention); the caller must finish with
-        :meth:`commit_route`.  No counters, link statistics or spans are
-        touched until commit.
+        :meth:`record_route` and :meth:`observe_route`.  No counters,
+        link statistics or spans are touched until then.
         """
         route = self.route_links(src, dst)
         if not route:
@@ -188,13 +188,19 @@ class NetworkFabric:
             link.resource.try_occupy(hold)
         return True
 
-    def commit_route(self, links: List[Link], nbytes: int, hold: float,
-                     src: int, dst: int, parent_span: Optional[Span],
-                     at: Optional[float] = None) -> None:
-        """Commit the ``links`` booked at time ``at`` (default: now):
-        link statistics, work counters, metrics and link spans."""
+    @staticmethod
+    def record_route(links: List[Link], nbytes: int, hold: float) -> None:
+        """Account one transfer that held ``links`` for ``hold`` in
+        their statistics, on every path that carries one."""
         for link in links:
             link.record(nbytes, busy_us=hold)
+
+    def observe_route(self, links: List[Link], nbytes: int, hold: float,
+                      src: int, dst: int, parent_span: Optional[Span],
+                      at: Optional[float] = None) -> None:
+        """Observe the ``links`` booked at time ``at`` (default: now):
+        work counters, metrics and link spans.  Its state is
+        :meth:`record_route`."""
         self._held(links, nbytes, hold, src, dst, parent_span,
                    self.env._now if at is None else at)
         work = self.env.work
@@ -246,11 +252,13 @@ class NetworkFabric:
     def hop_acquired(self, links: List[Link], nbytes: int, wait: float,
                      src: int, dst: int, parent_span: Optional[Span],
                      now: float) -> List[Span]:
-        """Account a route acquired hop by hop, its last link granted at
+        """Observe a route acquired hop by hop, its last link granted at
         ``now`` after the transfer queued ``wait``: the acquisition and
         stall counters, the transfer metrics and contention mark, and
         one open ``link`` span per link (returned; empty when tracing
-        is off).  Finish with :meth:`hop_released`."""
+        is off).  Its state is each hop's :meth:`Link.record_wait
+        <repro.network.link.Link.record_wait>`; finish with
+        :meth:`record_route` and :meth:`hop_released`."""
         env = self.env
         work = env.work
         if work is not None:
@@ -266,13 +274,10 @@ class NetworkFabric:
                              nbytes=nbytes)
                 for link in links]
 
-    def hop_released(self, links: List[Link], nbytes: int, hold: float,
-                     spans: List[Span], now: float) -> None:
-        """Account a route released at ``now`` after its hold: link
-        statistics, the completion, and the link ``spans`` still open
-        (those :meth:`hop_acquired` opened; none for a booked route)."""
-        for link in links:
-            link.record(nbytes, busy_us=hold)
+    def hop_released(self, spans: List[Span], now: float) -> None:
+        """Observe a route released at ``now``: the completion, and the
+        link ``spans`` still open (those :meth:`hop_acquired` opened;
+        none for a booked route).  Its state is :meth:`record_route`."""
         for span in spans:
             self.env.tracer.end(span, now)
         work = self.env.work
@@ -369,7 +374,8 @@ class NetworkFabric:
                 self._held(links, nbytes, hold, src, dst, parent_span,
                            self.env._now)
                 yield self.env.sleep(hold)
-                self.hop_released(links, nbytes, hold, [], self.env._now)
+                self.record_route(links, nbytes, hold)
+                self.hop_released([], self.env._now)
                 return
         requests: List[Event] = []
         occupancy: List[Span] = []
@@ -393,7 +399,8 @@ class NetworkFabric:
             for span in occupancy:
                 self.env.tracer.end(span, self.env.now)
             raise
-        self.hop_released(links, nbytes, hold, occupancy, self.env.now)
+        self.record_route(links, nbytes, hold)
+        self.hop_released(occupancy, self.env.now)
         for link, request in zip(links, requests):
             link.resource.release(request)
 

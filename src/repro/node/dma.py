@@ -80,7 +80,8 @@ class DmaEngine:
         # completion event instead of request/grant/release churn.
         booking = self.engine.try_occupy(duration)
         if booking is not None:
-            self.record_booked(nbytes, booking[0] - env._now)
+            self.record_stream(nbytes)
+            self.observe_booked(nbytes, booking[0] - env._now)
             yield env.sleep_until(booking[0] + duration)
             return
         metrics = env.metrics
@@ -93,17 +94,22 @@ class DmaEngine:
         if metrics is not None and env._now > requested:
             metrics.histogram("dma.wait_us").observe(env._now - requested)
         yield env.sleep(duration)
-        self.bytes_streamed += nbytes
+        self.record_stream(nbytes)
         self.engine.release(request)
 
     def duration_us(self, nbytes: int) -> float:
         """Engine busy time for one ``nbytes`` stream."""
         return self.params.setup_us + nbytes * self.params.us_per_byte
 
-    def record_booked(self, nbytes: int, wait: float) -> None:
-        """Account one stream that timestamp-booked the engine after
-        waiting ``wait`` for it (committed when the booking is made)."""
+    def record_stream(self, nbytes: int) -> None:
+        """Account one ``nbytes`` stream in the engine's byte count, on
+        every path that streams one."""
         self.bytes_streamed += nbytes
+
+    def observe_booked(self, nbytes: int, wait: float) -> None:
+        """Observe one stream that timestamp-booked the engine after
+        waiting ``wait`` for it: the occupancy work counter and the
+        stream metrics.  Its state is :meth:`record_stream`."""
         work = self.env.work
         if work is not None:
             work.resource_occupancies += 1

@@ -48,7 +48,8 @@ class MemorySystem:
         # to its end instead of request/grant/release.
         booking = self.bus.try_occupy(duration)
         if booking is not None:
-            self.record_booked(nbytes, booking[0] - env._now)
+            self.record_copy(nbytes)
+            self.observe_booked(nbytes, booking[0] - env._now)
             yield env.sleep_until(booking[0] + duration)
             return
         metrics = env.metrics
@@ -62,13 +63,18 @@ class MemorySystem:
             metrics.histogram("mem.bus.wait_us").observe(
                 env._now - requested)
         yield env.sleep(duration)
-        self.bytes_copied += nbytes
+        self.record_copy(nbytes)
         self.bus.release(request)
 
-    def record_booked(self, nbytes: int, wait: float) -> None:
-        """Account one copy that timestamp-booked the bus after waiting
-        ``wait`` for it (committed when the booking is made)."""
+    def record_copy(self, nbytes: int) -> None:
+        """Account one ``nbytes`` copy in the bus's byte count, on every
+        path that copies."""
         self.bytes_copied += nbytes
+
+    def observe_booked(self, nbytes: int, wait: float) -> None:
+        """Observe one copy that timestamp-booked the bus after waiting
+        ``wait`` for it: the occupancy work counter and the copy
+        metrics.  Its state is :meth:`record_copy`."""
         work = self.env.work
         if work is not None:
             work.resource_occupancies += 1

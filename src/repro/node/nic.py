@@ -86,7 +86,7 @@ class Nic:
         would have been granted, so the end time is unchanged from full
         simulation.  Under a fault injector, a booking whose start falls
         in a NIC stall window is refused too.  Commit with
-        :meth:`commit_transmit`.
+        :meth:`record_transmit` and :meth:`observe_transmit`.
         """
         return self._try_book(self.tx_engine, nbytes, fast)
 
@@ -118,21 +118,29 @@ class Nic:
             return None
         return start + duration, engine, previous, start
 
-    def commit_transmit(self, nbytes: int, fast: bool, start: float,
-                        at: Optional[float] = None) -> None:
-        """Account one fast-booked transmit starting at ``start``,
-        booked at time ``at`` (default: now)."""
+    def record_transmit(self) -> None:
+        """Account one transmit in the adapter's message count, on
+        every path that carries one."""
         self.messages_sent += 1
-        self._commit("nic.tx", nbytes, fast, start, at)
 
-    def commit_receive(self, nbytes: int, fast: bool, start: float,
-                       at: Optional[float] = None) -> None:
-        """Account one fast-booked receive (see :meth:`commit_transmit`)."""
+    def record_receive(self) -> None:
+        """Account one receive (see :meth:`record_transmit`)."""
         self.messages_received += 1
-        self._commit("nic.rx", nbytes, fast, start, at)
 
-    def _commit(self, label: str, nbytes: int, fast: bool, start: float,
-                at: Optional[float]) -> None:
+    def observe_transmit(self, nbytes: int, fast: bool, start: float,
+                         at: Optional[float] = None) -> None:
+        """Observe one fast-booked transmit starting at ``start``,
+        booked at time ``at`` (default: now): the occupancy work counter
+        and the engine metrics.  Its state is :meth:`record_transmit`."""
+        self._observe("nic.tx", nbytes, fast, start, at)
+
+    def observe_receive(self, nbytes: int, fast: bool, start: float,
+                        at: Optional[float] = None) -> None:
+        """Observe one fast-booked receive (see :meth:`observe_transmit`)."""
+        self._observe("nic.rx", nbytes, fast, start, at)
+
+    def _observe(self, label: str, nbytes: int, fast: bool, start: float,
+                 at: Optional[float]) -> None:
         env = self.env
         work = env.work
         if work is not None:
@@ -148,13 +156,13 @@ class Nic:
                  fast: bool = False) -> Generator[Event, None, None]:
         """Process generator: occupy the transmit engine for one message."""
         yield from self._occupy(self.tx_engine, nbytes, fast, "nic.tx")
-        self.messages_sent += 1
+        self.record_transmit()
 
     def receive(self, nbytes: int,
                 fast: bool = False) -> Generator[Event, None, None]:
         """Process generator: occupy the receive engine for one message."""
         yield from self._occupy(self.rx_engine, nbytes, fast, "nic.rx")
-        self.messages_received += 1
+        self.record_receive()
 
     @staticmethod
     def _record(metrics: MetricsRegistry, label: str, duration: float,
@@ -178,13 +186,7 @@ class Nic:
             # completion event instead of request/grant/release churn.
             booking = engine.try_occupy(duration)
             if booking is not None:
-                metrics = env.metrics
-                if metrics is not None:
-                    self._record(metrics, label, duration,
-                                 booking[0] - env._now)
-                work = env.work
-                if work is not None:
-                    work.resource_occupancies += 1
+                self._observe(label, nbytes, fast, booking[0], env._now)
                 yield env.sleep_until(booking[0] + duration)
                 return
         requested = env._now

@@ -14,6 +14,7 @@ each fold breaks.  Every call played from a tape under
 the two outcomes must be equal.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -53,31 +54,71 @@ PARITY_CASES = (
 )
 
 
-def _world(machine, p, **kwargs):
+def _world(machine, p, observed=True, **kwargs):
+    """A world with a ``WorkMeter`` attached, or with no observer at all
+    when ``observed`` is false."""
     world = MpiWorld(machine, p, seed=3, **kwargs)
-    world.env.work = WorkMeter()
+    if observed:
+        world.env.work = WorkMeter()
     return world
 
 
-def _counters(machine, op, nbytes, p, iterations=5, **kwargs):
-    world = _world(machine, p, **kwargs)
+def _counters(machine, op, nbytes, p, iterations=5, observed=True,
+              **kwargs):
+    """The elapsed time, diagnostics (the NIC, memory, DMA and
+    transport counters, ``messages_delivered`` included), link
+    statistics and work meter (``None`` unobserved) of one run."""
+    world = _world(machine, p, observed, **kwargs)
     elapsed = world.run_collective(op, nbytes, iterations=iterations)
     return (elapsed, collect_diagnostics(world),
             link_stats(world.machine.fabric), world.env.work)
 
 
+_ACTS = ("wired", "acquired", "released")
+
+
+def _spy_commits(monkeypatch):
+    """Count from now on the episodes committed (``commits``) and
+    observed (``observed``), and the log entries the commits walk, by
+    kind (``wired``, ``acquired``, ``released``)."""
+    counts = Counter()
+    commit, observe = EpisodeEvaluator._commit, EpisodeEvaluator._observe
+
+    def counted_commit(self, outcome, *args):
+        counts["commits"] += 1
+        counts.update(_ACTS[act] for act, _ in outcome.log)
+        commit(self, outcome, *args)
+
+    def counted_observe(self, *args):
+        counts["observed"] += 1
+        observe(self, *args)
+
+    monkeypatch.setattr(EpisodeEvaluator, "_commit", counted_commit)
+    monkeypatch.setattr(EpisodeEvaluator, "_observe", counted_observe)
+    return counts
+
+
+@pytest.mark.parametrize("observed", (True, False),
+                         ids=("observed", "unobserved"))
 @pytest.mark.parametrize("machine", MACHINES)
 @pytest.mark.parametrize("op,nbytes,p", PARITY_CASES)
-def test_hardware_counters_match_full_simulation(machine, op, nbytes, p):
+def test_hardware_counters_match_full_simulation(monkeypatch, machine, op,
+                                                 nbytes, p, observed):
     """NIC, link, memory, DMA and transport counters committed by
     evaluated episodes equal the ones the full simulation accumulates
-    message by message."""
-    fast = _counters(machine, op, nbytes, p)
+    message by message.  With no observer attached the commit's state
+    pass alone accounts them: no episode is observed."""
+    counts = _spy_commits(monkeypatch)
+    fast = _counters(machine, op, nbytes, p, observed=observed)
     full = _counters(machine, op, nbytes, p, fast_wire=False)
     assert fast[0] == full[0]
     assert fast[1] == full[1]
     assert fast[2] == full[2]
     assert full[3].episodes_evaluated == 0
+    # The T3D's barrier is its barrier wire, which no schedule records.
+    commits = counts["commits"]
+    assert commits == (0 if (machine, op) == ("t3d", "barrier") else 4)
+    assert counts["observed"] == (commits if observed else 0)
 
 
 def test_parity_cases_take_the_evaluator():
@@ -347,14 +388,40 @@ def test_full_simulation_switches_evaluate_nothing(kwargs):
     assert work.episodes_evaluated == work.episodes_aborted == 0
 
 
-def test_observers_do_not_decide_eligibility():
-    plain = _counters("sp2", "reduce", 4, 12)
-    world = _world("sp2", 12, trace=True, metrics=True)
+@pytest.mark.parametrize("machine,op,nbytes,p", [
+    ("sp2", "reduce", 4, 12),
+    # Contended and buffered: queued transfers acquire and release
+    # their routes inside the episodes.
+    ("paragon", "alltoall", 65536, 8),
+])
+def test_observers_do_not_decide_eligibility(monkeypatch, machine, op,
+                                             nbytes, p):
+    """Attaching every observer changes no result: the run times,
+    hardware counters and link statistics of a world with nothing
+    attached are those of one traced, metered and work-metered, and
+    the work counters of the latter are those of one work-metered
+    only.  Both commit the same episodes; only the observed one
+    observes them."""
+    counts = _spy_commits(monkeypatch)
+    bare = _counters(machine, op, nbytes, p, observed=False)
+    unobserved = counts.copy()
+    metered = _counters(machine, op, nbytes, p)
+    counts.clear()
+    world = _world(machine, p, trace=True, metrics=True)
     with HostProfile() as profile:
-        elapsed = world.run_collective("reduce", 4, iterations=5)
-    assert elapsed == plain[0]
-    assert world.env.work == plain[3]
+        elapsed = world.run_collective(op, nbytes, iterations=5)
+    assert elapsed == bare[0] == metered[0]
+    assert collect_diagnostics(world) == bare[1] == metered[1]
+    assert link_stats(world.machine.fabric) == bare[2] == metered[2]
+    assert world.env.work == metered[3]
     assert "mpi/episode.py" in [row[0] for row in profile.modules()]
+    assert unobserved["commits"] == counts["commits"] == 4
+    assert unobserved["observed"] == 0
+    assert counts["observed"] == 4
+    for act in _ACTS:
+        assert unobserved[act] == counts[act]
+    if op == "alltoall":
+        assert counts["acquired"] == counts["released"] > 0
 
 
 def test_pending_engine_work_blocks_evaluation():

@@ -81,12 +81,14 @@ def test_wait_recorded_alike_when_booked_processed_or_committed():
     nic = Nic(env, per_message_us=1.0, bandwidth_mbs=100.0)
     single = nic.occupancy_us(1000)
     booked = nic.try_book_transmit(1000)
-    nic.commit_transmit(1000, False, booked[3])
+    nic.record_transmit()
+    nic.observe_transmit(1000, False, booked[3])
     run_leg(env, nic.transmit(1000), {}, "processed")
     env.run()
     booked = nic.try_book_transmit(1000)
     assert booked[0] == pytest.approx(env.now + single)
-    nic.commit_transmit(1000, False, booked[3])
+    nic.record_transmit()
+    nic.observe_transmit(1000, False, booked[3])
     snapshot = env.metrics.snapshot()
     assert snapshot["nic.tx.messages"]["value"] == 3
     assert snapshot["nic.tx.busy_us"]["count"] == 3
@@ -94,6 +96,7 @@ def test_wait_recorded_alike_when_booked_processed_or_committed():
     assert snapshot["nic.tx.wait_us"]["count"] == 1
     assert snapshot["nic.tx.wait_us"]["max"] == pytest.approx(single)
     assert "nic.rx.wait_us" not in snapshot
+    assert nic.messages_sent == 3
 
 
 class _StallOver:
